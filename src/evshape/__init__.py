@@ -18,12 +18,14 @@ from .errors import (
     EvshapeError,
     InfiniteRange,
     InvalidCertificate,
+    InvalidSnapshot,
     MassSumViolation,
     MissingTracker,
     NegativeMass,
     NegativeObservation,
     NegativeSupport,
     NegativeValue,
+    NonFiniteInput,
     NonzeroTail,
     NoViolation,
     NoViolationAt,
@@ -116,10 +118,11 @@ __all__ = [
     # errors
     "AlreadyRejected", "AtomPresent", "BadAlpha", "BadInterval",
     "ConfigError", "EmptyObservations", "EvshapeError", "InfiniteRange",
-    "InvalidCertificate", "MassSumViolation", "MissingTracker",
-    "NegativeMass", "NegativeObservation", "NegativeSupport",
-    "NegativeValue", "NonzeroTail", "NoViolation", "NoViolationAt",
-    "SubprobabilityInput", "SubprobabilitySampling", "ZeroPhi",
+    "InvalidCertificate", "InvalidSnapshot", "MassSumViolation",
+    "MissingTracker", "NegativeMass", "NegativeObservation",
+    "NegativeSupport", "NegativeValue", "NonFiniteInput", "NonzeroTail",
+    "NoViolation", "NoViolationAt", "SubprobabilityInput",
+    "SubprobabilitySampling", "ZeroPhi",
     # mass tables and shapes
     "ModeInterval", "Pmf", "empirical", "is_monotone", "is_theta_unimodal",
     "make_pmf", "mode_set", "monotone_envelope", "pmf_from_json",

@@ -23,7 +23,7 @@ from .continuous import (
     step_density_from_json,
 )
 from .eprocess import MonotoneTracker, UnimodalFamily, UnimodalTracker
-from .errors import EvshapeError
+from .errors import EvshapeError, NonFiniteInput
 from .evalues import EvalFn, is_in_polar_D, is_in_polar_M
 from .harness import config_from_json, run_experiment
 from .mode import (
@@ -49,7 +49,14 @@ class _Parser(argparse.ArgumentParser):
 
 
 def _emit(obj) -> None:
-    print(json.dumps(obj, sort_keys=True))
+    print(json.dumps(obj, sort_keys=True, allow_nan=False), flush=True)
+
+
+def _finite_float(text: str) -> float:
+    value = float(text)
+    if not math.isfinite(value):
+        raise argparse.ArgumentTypeError(f"{text!r} is not a finite number")
+    return value
 
 
 def _stream_values(fh, as_int: bool):
@@ -59,9 +66,18 @@ def _stream_values(fh, as_int: bool):
             continue
         if line.startswith("{"):
             raw = json.loads(line)["x"]
+            # JSON admits Infinity and NaN, which int() would not report
+            if isinstance(raw, float) and not math.isfinite(raw):
+                raise NonFiniteInput(f"observation {raw!r} is not finite")
         else:
             raw = line
-        yield int(raw) if as_int else float(raw)
+        if as_int:
+            yield int(raw)
+            continue
+        value = float(raw)
+        if not math.isfinite(value):
+            raise NonFiniteInput(f"observation {raw!r} is not finite")
+        yield value
 
 
 def _first_value(fh, as_int: bool):
@@ -139,7 +155,7 @@ def _cmd_mode_track(args) -> int:
             "window": None if cs.window is None else list(cs.window),
             "estimate_excluded": sorted(estimate.members),
         }
-        print(json.dumps(line, sort_keys=True), flush=True)
+        _emit(line)
     return 0
 
 
@@ -218,28 +234,28 @@ def _build_parser() -> _Parser:
 
     p = add("test-monotone", _cmd_test_monotone,
             help="sequential test of a non-increasing mass function")
-    p.add_argument("--alpha", type=float, required=True)
+    p.add_argument("--alpha", type=_finite_float, required=True)
 
     p = add("test-unimodal", _cmd_test_unimodal,
             help="sequential test of unimodality with a known peak")
-    p.add_argument("--alpha", type=float, required=True)
+    p.add_argument("--alpha", type=_finite_float, required=True)
     p.add_argument("--theta", type=int, required=True)
 
     p = add("test-unimodal-free", _cmd_test_unimodal_free,
             help="sequential test of unimodality, peak unknown")
-    p.add_argument("--alpha", type=float, required=True)
+    p.add_argument("--alpha", type=_finite_float, required=True)
     p.add_argument("--phi", type=int, required=True)
 
     p = add("mode-ci", _cmd_mode_ci,
             help="mode interval from a single observation")
-    p.add_argument("--alpha", type=float, required=True)
+    p.add_argument("--alpha", type=_finite_float, required=True)
     p.add_argument("--phi", type=int, required=True)
     p.add_argument("--finite", action="store_true",
                    help="intersect both anchors for an always-bounded interval")
 
     p = add("mode-track", _cmd_mode_track,
             help="stream observations; emit the mode confidence sequence")
-    p.add_argument("--alpha", type=float, required=True)
+    p.add_argument("--alpha", type=_finite_float, required=True)
 
     p = add("check-evalue", _cmd_check_evalue,
             help="polar membership of an e-value given as JSON")
@@ -249,14 +265,14 @@ def _build_parser() -> _Parser:
         help="concave majorant, projection, and log-optimal e-value of a pmf")
 
     p = add("cont-ci", _cmd_cont_ci, help="continuous one-observation interval")
-    p.add_argument("--alpha", type=float, required=True)
-    p.add_argument("--phi", type=float, required=True)
+    p.add_argument("--alpha", type=_finite_float, required=True)
+    p.add_argument("--phi", type=_finite_float, required=True)
     p.add_argument("--edelman", action="store_true",
                    help="location interval instead of the wider mode interval")
 
     p = add("cont-pvalue", _cmd_cont_pvalue,
             help="distance-ratio p-value for monotone densities")
-    p.add_argument("--a", type=float, required=True)
+    p.add_argument("--a", type=_finite_float, required=True)
 
     add("cont-numeraire", _cmd_cont_numeraire,
         help="continuous concave majorant and log-optimal e-value")

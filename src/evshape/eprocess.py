@@ -18,7 +18,12 @@ import math
 
 import numpy as np
 
-from .errors import MissingTracker, InfiniteRange, NegativeObservation
+from .errors import (
+    InfiniteRange,
+    InvalidSnapshot,
+    MissingTracker,
+    NegativeObservation,
+)
 from .numeraire import lcm
 from .pmf import ModeInterval, Pmf
 
@@ -41,6 +46,30 @@ def _logsumexp(terms: list[float]) -> float:
     if m == float("-inf"):
         return m
     return m + math.log(math.fsum(math.exp(t - m) for t in terms))
+
+
+def _load_snapshot(snap: dict | str, log_keys: tuple[str, ...]):
+    """Parse a tracker snapshot; returns it with ``n``, counts and log tables.
+
+    Raises :class:`InvalidSnapshot` unless every count is nonnegative,
+    ``n`` is their total and every log factor is finite.
+    """
+    if isinstance(snap, str):
+        snap = json.loads(snap)
+    n = int(snap["n"])
+    counts = {int(k): int(v) for k, v in snap["counts"].items()}
+    if any(v < 0 for v in counts.values()):
+        raise InvalidSnapshot("snapshot has a negative count")
+    total = sum(counts.values())
+    if n != total:
+        raise InvalidSnapshot(f"snapshot n={n} but its counts total {total}")
+    tables = []
+    for key in log_keys:
+        table = {int(k): float(v) for k, v in snap[key].items()}
+        if not all(math.isfinite(v) for v in table.values()):
+            raise InvalidSnapshot(f"snapshot {key} has a non-finite value")
+        tables.append(table)
+    return snap, n, counts, tables
 
 
 def _check_obs(x) -> int:
@@ -100,12 +129,9 @@ class MonotoneTracker:
 
     @classmethod
     def from_snapshot(cls, snap: dict | str) -> "MonotoneTracker":
-        if isinstance(snap, str):
-            snap = json.loads(snap)
+        _, n, counts, (log_factors,) = _load_snapshot(snap, ("log_factors",))
         t = cls()
-        t.n = int(snap["n"])
-        t.counts = {int(k): int(v) for k, v in snap["counts"].items()}
-        t.log_factors = {int(k): float(v) for k, v in snap["log_factors"].items()}
+        t.n, t.counts, t.log_factors = n, counts, log_factors
         return t
 
 
@@ -175,17 +201,12 @@ class UnimodalTracker:
 
     @classmethod
     def from_snapshot(cls, snap: dict | str) -> "UnimodalTracker":
-        if isinstance(snap, str):
-            snap = json.loads(snap)
+        snap, n, counts, (plus, minus) = _load_snapshot(
+            snap, ("log_factors_plus", "log_factors_minus")
+        )
         t = cls(int(snap["theta"]))
-        t.n = int(snap["n"])
-        t.counts = {int(k): int(v) for k, v in snap["counts"].items()}
-        t.log_factors_plus = {
-            int(k): float(v) for k, v in snap["log_factors_plus"].items()
-        }
-        t.log_factors_minus = {
-            int(k): float(v) for k, v in snap["log_factors_minus"].items()
-        }
+        t.n, t.counts = n, counts
+        t.log_factors_plus, t.log_factors_minus = plus, minus
         return t
 
 

@@ -71,6 +71,11 @@ class AlreadyRejected(EvshapeError):
     """The sequential test has already stopped."""
 
 
+class InvalidSnapshot(EvshapeError):
+    """A tracker snapshot has a negative count, an ``n`` that is not the
+    total of its counts, or a non-finite log factor."""
+
+
 # ------------------------------------------------- mode inference / CIs
 
 class BadAlpha(EvshapeError):
@@ -95,3 +100,9 @@ class AtomPresent(EvshapeError):
 
 class ConfigError(EvshapeError):
     """A scenario configuration is invalid; the message names the field."""
+
+
+# ------------------------------------------------------------------ cli
+
+class NonFiniteInput(EvshapeError):
+    """An input value is infinite or NaN."""

@@ -8,7 +8,13 @@ reduces records in replication order.
 
 The ``type1`` scenario is the only hot loop; it runs all replications
 side by side as numpy rows, maintaining the mixture sum incrementally
-(two touched locations per observation) with a periodic exact resync.
+(two touched locations per observation) with an exact resync every
+``_RESYNC_EVERY`` steps.  Draws are streamed in blocks of that many
+columns: each replication's generator fills its row of a
+``(reps, _RESYNC_EVERY)`` block of uniforms, so memory is bounded by
+``reps * (support + _RESYNC_EVERY)`` rather than ``reps * n``.  PCG64
+``random()`` yields the same stream whatever the block size, so the
+draws, and with them every report digest, equal those of :func:`sample`.
 The remaining scenarios drive the ordinary tracker objects.
 """
 
@@ -29,7 +35,7 @@ from .eprocess import MonotoneTracker, UnimodalFamily, numeraire_eprocess
 from .errors import ConfigError, EvshapeError
 from .mode import UnrestrictedTest, mode_estimate, one_obs_ci
 from .numeraire import lcm, max_epower
-from .pmf import Pmf, mode_set, pmf_from_json, sample
+from .pmf import Pmf, inverse_cdf, mode_set, pmf_from_json, sample
 
 SCENARIOS = (
     "type1",
@@ -66,6 +72,11 @@ def worker_count() -> int:
     if w < 1:
         raise ConfigError(f"EVSHAPE_WORKERS must be >= 1, got {w}")
     return w
+
+
+def pool_size(requested: int, reps: int, cpus: int | None) -> int:
+    """Worker processes to start: at most one per replication and per CPU."""
+    return max(1, min(requested, reps, cpus or 1))
 
 
 @dataclass(frozen=True)
@@ -218,56 +229,66 @@ def _run_type1(c: ScenarioConfig) -> tuple[list[dict], dict]:
     reps, n = c.reps, c.n
     threshold = 1.0 / c.alpha
     hi = p.hi
-    obs = np.empty((reps, n), dtype=np.int64)
-    for r in range(reps):
-        obs[r] = sample(p, derive_seed(c.seed, r), n)
+    rngs = [np.random.default_rng(derive_seed(c.seed, r)) for r in range(reps)]
 
-    counts = np.zeros((reps, hi + 2))
-    lf = np.zeros((reps, hi + 1))
+    # Flat state, one row of ``width`` cells per replication; cell k of a
+    # row stands for location k - 1.  Location -1 carries weight zero, so
+    # rows with x = 0 take the same steps as every other row: the product
+    # there is capped at exp(700) and stays finite, and the mixture gains
+    # exactly 0.0.  Location hi + 1 is never tilted; it only holds counts.
+    width = hi + 3
+    counts = np.zeros(reps * width)
+    counts_up = counts[1:]  # counts_up[cell] is the count one location up
+    lf = np.zeros(reps * width)
+    lf_exp = np.ones(reps * width)  # exp(min(lf, 700)) of each cell
     weights = np.exp2(-(np.arange(hi + 1) + 1.0))
+    cell_w = np.tile(np.concatenate([[0.0], weights, [0.0]]), reps)
     residual = 2.0 ** (-(hi + 1))
     mix_sum = np.full(reps, float(weights.sum()))
     crossed = np.zeros(reps, dtype=bool)
     cross_time = np.full(reps, -1, dtype=np.int64)
-    rows = np.arange(reps)
+    # x + offsets: row 0 the cell of location x, row 1 of location x - 1
+    offsets = np.arange(reps) * width + np.array([[1], [0]])
+    # tilt at location x uses factor 1 - lam, at location x - 1 factor 1 + lam
+    sign = np.array([[-1.0], [1.0]])
+    u = np.empty((reps, _RESYNC_EVERY))
+    # mixture sum after each step of a block; crossings are read off it
+    trail = np.empty((_RESYNC_EVERY, reps))
 
     def resync() -> None:
-        mix_sum[:] = (weights[None, :] * np.exp(np.minimum(lf, 700.0))).sum(axis=1)
+        tail = lf_exp.reshape(reps, width)[:, 1:hi + 2]
+        mix_sum[:] = (weights[None, :] * tail).sum(axis=1)
 
-    for t in range(n):
-        x = obs[:, t]
-        # location m = x, factor 1 - lam from counts at (x, x+1)
-        c_lo = counts[rows, x]
-        c_hi = counts[rows, x + 1]
-        s = c_lo + c_hi
-        lam = np.clip((c_hi - c_lo) / np.where(s > 0.0, 2.0 * s, 1.0), 0.0, 0.5)
-        old = lf[rows, x]
-        new = old + np.log1p(-lam)
-        lf[rows, x] = new
-        mix_sum += weights[x] * (
-            np.exp(np.minimum(new, 700.0)) - np.exp(np.minimum(old, 700.0))
-        )
-        # location m = x - 1, factor 1 + lam, absent for x = 0
-        mask = x > 0
-        if mask.any():
-            rr, xr = rows[mask], x[mask]
-            c_lo = counts[rr, xr - 1]
-            c_hi = counts[rr, xr]
-            s = c_lo + c_hi
-            lam = np.clip((c_hi - c_lo) / np.where(s > 0.0, 2.0 * s, 1.0), 0.0, 0.5)
-            old = lf[rr, xr - 1]
-            new = old + np.log1p(lam)
-            lf[rr, xr - 1] = new
-            mix_sum[rr] += weights[xr - 1] * (
-                np.exp(np.minimum(new, 700.0)) - np.exp(np.minimum(old, 700.0))
+    for start in range(0, n, _RESYNC_EVERY):
+        m = min(_RESYNC_EVERY, n - start)
+        for r, rng in enumerate(rngs):
+            rng.random(out=u[r, :m])
+        xs = np.ascontiguousarray(inverse_cdf(p, u[:, :m]).T)
+        for k in range(m):
+            cell = xs[k] + offsets
+            c_lo = counts[cell]
+            c_hi = counts_up[cell]
+            # counts are whole numbers, so 2 * (c_lo + c_hi) is 0 or >= 2
+            lam = np.clip(
+                (c_hi - c_lo) / np.maximum(2.0 * (c_lo + c_hi), 1.0), 0.0, 0.5
             )
-        counts[rows, x] += 1.0
-        if (t + 1) % _RESYNC_EVERY == 0:
+            new = lf[cell] + np.log1p(sign * lam)
+            lf[cell] = new
+            new_exp = np.exp(np.minimum(new, 700.0))
+            delta = cell_w[cell] * (new_exp - lf_exp[cell])
+            lf_exp[cell] = new_exp
+            # location x first, then x - 1: reports are pinned to this order
+            mix_sum += delta[0]
+            mix_sum += delta[1]
+            counts[cell[0]] = c_lo[0] + 1.0
+            trail[k] = mix_sum
+        if m == _RESYNC_EVERY:
             resync()
-        value = mix_sum + residual
-        newly = ~crossed & (value >= threshold)
+            trail[m - 1] = mix_sum
+        hit = (trail[:m] + residual >= threshold) & ~crossed[None, :]
+        newly = hit.any(axis=0)
         if newly.any():
-            cross_time[newly] = t + 1
+            cross_time[newly] = start + 1 + hit[:, newly].argmax(axis=0)
             crossed |= newly
 
     resync()
@@ -364,7 +385,7 @@ def _rep_task(packed: tuple) -> dict:
 
 
 def _map_reps(c: ScenarioConfig) -> list[dict]:
-    workers = worker_count()
+    workers = pool_size(worker_count(), c.reps, os.cpu_count())
     if workers == 1:
         fn = _REP_FNS[c.scenario]
         return [fn(c, rep) for rep in range(c.reps)]

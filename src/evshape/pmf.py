@@ -333,6 +333,13 @@ def empirical(obs) -> Pmf:
     return make_pmf(lo, [c / n for c in counts])
 
 
+def inverse_cdf(p: Pmf, u: np.ndarray) -> np.ndarray:
+    """Map uniforms in ``[0, 1)`` to values of ``p`` by inverse CDF (int64)."""
+    cum = np.cumsum(np.asarray(p.masses, dtype=float))
+    idx = np.searchsorted(cum, u, side="right")
+    return p.lo + np.minimum(idx, len(p.masses) - 1)
+
+
 def sample(p: Pmf, seed: int, n: int) -> list[int]:
     """Draw ``n`` values by inverse CDF with a seeded generator.
 
@@ -345,9 +352,4 @@ def sample(p: Pmf, seed: int, n: int) -> list[int]:
         raise ValueError("sample size must be >= 0")
     if n == 0:
         return []
-    rng = np.random.default_rng(seed)
-    cum = np.cumsum(np.asarray(p.masses, dtype=float))
-    u = rng.random(n)
-    idx = np.searchsorted(cum, u, side="right")
-    idx = np.minimum(idx, len(p.masses) - 1)
-    return [int(p.lo + i) for i in idx]
+    return inverse_cdf(p, np.random.default_rng(seed).random(n)).tolist()

@@ -192,6 +192,45 @@ def test_cont_pvalue(monkeypatch, capsys):
     assert json.loads(out)["pvalue"] == pytest.approx(0.8)
 
 
+@pytest.mark.parametrize("value", ["inf", "-inf", "nan", "1e999"])
+def test_cont_pvalue_rejects_non_finite(monkeypatch, capsys, value):
+    code, out, err = run_cli(monkeypatch, capsys,
+                             ["cont-pvalue", "--a", "1"], value + "\n")
+    assert code == 1
+    assert out == ""
+    assert "not finite" in err
+
+
+@pytest.mark.parametrize("value", ["nan", "inf", '{"x": NaN}'])
+def test_cont_ci_rejects_non_finite(monkeypatch, capsys, value):
+    code, out, err = run_cli(monkeypatch, capsys,
+                             ["cont-ci", "--alpha", "0.1", "--phi", "0"],
+                             value + "\n")
+    assert code == 1
+    assert out == ""
+    assert "not finite" in err
+
+
+def test_integer_streams_reject_non_finite_json(monkeypatch, capsys):
+    for argv in (["test-monotone", "--alpha", "0.05"],
+                 ["mode-ci", "--alpha", "0.1", "--phi", "1"]):
+        code, out, err = run_cli(monkeypatch, capsys, argv,
+                                 '{"x": Infinity}\n')
+        assert code == 1
+        assert out == ""
+        assert "not finite" in err
+
+
+def test_non_finite_options_are_usage_errors(monkeypatch, capsys):
+    for argv in (["cont-pvalue", "--a", "nan"],
+                 ["cont-ci", "--alpha", "0.1", "--phi", "inf"],
+                 ["test-monotone", "--alpha", "nan"]):
+        code, out, err = run_cli(monkeypatch, capsys, argv, "1\n")
+        assert code == 1
+        assert out == ""
+        assert "not a finite number" in err
+
+
 def test_cont_numeraire(monkeypatch, capsys):
     q = make_step_density((0.0, 1.0, 2.0), (0.25, 0.75))
     code, out, _ = run_cli(monkeypatch, capsys, ["cont-numeraire"],

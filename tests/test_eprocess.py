@@ -1,5 +1,6 @@
 """Streaming trackers: hand replays, validity, and replay equivalence."""
 
+import json
 import math
 import random
 
@@ -12,7 +13,12 @@ from evshape.eprocess import (
     numeraire_eprocess,
     range_value,
 )
-from evshape.errors import InfiniteRange, MissingTracker, NegativeObservation
+from evshape.errors import (
+    InfiniteRange,
+    InvalidSnapshot,
+    MissingTracker,
+    NegativeObservation,
+)
 from evshape.pmf import ModeInterval, make_pmf, sample
 
 
@@ -164,6 +170,50 @@ def test_unimodal_snapshot_shape():
     assert snap["n"] == 2
     assert snap["counts"] == {"1": 2}
     assert "log_factors_plus" in snap and "log_factors_minus" in snap
+
+
+def test_snapshot_resume_equals_uninterrupted_run():
+    rng = random.Random(31)
+    obs = [rng.randint(0, 6) for _ in range(200)]
+    for make, value in ((MonotoneTracker, "mixture_value"),
+                        (lambda: UnimodalTracker(2), "unimodal_value")):
+        whole, head = make(), make()
+        for x in obs:
+            whole.update(x)
+        for x in obs[:120]:
+            head.update(x)
+        resumed = type(head).from_snapshot(json.dumps(head.to_snapshot()))
+        for x in obs[120:]:
+            resumed.update(x)
+        assert resumed.to_snapshot() == whole.to_snapshot()
+        assert getattr(resumed, value)() == getattr(whole, value)()
+
+
+def _broken_snapshots(snap, log_keys):
+    yield dict(snap, counts={"0": -3}, n=-3), "negative count"
+    yield dict(snap, n=snap["n"] + 1), "counts total"
+    for key in log_keys:
+        for bad in (float("nan"), float("inf"), float("-inf")):
+            yield dict(snap, **{key: {"0": bad}}), "non-finite"
+
+
+def test_snapshots_reject_inconsistent_state():
+    mono = replay_monotone([0, 1, 0, 2])
+    uni = UnimodalTracker(1)
+    for x in [0, 1, 2, 1]:
+        uni.update(x)
+    cases = [
+        (MonotoneTracker, mono.to_snapshot(), ["log_factors"]),
+        (UnimodalTracker, uni.to_snapshot(),
+         ["log_factors_plus", "log_factors_minus"]),
+    ]
+    for cls, snap, log_keys in cases:
+        for broken, message in _broken_snapshots(snap, log_keys):
+            with pytest.raises(InvalidSnapshot, match=message):
+                cls.from_snapshot(broken)
+    with pytest.raises(InvalidSnapshot):
+        MonotoneTracker.from_snapshot(
+            '{"n": 5, "counts": {"0": -3}, "log_factors": {"0": NaN}}')
 
 
 # ---------------------------------------------------------- UnimodalFamily

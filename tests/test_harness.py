@@ -13,6 +13,7 @@ from evshape.harness import (
     ScenarioConfig,
     config_from_json,
     derive_seed,
+    pool_size,
     run_experiment,
     worker_count,
 )
@@ -100,6 +101,14 @@ def test_worker_count_env(monkeypatch):
         worker_count()
 
 
+def test_pool_size_is_capped_by_reps_and_cpus():
+    assert pool_size(1, 100, 8) == 1
+    assert pool_size(4, 100, 8) == 4
+    assert pool_size(10_000, 100, 8) == 8
+    assert pool_size(10_000, 3, 8) == 3
+    assert pool_size(6, 100, None) == 1
+
+
 # ------------------------------------------------------------------ reports
 
 
@@ -138,10 +147,7 @@ def test_aggregates_csv():
     assert "mean_rate" in keys
 
 
-def test_type1_engine_matches_tracker_replay():
-    """The vectorized path must reproduce the reference tracker exactly."""
-    c = ScenarioConfig("type1", make_pmf(0, [0.25, 0.25, 0.25, 0.25]),
-                       n=300, reps=6, alpha=0.05, seed=5)
+def assert_type1_matches_tracker_replay(c):
     report = run_experiment(c)
     threshold = math.log(1.0 / c.alpha)
     for rec in report.records:
@@ -156,6 +162,55 @@ def test_type1_engine_matches_tracker_replay():
                                                     abs=1e-9)
         assert rec["crossed"] == (crossing is not None)
         assert rec["crossing_time"] == crossing
+    return report
+
+
+def test_type1_engine_matches_tracker_replay():
+    """The vectorized path must reproduce the reference tracker exactly."""
+    assert_type1_matches_tracker_replay(
+        ScenarioConfig("type1", make_pmf(0, [0.25, 0.25, 0.25, 0.25]),
+                       n=300, reps=6, alpha=0.05, seed=5))
+
+
+GEOMETRIC = make_pmf(0, [2.0 ** -(k + 1) for k in range(29)] + [2.0 ** -29])
+
+
+@pytest.mark.parametrize("dist, n, reps, alpha, crosses", [
+    # every draw is 0, the row shape with no tilt below the observation
+    (make_pmf(0, [1.0]), 300, 3, 0.05, False),
+    (GEOMETRIC, 600, 4, 0.05, False),
+    # block edges of the streamed draws
+    (UNIFORM10, 1, 3, 0.05, False),
+    (UNIFORM10, 255, 3, 0.05, False),
+    (UNIFORM10, 256, 3, 0.05, False),
+    (UNIFORM10, 257, 3, 0.05, False),
+    (UNIFORM10, 513, 3, 0.05, False),
+    (UNIFORM10, 700, 1, 0.05, False),
+    # rising alternatives, one with support starting above zero
+    (make_pmf(0, [0.1, 0.2, 0.3, 0.4]), 300, 4, 0.05, True),
+    (make_pmf(2, [0.2, 0.3, 0.5]), 400, 3, 0.1, True),
+])
+def test_type1_engine_edge_cases_match_tracker_replay(dist, n, reps, alpha,
+                                                      crosses):
+    report = assert_type1_matches_tracker_replay(
+        ScenarioConfig("type1", dist, n=n, reps=reps, alpha=alpha, seed=n))
+    assert (report.aggregates["crossing_rate"] > 0.0) == crosses
+
+
+@pytest.mark.parametrize("c, digest", [
+    (ScenarioConfig("type1", UNIFORM10, n=700, reps=5, alpha=0.05, seed=11),
+     "6b857de138a8e99c6d38374759807512b5cc3d2e18531fb41802a2d2e90ba823"),
+    (ScenarioConfig("type1", make_pmf(0, [0.5, 0.25, 0.125, 0.0625, 0.0625]),
+                    n=513, reps=4, alpha=0.1, seed=12),
+     "fe86d5f558b26f77646a00004db50da04d15333665026334a01e127cef7e2673"),
+    (ScenarioConfig("type1", make_pmf(2, [0.3, 0.3, 0.4]), n=257, reps=3,
+                    alpha=0.05, seed=14),
+     "7738a6521210a50f872ff0ec44c02a22eb64db9e7450a0d8ef8d1a3195467fdd"),
+])
+def test_type1_digests_are_pinned(c, digest):
+    # recorded with the earlier engine that materialized every draw; the
+    # streamed engine must reproduce reports byte for byte
+    assert run_experiment(c).digest() == digest
 
 
 def test_worker_count_does_not_change_reports():
