@@ -16,16 +16,15 @@ from .errors import (
     ConfigError,
     EmptyObservations,
     EvshapeError,
-    InfiniteRange,
     InvalidCertificate,
     InvalidSnapshot,
     MassSumViolation,
-    MissingTracker,
     NegativeMass,
     NegativeObservation,
     NegativeSupport,
     NegativeValue,
     NonFiniteInput,
+    NonIntegerInput,
     NonzeroTail,
     NoViolation,
     NoViolationAt,
@@ -71,7 +70,6 @@ from .eprocess import (
     UnimodalFamily,
     UnimodalTracker,
     numeraire_eprocess,
-    range_value,
 )
 from .mode import (
     CiParams,
@@ -117,10 +115,10 @@ __all__ = [
     "__version__",
     # errors
     "AlreadyRejected", "AtomPresent", "BadAlpha", "BadInterval",
-    "ConfigError", "EmptyObservations", "EvshapeError", "InfiniteRange",
+    "ConfigError", "EmptyObservations", "EvshapeError",
     "InvalidCertificate", "InvalidSnapshot", "MassSumViolation",
-    "MissingTracker", "NegativeMass", "NegativeObservation",
-    "NegativeSupport", "NegativeValue", "NonFiniteInput", "NonzeroTail",
+    "NegativeMass", "NegativeObservation", "NegativeSupport",
+    "NegativeValue", "NonFiniteInput", "NonIntegerInput", "NonzeroTail",
     "NoViolation", "NoViolationAt", "SubprobabilityInput",
     "SubprobabilitySampling", "ZeroPhi",
     # mass tables and shapes
@@ -137,7 +135,7 @@ __all__ = [
     "LcmResult", "lcm", "max_epower", "numeraire_evalue", "ripr",
     # sequential
     "MonotoneTracker", "UnimodalFamily", "UnimodalTracker",
-    "numeraire_eprocess", "range_value",
+    "numeraire_eprocess",
     # mode inference
     "CiParams", "ConfidenceSetResult", "IntSet", "UnrestrictedTest",
     "confidence_set", "mode_estimate", "one_obs_ci", "one_obs_ci_finite",

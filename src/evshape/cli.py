@@ -23,7 +23,7 @@ from .continuous import (
     step_density_from_json,
 )
 from .eprocess import MonotoneTracker, UnimodalFamily, UnimodalTracker
-from .errors import EvshapeError, NonFiniteInput
+from .errors import EvshapeError, NonFiniteInput, NonIntegerInput
 from .evalues import EvalFn, is_in_polar_D, is_in_polar_M
 from .harness import config_from_json, run_experiment
 from .mode import (
@@ -69,6 +69,9 @@ def _stream_values(fh, as_int: bool):
             # JSON admits Infinity and NaN, which int() would not report
             if isinstance(raw, float) and not math.isfinite(raw):
                 raise NonFiniteInput(f"observation {raw!r} is not finite")
+            # int() would truncate 2.7 and read true as 1
+            if as_int and type(raw) is not int:
+                raise NonIntegerInput(f"observation {raw!r} is not an integer")
         else:
             raw = line
         if as_int:

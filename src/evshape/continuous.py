@@ -18,12 +18,12 @@ from dataclasses import dataclass
 
 from .errors import (
     AtomPresent,
-    BadAlpha,
     BadInterval,
     MassSumViolation,
     NegativeValue,
     NonzeroTail,
 )
+from .mode import _check_alpha
 from .numeraire import _upper_hull
 from .pmf import MASS_TOL, PROB_TOL, SHAPE_TOL
 
@@ -371,11 +371,6 @@ class RealInterval:
         if self.kind == "all":
             return {"kind": "all"}
         return {"kind": self.kind, "lo": self.lo, "hi": self.hi}
-
-
-def _check_alpha(alpha: float) -> None:
-    if not 0.0 < alpha < 1.0:
-        raise BadAlpha(f"alpha {alpha} must lie in (0, 1)")
 
 
 def edelman_ci(x: float, alpha: float, phi: float) -> RealInterval:

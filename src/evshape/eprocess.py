@@ -1,10 +1,15 @@
 """Sequential e-processes by predictable plug-in.
 
-Each tracker multiplies, per observation, the two-point tilts whose
-amplitude is computed from the empirical counts seen so far (so the
-first observation always contributes a factor of exactly one).  Mixing
-the per-location products with dyadic weights gives a test
-supermartingale against the whole shape class.
+Each observation multiplies two-point tilts at adjacent pairs: rises at
+sites ``j`` (pair ``(j, j + 1)``) and falls at sites ``i`` (pair
+``(i, i - 1)``), with amplitude computed from the counts seen so far (so
+the first observation contributes a factor of exactly one).  One kernel,
+:func:`_tilt`, updates either side; the trackers differ only in the
+sites they keep: rises at ``j >= 0`` against the monotone null, rises at
+``j >= theta`` and falls at ``i <= theta`` for peak ``theta``, and every
+site in the family that serves all peaks at once.  Mixing the per-site
+products with dyadic weights gives a test supermartingale against the
+whole shape class.
 
 All running products are kept in log space; mixture values are computed
 with a log-sum-exp over the stored components plus the exact dyadic
@@ -18,27 +23,33 @@ import math
 
 import numpy as np
 
-from .errors import (
-    InfiniteRange,
-    InvalidSnapshot,
-    MissingTracker,
-    NegativeObservation,
-)
+from .errors import InvalidSnapshot, NegativeObservation
+from .evalues import wavelet_lambda
 from .numeraire import lcm
-from .pmf import ModeInterval, Pmf
+from .pmf import Pmf
 
 _LN2 = math.log(2.0)
 
 
-def _lam_counts(c_lo: float, c_hi: float) -> float:
-    # tilt amplitude from raw counts (scale cancels); 0/0 -> 0
-    s = c_lo + c_hi
-    if s <= 0:
-        return 0.0
-    lam = (c_hi - c_lo) / (2.0 * s)
-    if lam < 0.0:
-        return 0.0
-    return 0.5 if lam > 0.5 else lam
+def _tilt(logs: dict, counts: dict, x: int, step: int, keep: int) -> None:
+    """Fold observation ``x`` into the tilts of one side, before counting it.
+
+    ``step`` is +1 for rises and -1 for falls.  The observation touches
+    the pairs at sites ``x - step`` and ``x``; each amplitude comes from
+    the counts at the site and at ``site + step``.  Site ``x - step``
+    gains the factor ``1 + lam``, site ``x`` the factor ``1 - lam``.
+    Sites before ``keep`` in the direction of ``step`` are skipped.
+    """
+    d = (x - keep) * step
+    if d < 0:
+        return
+    c_x = counts.get(x, 0)
+    if d > 0:
+        up = x - step
+        lam = wavelet_lambda(counts.get(up, 0), c_x)
+        logs[up] = logs.get(up, 0.0) + math.log(1.0 + lam)
+    lam = wavelet_lambda(c_x, counts.get(x + step, 0))
+    logs[x] = logs.get(x, 0.0) + math.log(1.0 - lam)
 
 
 def _logsumexp(terms: list[float]) -> float:
@@ -48,11 +59,15 @@ def _logsumexp(terms: list[float]) -> float:
     return m + math.log(math.fsum(math.exp(t - m) for t in terms))
 
 
-def _load_snapshot(snap: dict | str, log_keys: tuple[str, ...]):
+def _load_snapshot(
+    snap: dict | str, log_keys: tuple[str, ...], nonneg: tuple[str, ...] = ()
+):
     """Parse a tracker snapshot; returns it with ``n``, counts and log tables.
 
     Raises :class:`InvalidSnapshot` unless every count is nonnegative,
-    ``n`` is their total and every log factor is finite.
+    ``n`` is their total, every log factor is finite, and the tables
+    named in ``nonneg`` (component indices, or the counts of a stream
+    on the nonnegative integers) have no negative key.
     """
     if isinstance(snap, str):
         snap = json.loads(snap)
@@ -69,6 +84,9 @@ def _load_snapshot(snap: dict | str, log_keys: tuple[str, ...]):
         if not all(math.isfinite(v) for v in table.values()):
             raise InvalidSnapshot(f"snapshot {key} has a non-finite value")
         tables.append(table)
+    for key, table in zip(("counts",) + log_keys, [counts] + tables):
+        if key in nonneg and min(table, default=0) < 0:
+            raise InvalidSnapshot(f"snapshot {key} has a negative key")
     return snap, n, counts, tables
 
 
@@ -83,7 +101,7 @@ class MonotoneTracker:
     """Running mixture e-process against the non-increasing null.
 
     State is the observation count, the empirical counts, and one log
-    factor per touched tilt location ``m`` (weights ``2**-(m+1)``).
+    factor per touched rise site ``m >= 0`` (weights ``2**-(m+1)``).
     """
 
     def __init__(self) -> None:
@@ -94,14 +112,8 @@ class MonotoneTracker:
     def update(self, x: int) -> None:
         """Fold in one observation; amplitudes use counts before it."""
         x = _check_obs(x)
-        c = self.counts
-        for m in (x - 1, x):
-            if m < 0:
-                continue
-            lam = _lam_counts(c.get(m, 0), c.get(m + 1, 0))
-            factor = 1.0 + lam if x == m + 1 else 1.0 - lam
-            self.log_factors[m] = self.log_factors.get(m, 0.0) + math.log(factor)
-        c[x] = c.get(x, 0) + 1
+        _tilt(self.log_factors, self.counts, x, 1, 0)
+        self.counts[x] = self.counts.get(x, 0) + 1
         self.n += 1
 
     def component_value(self, m: int) -> float:
@@ -129,7 +141,9 @@ class MonotoneTracker:
 
     @classmethod
     def from_snapshot(cls, snap: dict | str) -> "MonotoneTracker":
-        _, n, counts, (log_factors,) = _load_snapshot(snap, ("log_factors",))
+        _, n, counts, (log_factors,) = _load_snapshot(
+            snap, ("log_factors",), nonneg=("counts", "log_factors")
+        )
         t = cls()
         t.n, t.counts, t.log_factors = n, counts, log_factors
         return t
@@ -138,47 +152,34 @@ class MonotoneTracker:
 class UnimodalTracker:
     """Running mixture e-process against peaks at a fixed ``theta``.
 
-    The rising side evaluates tilts in the shifted variable
-    ``x - theta``; the falling side uses the reflected variable
-    ``theta - x``, whose empirical masses are the counts at
-    ``theta - m`` and ``theta - m - 1``.  Side weights are
-    ``2**-(m+2)`` so the two sides together carry total weight one.
+    Keeps the rise products at sites ``j >= theta`` and the fall
+    products at sites ``i <= theta``.  The component index of a site is
+    its distance ``m = |site - theta|`` from the peak, and each side
+    weights component ``m`` by ``2**-(m+2)``, so the two sides together
+    carry total weight one.  Snapshots are keyed by ``m``.
     """
 
     def __init__(self, theta: int) -> None:
         self.theta = int(theta)
         self.n = 0
         self.counts: dict[int, int] = {}
-        self.log_factors_plus: dict[int, float] = {}
-        self.log_factors_minus: dict[int, float] = {}
+        self.log_rise: dict[int, float] = {}
+        self.log_fall: dict[int, float] = {}
 
     def update(self, x: int) -> None:
         x = int(x)
-        c = self.counts
-        th = self.theta
-        s = x - th
-        for m in (s - 1, s):
-            if m < 0:
-                continue
-            lam = _lam_counts(c.get(th + m, 0), c.get(th + m + 1, 0))
-            factor = 1.0 + lam if s == m + 1 else 1.0 - lam
-            self.log_factors_plus[m] = self.log_factors_plus.get(m, 0.0) + math.log(factor)
-        r = th - x
-        for m in (r - 1, r):
-            if m < 0:
-                continue
-            lam = _lam_counts(c.get(th - m, 0), c.get(th - m - 1, 0))
-            factor = 1.0 + lam if r == m + 1 else 1.0 - lam
-            self.log_factors_minus[m] = self.log_factors_minus.get(m, 0.0) + math.log(factor)
-        c[x] = c.get(x, 0) + 1
+        _tilt(self.log_rise, self.counts, x, 1, self.theta)
+        _tilt(self.log_fall, self.counts, x, -1, self.theta)
+        self.counts[x] = self.counts.get(x, 0) + 1
         self.n += 1
 
     def unimodal_value(self) -> float:
         """Log of the two-sided dyadic mixture."""
-        weight_used = math.fsum(2.0 ** (-m - 2) for m in self.log_factors_plus)
-        weight_used += math.fsum(2.0 ** (-m - 2) for m in self.log_factors_minus)
-        terms = [-(m + 2) * _LN2 + lf for m, lf in self.log_factors_plus.items()]
-        terms += [-(m + 2) * _LN2 + lf for m, lf in self.log_factors_minus.items()]
+        th = self.theta
+        weight_used = math.fsum(2.0 ** (th - j - 2) for j in self.log_rise)
+        weight_used += math.fsum(2.0 ** (i - th - 2) for i in self.log_fall)
+        terms = [-(j - th + 2) * _LN2 + lf for j, lf in self.log_rise.items()]
+        terms += [-(th - i + 2) * _LN2 + lf for i, lf in self.log_fall.items()]
         residual = 1.0 - weight_used
         if residual > 0.0:
             terms.append(math.log(residual))
@@ -187,43 +188,29 @@ class UnimodalTracker:
         return _logsumexp(terms)
 
     def to_snapshot(self) -> dict:
+        th = self.theta
         return {
-            "theta": self.theta,
+            "theta": th,
             "n": self.n,
             "counts": {str(k): v for k, v in sorted(self.counts.items())},
             "log_factors_plus": {
-                str(m): v for m, v in sorted(self.log_factors_plus.items())
+                str(j - th): v for j, v in sorted(self.log_rise.items())
             },
             "log_factors_minus": {
-                str(m): v for m, v in sorted(self.log_factors_minus.items())
+                str(th - i): v
+                for i, v in sorted(self.log_fall.items(), reverse=True)
             },
         }
 
     @classmethod
     def from_snapshot(cls, snap: dict | str) -> "UnimodalTracker":
-        snap, n, counts, (plus, minus) = _load_snapshot(
-            snap, ("log_factors_plus", "log_factors_minus")
-        )
+        keys = ("log_factors_plus", "log_factors_minus")
+        snap, n, counts, (plus, minus) = _load_snapshot(snap, keys, nonneg=keys)
         t = cls(int(snap["theta"]))
         t.n, t.counts = n, counts
-        t.log_factors_plus, t.log_factors_minus = plus, minus
+        t.log_rise = {t.theta + m: lf for m, lf in plus.items()}
+        t.log_fall = {t.theta - m: lf for m, lf in minus.items()}
         return t
-
-
-def range_value(trackers, theta_set: ModeInterval) -> float:
-    """Minimum mixture value over a finite interval of peak locations."""
-    if theta_set.is_all:
-        raise InfiniteRange("need a bounded interval of peak locations")
-    if theta_set.is_empty:
-        raise MissingTracker("empty interval has no trackers")
-    best = None
-    for theta in range(theta_set.lo, theta_set.hi + 1):
-        t = trackers.get(theta)
-        if t is None:
-            raise MissingTracker(f"no tracker for peak {theta}")
-        v = t.unimodal_value()
-        best = v if best is None else min(best, v)
-    return best
 
 
 class UnimodalFamily:
@@ -231,9 +218,9 @@ class UnimodalFamily:
 
     A tilt at pair ``(theta + m, theta + m + 1)`` depends on ``theta``
     only through the site ``j = theta + m``, and likewise the falling
-    side through ``i = theta - m``.  Maintaining one rise product per
-    site ``j`` and one fall product per site ``i`` therefore reproduces
-    every :class:`UnimodalTracker` exactly:
+    side through ``i = theta - m``.  Keeping the products of every site
+    therefore holds the tables of every :class:`UnimodalTracker`, each
+    of which keeps the sites on its side of its peak:
 
     * plus component ``m`` of peak ``theta``  == rise product at ``theta + m``
     * minus component ``m`` of peak ``theta`` == fall product at ``theta - m``
@@ -247,36 +234,16 @@ class UnimodalFamily:
         self.counts: dict[int, int] = {}
         self.log_rise: dict[int, float] = {}
         self.log_fall: dict[int, float] = {}
-        self.observations: list[int] = []
 
-    def update(self, x: int) -> tuple:
-        """Fold in one observation; returns the touched-site changes.
-
-        The return value lists ``(side, site, old_log, new_log)`` tuples
-        (``side`` is ``"rise"`` or ``"fall"``) so callers can maintain
-        incremental summaries.
-        """
+    def update(self, x: int) -> None:
+        """Fold in one observation: rise sites ``x - 1``, ``x``, then fall
+        sites ``x + 1``, ``x``, in that order."""
         x = int(x)
-        c = self.counts
-        changes = []
-        for site in (x - 1, x):
-            lam = _lam_counts(c.get(site, 0), c.get(site + 1, 0))
-            factor = 1.0 + lam if x == site + 1 else 1.0 - lam
-            old = self.log_rise.get(site, 0.0)
-            new = old + math.log(factor)
-            self.log_rise[site] = new
-            changes.append(("rise", site, old, new))
-        for site in (x + 1, x):
-            lam = _lam_counts(c.get(site, 0), c.get(site - 1, 0))
-            factor = 1.0 + lam if x == site - 1 else 1.0 - lam
-            old = self.log_fall.get(site, 0.0)
-            new = old + math.log(factor)
-            self.log_fall[site] = new
-            changes.append(("fall", site, old, new))
-        c[x] = c.get(x, 0) + 1
+        # keep = x - step keeps both touched sites
+        _tilt(self.log_rise, self.counts, x, 1, x - 1)
+        _tilt(self.log_fall, self.counts, x, -1, x + 1)
+        self.counts[x] = self.counts.get(x, 0) + 1
         self.n += 1
-        self.observations.append(x)
-        return tuple(changes)
 
     def data_range(self) -> tuple[int, int] | None:
         if not self.counts:
@@ -318,27 +285,20 @@ class UnimodalFamily:
         """Log mixture value for one peak location."""
         return float(self.values_range(theta, theta)[0])
 
-    def tracker_view(self, theta: int) -> UnimodalTracker:
-        """Materialize the classic per-peak tracker for ``theta``."""
-        t = UnimodalTracker(theta)
-        t.n = self.n
-        t.counts = dict(self.counts)
-        t.log_factors_plus = {
-            j - theta: lf for j, lf in self.log_rise.items() if j >= theta
-        }
-        t.log_factors_minus = {
-            theta - i: lf for i, lf in self.log_fall.items() if i <= theta
-        }
-        return t
-
     def to_snapshot(self) -> dict:
         return {
             "n": self.n,
             "counts": {str(k): v for k, v in sorted(self.counts.items())},
             "log_rise": {str(k): v for k, v in sorted(self.log_rise.items())},
             "log_fall": {str(k): v for k, v in sorted(self.log_fall.items())},
-            "observations": list(self.observations),
         }
+
+    @classmethod
+    def from_snapshot(cls, snap: dict | str) -> "UnimodalFamily":
+        _, n, counts, (rise, fall) = _load_snapshot(snap, ("log_rise", "log_fall"))
+        f = cls()
+        f.n, f.counts, f.log_rise, f.log_fall = n, counts, rise, fall
+        return f
 
 
 def numeraire_eprocess(q: Pmf, obs) -> float:

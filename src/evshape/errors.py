@@ -59,14 +59,6 @@ class NegativeObservation(EvshapeError):
     """Streams for the monotone null live on nonnegative integers."""
 
 
-class MissingTracker(EvshapeError):
-    """A tracker is missing for a requested mode location."""
-
-
-class InfiniteRange(EvshapeError):
-    """A finite mode range is required."""
-
-
 class AlreadyRejected(EvshapeError):
     """The sequential test has already stopped."""
 
@@ -106,3 +98,7 @@ class ConfigError(EvshapeError):
 
 class NonFiniteInput(EvshapeError):
     """An input value is infinite or NaN."""
+
+
+class NonIntegerInput(EvshapeError):
+    """An integer stream carries a value that is not an integer."""

@@ -133,7 +133,9 @@ def wavelet_lambda(f_m: float, f_m1: float) -> float:
     if s <= 0.0:
         return 0.0
     lam = (f_m1 - f_m) / (2.0 * s)
-    return min(max(lam, 0.0), 0.5)
+    if lam < 0.0:
+        return 0.0
+    return 0.5 if lam > 0.5 else lam
 
 
 def wavelet_evalue(q: Pmf, m: int) -> EvalFn:

@@ -139,22 +139,35 @@ class ConfidenceSetResult:
         return self.rejected.invert()
 
 
+def _scan(family: UnimodalFamily, tau: float, clip: tuple[int, int] | None = None):
+    """Scanned window and the peaks in it whose mixture value exceeds ``tau``.
+
+    The window is the data range widened by :func:`scan_halfwidth` and
+    cut to ``clip`` when one is given; it is ``None``, with no peaks,
+    when nothing can be rejected.
+    """
+    rng = family.data_range()
+    if rng is None or tau <= 1.0:
+        return None, []
+    w = scan_halfwidth(family.n, tau)
+    if w is None:
+        return None, []
+    lo, hi = rng[0] - w, rng[1] + w
+    if clip is not None:
+        lo, hi = max(lo, clip[0]), min(hi, clip[1])
+        if lo > hi:
+            return None, []
+    vals = family.values_range(lo, hi)
+    log_tau = math.log(tau)
+    return (lo, hi), [lo + k for k, v in enumerate(vals) if v > log_tau]
+
+
 def confidence_set(family: UnimodalFamily, alpha: float) -> ConfidenceSetResult:
     """Peaks whose mixture value exceeds ``1/alpha``, with certificate."""
     _check_alpha(alpha)
     tau = 1.0 / alpha
-    n = family.n
-    rng = family.data_range()
-    if n == 0 or rng is None or tau <= 1.0:
-        return ConfidenceSetResult(IntSet.finite(()), None, tau, n)
-    w = scan_halfwidth(n, tau)
-    if w is None:
-        return ConfidenceSetResult(IntSet.finite(()), None, tau, n)
-    lo, hi = rng[0] - w, rng[1] + w
-    vals = family.values_range(lo, hi)
-    log_tau = math.log(tau)
-    rejected = [lo + k for k, v in enumerate(vals) if v > log_tau]
-    return ConfidenceSetResult(IntSet.finite(rejected), (lo, hi), tau, n)
+    window, rejected = _scan(family, tau)
+    return ConfidenceSetResult(IntSet.finite(rejected), window, tau, family.n)
 
 
 def mode_estimate(
@@ -167,22 +180,8 @@ def mode_estimate(
     examined, which is exact for queries restricted to that window.
     """
     n = family.n
-    tau = float(n) * float(n)
-    rng = family.data_range()
-    if n <= 1 or rng is None:
-        # a first observation contributes factors of exactly one
-        return IntSet.cofinite(())
-    w = scan_halfwidth(n, tau)
-    if w is None:
-        return IntSet.cofinite(())
-    lo, hi = rng[0] - w, rng[1] + w
-    if clip is not None:
-        lo, hi = max(lo, clip[0]), min(hi, clip[1])
-        if lo > hi:
-            return IntSet.cofinite(())
-    vals = family.values_range(lo, hi)
-    log_tau = math.log(tau)
-    rejected = [lo + k for k, v in enumerate(vals) if v > log_tau]
+    # n <= 1 scans nothing: a first observation contributes factors of one
+    _, rejected = _scan(family, float(n) * float(n), clip)
     return IntSet.cofinite(rejected)
 
 
@@ -224,25 +223,25 @@ class UnrestrictedTest:
         self._j0 = 1.0  # linear-space mixture value at _theta0
         self._j0_exp: dict[tuple[str, int], float] = {}
 
-    def _included(self, side: str, site: int) -> bool:
-        return site >= self._theta0 if side == "rise" else site <= self._theta0
+    def _fold(self, side: str, site: int, lf: float) -> None:
+        # move _j0 to the new log product ``lf`` of one site, if _theta0 keeps it
+        th = self._theta0
+        if (site < th) if side == "rise" else (site > th):
+            return
+        g = math.exp(min(lf, 700.0))  # cap: stay finite, never NaN
+        g_old = self._j0_exp.get((side, site), 1.0)
+        self._j0 += 2.0 ** (-abs(site - th) - 2) * (g - g_old)
+        self._j0_exp[(side, site)] = g
 
     def _rebase_theta0(self, theta: int) -> None:
         # rebuild the incremental mixture value around a new cheap peak
         self._theta0 = theta
+        self._j0 = 1.0
+        self._j0_exp = {}
         fam = self.family_required()
-        j = 1.0
-        cache = {}
         for side, table in (("rise", fam.log_rise), ("fall", fam.log_fall)):
             for site, lf in table.items():
-                if not self._included(side, site):
-                    continue
-                m = abs(site - theta)
-                g = math.exp(min(lf, 700.0))  # cap: stay finite, never NaN
-                cache[(side, site)] = g
-                j += 2.0 ** (-m - 2) * (g - 1.0)
-        self._j0 = j
-        self._j0_exp = cache
+                self._fold(side, site, lf)
 
     def family_required(self) -> UnimodalFamily:
         if self.family is None:
@@ -264,18 +263,15 @@ class UnrestrictedTest:
             self._theta0 = min(max(x, window.lo), window.hi)
             return "continue"
         fam = self.family_required()
-        changes = fam.update(x)
+        fam.update(x)
         self.n += 1
         # cheap necessary condition: the tracked peak alone stays below
         # the threshold most of the time under the null
-        for side, site, _old, new in changes:
-            if not self._included(side, site):
-                continue
-            m = abs(site - self._theta0)
-            g_new = math.exp(min(new, 700.0))
-            g_old = self._j0_exp.get((side, site), 1.0)
-            self._j0 += 2.0 ** (-m - 2) * (g_new - g_old)
-            self._j0_exp[(side, site)] = g_new
+        rise, fall = fam.log_rise, fam.log_fall
+        self._fold("rise", x - 1, rise[x - 1])
+        self._fold("rise", x, rise[x])
+        self._fold("fall", x + 1, fall[x + 1])
+        self._fold("fall", x, fall[x])
         if self._j0 < 0.99 * (3.0 / self.alpha):
             return "continue"
         lo, hi = self.theta_window

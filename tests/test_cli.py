@@ -221,6 +221,17 @@ def test_integer_streams_reject_non_finite_json(monkeypatch, capsys):
         assert "not finite" in err
 
 
+@pytest.mark.parametrize("line", ['{"x": 2.7}', '{"x": 2.0}', '{"x": true}',
+                                  '{"x": "3"}', '{"x": null}', "2.7"])
+def test_integer_streams_reject_non_integers(monkeypatch, capsys, line):
+    code, out, err = run_cli(monkeypatch, capsys,
+                             ["test-monotone", "--alpha", "0.05"],
+                             '{"x": 2}\n' + line + "\n")
+    assert code == 1
+    assert out == ""
+    assert err.startswith("evshape: ")
+
+
 def test_non_finite_options_are_usage_errors(monkeypatch, capsys):
     for argv in (["cont-pvalue", "--a", "nan"],
                  ["cont-ci", "--alpha", "0.1", "--phi", "inf"],

@@ -5,21 +5,17 @@ import math
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from evshape.eprocess import (
     MonotoneTracker,
     UnimodalFamily,
     UnimodalTracker,
     numeraire_eprocess,
-    range_value,
 )
-from evshape.errors import (
-    InfiniteRange,
-    InvalidSnapshot,
-    MissingTracker,
-    NegativeObservation,
-)
-from evshape.pmf import ModeInterval, make_pmf, sample
+from evshape.errors import InvalidSnapshot, NegativeObservation
+from evshape.pmf import make_pmf, sample
 
 
 def replay_monotone(obs) -> MonotoneTracker:
@@ -189,12 +185,18 @@ def test_snapshot_resume_equals_uninterrupted_run():
         assert getattr(resumed, value)() == getattr(whole, value)()
 
 
-def _broken_snapshots(snap, log_keys):
+def _broken_snapshots(snap, log_keys, nonneg):
     yield dict(snap, counts={"0": -3}, n=-3), "negative count"
     yield dict(snap, n=snap["n"] + 1), "counts total"
     for key in log_keys:
         for bad in (float("nan"), float("inf"), float("-inf")):
             yield dict(snap, **{key: {"0": bad}}), "non-finite"
+    # a negative component index would carry evidence no data produced
+    for key in nonneg:
+        if key == "counts":
+            yield dict(snap, counts={"-1": 1}, n=1), "negative key"
+        else:
+            yield dict(snap, **{key: {"-1": 3.0}}), "negative key"
 
 
 def test_snapshots_reject_inconsistent_state():
@@ -203,12 +205,16 @@ def test_snapshots_reject_inconsistent_state():
     for x in [0, 1, 2, 1]:
         uni.update(x)
     cases = [
-        (MonotoneTracker, mono.to_snapshot(), ["log_factors"]),
+        (MonotoneTracker, mono.to_snapshot(), ["log_factors"],
+         ["counts", "log_factors"]),
         (UnimodalTracker, uni.to_snapshot(),
+         ["log_factors_plus", "log_factors_minus"],
          ["log_factors_plus", "log_factors_minus"]),
+        (UnimodalFamily, replay_family([0, 1, 2, 1]).to_snapshot(),
+         ["log_rise", "log_fall"], []),
     ]
-    for cls, snap, log_keys in cases:
-        for broken, message in _broken_snapshots(snap, log_keys):
+    for cls, snap, log_keys, nonneg in cases:
+        for broken, message in _broken_snapshots(snap, log_keys, nonneg):
             with pytest.raises(InvalidSnapshot, match=message):
                 cls.from_snapshot(broken)
     with pytest.raises(InvalidSnapshot):
@@ -240,46 +246,177 @@ def test_family_values_range_consistent():
         assert grid[offset] == family.value(theta)
 
 
-def test_family_tracker_view():
-    obs = [2, 2, 3, 1, 2, 5, 0]
-    family = replay_family(obs)
-    direct = UnimodalTracker(2)
-    for x in obs:
-        direct.update(x)
-    view = family.tracker_view(2)
-    assert view.unimodal_value() == direct.unimodal_value()
-    assert view.to_snapshot() == direct.to_snapshot()
-
-
 def test_family_data_range_and_snapshot():
     family = replay_family([4, -1, 2])
     assert family.data_range() == (-1, 4)
     snap = family.to_snapshot()
     assert snap["n"] == 3
-    assert snap["observations"] == [4, -1, 2]
+    assert snap["counts"] == {"-1": 1, "2": 1, "4": 1}
+    assert set(snap) == {"n", "counts", "log_rise", "log_fall"}
 
 
-# --------------------------------------------------------------- range min
-
-
-def test_range_value():
-    obs = [0, 0, 1, 1, 1, 2]
-    trackers = {}
-    for theta in range(-2, 5):
-        t = UnimodalTracker(theta)
+@settings(max_examples=60, deadline=None, database=None)
+@given(obs=st.lists(st.integers(0, 8), max_size=60),
+       split=st.integers(0, 60), theta=st.integers(-2, 10))
+def test_snapshot_json_round_trip_continues_bit_for_bit(obs, split, theta):
+    split = min(split, len(obs))
+    stores = (
+        (MonotoneTracker, lambda t: t.mixture_value()),
+        (lambda: UnimodalTracker(theta), lambda t: t.unimodal_value()),
+        (UnimodalFamily, lambda t: t.values_range(-3, 11).tolist()),
+    )
+    for make, value in stores:
+        whole, head = make(), make()
         for x in obs:
-            t.update(x)
-        trackers[theta] = t
-    lone = range_value(trackers, ModeInterval.bounded(1, 1))
-    assert lone == trackers[1].unimodal_value()
-    spread = range_value(trackers, ModeInterval.bounded(-2, 4))
-    assert spread == min(t.unimodal_value() for t in trackers.values())
-    with pytest.raises(MissingTracker):
-        range_value(trackers, ModeInterval.empty())
-    with pytest.raises(MissingTracker):
-        range_value(trackers, ModeInterval.bounded(90, 91))
-    with pytest.raises(InfiniteRange):
-        range_value(trackers, ModeInterval.all_integers())
+            whole.update(x)
+        for x in obs[:split]:
+            head.update(x)
+        resumed = type(head).from_snapshot(json.dumps(head.to_snapshot()))
+        for x in obs[split:]:
+            resumed.update(x)
+        assert json.dumps(resumed.to_snapshot()) == json.dumps(whole.to_snapshot())
+        assert value(resumed) == value(whole)
+
+
+# ------------------------------------------- reference: the per-tracker loops
+#
+# The update loops each tracker carried before the shared tilt kernel,
+# kept verbatim as a plain reference.  The kernel must reproduce their
+# log tables (and dict insertion order, which the free-mode test's
+# incremental sum depends on) bit for bit.
+
+
+def _lam_counts(c_lo: float, c_hi: float) -> float:
+    # tilt amplitude from raw counts (scale cancels); 0/0 -> 0
+    s = c_lo + c_hi
+    if s <= 0:
+        return 0.0
+    lam = (c_hi - c_lo) / (2.0 * s)
+    if lam < 0.0:
+        return 0.0
+    return 0.5 if lam > 0.5 else lam
+
+
+class RefMonotone:
+    def __init__(self) -> None:
+        self.n = 0
+        self.counts: dict[int, int] = {}
+        self.log_factors: dict[int, float] = {}
+
+    def update(self, x: int) -> None:
+        c = self.counts
+        for m in (x - 1, x):
+            if m < 0:
+                continue
+            lam = _lam_counts(c.get(m, 0), c.get(m + 1, 0))
+            factor = 1.0 + lam if x == m + 1 else 1.0 - lam
+            self.log_factors[m] = self.log_factors.get(m, 0.0) + math.log(factor)
+        c[x] = c.get(x, 0) + 1
+        self.n += 1
+
+
+class RefUnimodal:
+    def __init__(self, theta: int) -> None:
+        self.theta = int(theta)
+        self.n = 0
+        self.counts: dict[int, int] = {}
+        self.log_factors_plus: dict[int, float] = {}
+        self.log_factors_minus: dict[int, float] = {}
+
+    def update(self, x: int) -> None:
+        x = int(x)
+        c = self.counts
+        th = self.theta
+        s = x - th
+        for m in (s - 1, s):
+            if m < 0:
+                continue
+            lam = _lam_counts(c.get(th + m, 0), c.get(th + m + 1, 0))
+            factor = 1.0 + lam if s == m + 1 else 1.0 - lam
+            self.log_factors_plus[m] = self.log_factors_plus.get(m, 0.0) + math.log(factor)
+        r = th - x
+        for m in (r - 1, r):
+            if m < 0:
+                continue
+            lam = _lam_counts(c.get(th - m, 0), c.get(th - m - 1, 0))
+            factor = 1.0 + lam if r == m + 1 else 1.0 - lam
+            self.log_factors_minus[m] = self.log_factors_minus.get(m, 0.0) + math.log(factor)
+        c[x] = c.get(x, 0) + 1
+        self.n += 1
+
+    def unimodal_value(self) -> float:
+        weight_used = math.fsum(2.0 ** (-m - 2) for m in self.log_factors_plus)
+        weight_used += math.fsum(2.0 ** (-m - 2) for m in self.log_factors_minus)
+        terms = [-(m + 2) * math.log(2.0) + lf for m, lf in self.log_factors_plus.items()]
+        terms += [-(m + 2) * math.log(2.0) + lf for m, lf in self.log_factors_minus.items()]
+        residual = 1.0 - weight_used
+        if residual > 0.0:
+            terms.append(math.log(residual))
+        if not terms:
+            return 0.0
+        top = max(terms)
+        return top + math.log(math.fsum(math.exp(t - top) for t in terms))
+
+
+class RefFamily:
+    def __init__(self) -> None:
+        self.n = 0
+        self.counts: dict[int, int] = {}
+        self.log_rise: dict[int, float] = {}
+        self.log_fall: dict[int, float] = {}
+
+    def update(self, x: int) -> None:
+        x = int(x)
+        c = self.counts
+        for site in (x - 1, x):
+            lam = _lam_counts(c.get(site, 0), c.get(site + 1, 0))
+            factor = 1.0 + lam if x == site + 1 else 1.0 - lam
+            old = self.log_rise.get(site, 0.0)
+            new = old + math.log(factor)
+            self.log_rise[site] = new
+        for site in (x + 1, x):
+            lam = _lam_counts(c.get(site, 0), c.get(site - 1, 0))
+            factor = 1.0 + lam if x == site - 1 else 1.0 - lam
+            old = self.log_fall.get(site, 0.0)
+            new = old + math.log(factor)
+            self.log_fall[site] = new
+        c[x] = c.get(x, 0) + 1
+        self.n += 1
+
+
+def _items(table: dict, key=lambda k: k) -> list:
+    return [(key(k), v) for k, v in table.items()]
+
+
+@settings(max_examples=80, deadline=None, database=None)
+@given(obs=st.lists(st.integers(-6, 6), max_size=80),
+       thetas=st.lists(st.integers(-8, 8), min_size=1, max_size=3))
+def test_tilt_kernel_matches_reference_loops(obs, thetas):
+    mono, ref_mono = MonotoneTracker(), RefMonotone()
+    fam, ref_fam = UnimodalFamily(), RefFamily()
+    unis = [(UnimodalTracker(th), RefUnimodal(th)) for th in thetas]
+    for x in obs:
+        mono.update(abs(x))
+        ref_mono.update(abs(x))
+        fam.update(x)
+        ref_fam.update(x)
+        assert _items(mono.log_factors) == _items(ref_mono.log_factors)
+        assert mono.counts == ref_mono.counts
+        assert _items(fam.log_rise) == _items(ref_fam.log_rise)
+        assert _items(fam.log_fall) == _items(ref_fam.log_fall)
+        assert fam.counts == ref_fam.counts
+        for uni, ref in unis:
+            uni.update(x)
+            ref.update(x)
+            th = uni.theta
+            assert _items(uni.log_rise, lambda j: j - th) == \
+                _items(ref.log_factors_plus)
+            assert _items(uni.log_fall, lambda i: th - i) == \
+                _items(ref.log_factors_minus)
+            assert uni.unimodal_value() == ref.unimodal_value()
+            # each peak's tracker is the family cut to its side of the peak
+            assert uni.log_rise == {j: v for j, v in fam.log_rise.items() if j >= th}
+            assert uni.log_fall == {i: v for i, v in fam.log_fall.items() if i <= th}
 
 
 # ----------------------------------------------------- numeraire e-process
