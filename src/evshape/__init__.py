@@ -25,6 +25,7 @@ from .errors import (
     NegativeValue,
     NonFiniteInput,
     NonIntegerInput,
+    NonNumericInput,
     NonzeroTail,
     NoViolation,
     NoViolationAt,
@@ -118,8 +119,8 @@ __all__ = [
     "ConfigError", "EmptyObservations", "EvshapeError",
     "InvalidCertificate", "InvalidSnapshot", "MassSumViolation",
     "NegativeMass", "NegativeObservation", "NegativeSupport",
-    "NegativeValue", "NonFiniteInput", "NonIntegerInput", "NonzeroTail",
-    "NoViolation", "NoViolationAt", "SubprobabilityInput",
+    "NegativeValue", "NonFiniteInput", "NonIntegerInput", "NonNumericInput",
+    "NonzeroTail", "NoViolation", "NoViolationAt", "SubprobabilityInput",
     "SubprobabilitySampling", "ZeroPhi",
     # mass tables and shapes
     "ModeInterval", "Pmf", "empirical", "is_monotone", "is_theta_unimodal",

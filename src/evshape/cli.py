@@ -23,7 +23,12 @@ from .continuous import (
     step_density_from_json,
 )
 from .eprocess import MonotoneTracker, UnimodalFamily, UnimodalTracker
-from .errors import EvshapeError, NonFiniteInput, NonIntegerInput
+from .errors import (
+    EvshapeError,
+    NonFiniteInput,
+    NonIntegerInput,
+    NonNumericInput,
+)
 from .evalues import EvalFn, is_in_polar_D, is_in_polar_M
 from .harness import config_from_json, run_experiment
 from .mode import (
@@ -72,6 +77,9 @@ def _stream_values(fh, as_int: bool):
             # int() would truncate 2.7 and read true as 1
             if as_int and type(raw) is not int:
                 raise NonIntegerInput(f"observation {raw!r} is not an integer")
+            # float() would read true as 1.0 and fail uncaught on null
+            if type(raw) not in (int, float):
+                raise NonNumericInput(f"observation {raw!r} is not a number")
         else:
             raw = line
         if as_int:

@@ -52,6 +52,50 @@ def _tilt(logs: dict, counts: dict, x: int, step: int, keep: int) -> None:
     logs[x] = logs.get(x, 0.0) + math.log(1.0 - lam)
 
 
+def _lambdas(c_m: np.ndarray, c_m1: np.ndarray) -> np.ndarray:
+    """:func:`wavelet_lambda` of count arrays, elementwise and bit for bit."""
+    # counts are whole numbers, so 2 * (c_m + c_m1) is 0 or >= 2
+    lam = (c_m1 - c_m) / np.maximum(2.0 * (c_m + c_m1), 1.0)
+    return np.minimum(np.maximum(lam, 0.0), 0.5)
+
+
+# The four tilts of one family update, in its order: rise sites x - 1 and
+# x, then fall sites x + 1 and x.  Per tilt: table (0 rise, 1 fall), site
+# offset from x, sign of lam in the factor, and the offsets from x of the
+# two counts whose amplitude it takes.
+_SIDE = np.array([[0], [0], [1], [1]])
+_SITE = np.array([[-1], [0], [1], [0]])
+_SIGN = np.array([[1.0], [-1.0], [1.0], [-1.0]])
+_PAIR = (np.array([[-1], [0], [1], [0]]), np.array([[0], [1], [0], [-1]]))
+
+
+def _tilt_rows(counts: np.ndarray, rise: np.ndarray, fall: np.ndarray,
+               cells: np.ndarray):
+    """Fold a block of observations into dense family tables, every step kept.
+
+    ``counts``, ``rise`` and ``fall`` are the tables of one
+    :class:`UnimodalFamily` over consecutive sites, and ``cells`` holds
+    each observation's index into them, never the first or last one.
+    Returns the counts after the block and the logs after every step, as
+    ``(side, steps, sites)`` with side 0 rise and 1 fall.  Each site's
+    log gains :func:`_tilt`'s increments in the same order, but through
+    ``numpy.log``, which differs from ``math.log`` in the last place on
+    about 1 % of arguments.
+    """
+    steps = np.arange(len(cells))
+    hits = np.zeros((len(cells), len(counts)))
+    hits[steps, cells] = 1.0
+    after = np.cumsum(hits, axis=0)
+    after += counts
+    before = after - hits
+    lam = _lambdas(*(before[steps, cells + d] for d in _PAIR))
+    rows = np.zeros((2,) + hits.shape)
+    # the first row starts from the tables, so the cumsum adds in _tilt's order
+    rows[0, 0], rows[1, 0] = rise, fall
+    rows[_SIDE, steps, cells + _SITE] += np.log(1.0 + _SIGN * lam)
+    return after[-1], np.cumsum(rows, axis=1, out=rows)
+
+
 def _logsumexp(terms: list[float]) -> float:
     m = max(terms)
     if m == float("-inf"):
@@ -252,11 +296,15 @@ class UnimodalFamily:
 
     def values_range(self, lo: int, hi: int) -> np.ndarray:
         """Log mixture value for every peak in ``[lo, hi]``, vectorized."""
-        thetas = np.arange(lo, hi + 1)
-        rise_sites = np.array(sorted(self.log_rise), dtype=float)
-        rise_logs = np.array([self.log_rise[int(j)] for j in rise_sites])
-        fall_sites = np.array(sorted(self.log_fall), dtype=float)
-        fall_logs = np.array([self.log_fall[int(i)] for i in fall_sites])
+        # positions relative to lo, taken in Python ints: sites past 2**53
+        # would collide as floats
+        thetas = np.arange(hi - lo + 1, dtype=float)
+        rise = sorted(self.log_rise)
+        rise_sites = np.array([j - lo for j in rise], dtype=float)
+        rise_logs = np.array([self.log_rise[j] for j in rise])
+        fall = sorted(self.log_fall)
+        fall_sites = np.array([i - lo for i in fall], dtype=float)
+        fall_logs = np.array([self.log_fall[i] for i in fall])
 
         def side(sites, logs, sign):
             # component index of each site for each theta; negative means absent

@@ -64,8 +64,8 @@ class AlreadyRejected(EvshapeError):
 
 
 class InvalidSnapshot(EvshapeError):
-    """A tracker snapshot has a negative count, an ``n`` that is not the
-    total of its counts, or a non-finite log factor."""
+    """A snapshot has a negative count, an ``n`` that is not the total of
+    its counts, a non-finite log factor, or a state no run reaches."""
 
 
 # ------------------------------------------------- mode inference / CIs
@@ -102,3 +102,7 @@ class NonFiniteInput(EvshapeError):
 
 class NonIntegerInput(EvshapeError):
     """An integer stream carries a value that is not an integer."""
+
+
+class NonNumericInput(EvshapeError):
+    """A number stream carries a JSON value that is not a number."""

@@ -6,16 +6,26 @@ reproducible byte-for-byte for a given config and identical no matter
 how many worker processes share the replications.  Aggregation always
 reduces records in replication order.
 
-The ``type1`` scenario is the only hot loop; it runs all replications
-side by side as numpy rows, maintaining the mixture sum incrementally
-(two touched locations per observation) with an exact resync every
-``_RESYNC_EVERY`` steps.  Draws are streamed in blocks of that many
-columns: each replication's generator fills its row of a
-``(reps, _RESYNC_EVERY)`` block of uniforms, so memory is bounded by
-``reps * (support + _RESYNC_EVERY)`` rather than ``reps * n``.  PCG64
-``random()`` yields the same stream whatever the block size, so the
-draws, and with them every report digest, equal those of :func:`sample`.
-The remaining scenarios drive the ordinary tracker objects.
+The ``type1`` scenario runs all replications side by side as numpy
+rows, maintaining the mixture sum incrementally (two touched locations
+per observation) with an exact resync every ``_RESYNC_EVERY`` steps.
+Draws are streamed in blocks of that many columns: each replication's
+generator fills its row of a ``(reps, _RESYNC_EVERY)`` block of
+uniforms, so memory is bounded by ``reps * (support + _RESYNC_EVERY)``
+rather than ``reps * n``.  PCG64 ``random()`` yields the same stream
+whatever the block size, so the draws, and with them every report
+digest, equal those of :func:`sample`.
+
+``unrestricted_power`` and ``mode_settlement`` run one replication at a
+time but a block of steps at once: ``eprocess._tilt_rows`` returns the
+family's dense log tables after every step of the block as ``(side,
+steps, sites)`` arrays, and each scenario evaluates its per-step query
+on whole blocks.  These tables differ from the trackers' in the last
+place (``numpy.log`` against ``math.log``); the records, booleans and
+integers, are those of ``UnrestrictedTest`` and of ``mode_estimate`` on
+a ``UnimodalFamily``.  ``growth`` and ``numeraire_compare`` report
+float logs, pinned to ``math.log``, so they keep driving the tracker
+objects.
 """
 
 from __future__ import annotations
@@ -31,9 +41,16 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .eprocess import MonotoneTracker, UnimodalFamily, numeraire_eprocess
+from .eprocess import (
+    _LN2,
+    MonotoneTracker,
+    UnimodalFamily,
+    _lambdas,
+    _tilt_rows,
+    numeraire_eprocess,
+)
 from .errors import ConfigError, EvshapeError
-from .mode import UnrestrictedTest, mode_estimate, one_obs_ci
+from .mode import one_obs_ci, one_obs_ci_finite, scan_halfwidth
 from .numeraire import lcm, max_epower
 from .pmf import Pmf, inverse_cdf, mode_set, pmf_from_json, sample
 
@@ -53,6 +70,10 @@ _MIX1 = 0xBF58476D1CE4E5B9
 _MIX2 = 0x94D049BB133111EB
 
 _RESYNC_EVERY = 256
+# family blocks of the sequential scenarios: at most this many steps, and
+# at most this many cells in a caller's (steps x cells per step) temporary
+_BLOCK_STEPS = 256
+_BLOCK_CELLS = 1 << 15
 
 
 def derive_seed(master: int, index: int) -> int:
@@ -268,11 +289,7 @@ def _run_type1(c: ScenarioConfig) -> tuple[list[dict], dict]:
             cell = xs[k] + offsets
             c_lo = counts[cell]
             c_hi = counts_up[cell]
-            # counts are whole numbers, so 2 * (c_lo + c_hi) is 0 or >= 2
-            lam = np.clip(
-                (c_hi - c_lo) / np.maximum(2.0 * (c_lo + c_hi), 1.0), 0.0, 0.5
-            )
-            new = lf[cell] + np.log1p(sign * lam)
+            new = lf[cell] + np.log1p(sign * _lambdas(c_lo, c_hi))
             lf[cell] = new
             new_exp = np.exp(np.minimum(new, 700.0))
             delta = cell_w[cell] * (new_exp - lf_exp[cell])
@@ -323,17 +340,90 @@ def _rep_growth(c: ScenarioConfig, rep: int) -> dict:
     return {"rep": rep, "terminal_log": terminal, "rate": terminal / c.n}
 
 
+def _draws(c: ScenarioConfig, rep: int):
+    """A replication's next ``m`` draws, as ``draw(m)``.
+
+    PCG64 ``random()`` gives the same stream in any block size, so the
+    values are those of :func:`sample`.
+    """
+    rng = np.random.default_rng(derive_seed(c.seed, rep))
+    return lambda m: inverse_cdf(c.distribution, rng.random(m))
+
+
+def _family_blocks(c: ScenarioConfig, draw, first: int, cells_per_step: int):
+    """Fold draws ``first`` to ``c.n - 1`` into one fresh dense family.
+
+    Yields ``(start, xs, logs)`` per block of draws ``xs``: the log
+    tables after every step of the block (see ``eprocess._tilt_rows``),
+    over every site the draws can touch, ``p.lo - 1`` to ``p.hi + 1``.
+    Blocks are sized by the caller's cells per step.
+    """
+    p = c.distribution
+    steps = max(1, min(_BLOCK_STEPS, _BLOCK_CELLS // cells_per_step))
+    counts = np.zeros(p.hi - p.lo + 3)
+    rise = fall = counts
+    for start in range(first, c.n, steps):
+        xs = draw(min(steps, c.n - start))
+        counts, logs = _tilt_rows(counts, rise, fall, xs - (p.lo - 1))
+        yield start, xs, logs
+        rise, fall = logs[:, -1]
+
+
 def _rep_settlement(c: ScenarioConfig, rep: int) -> dict:
+    p = c.distribution
     clip = c.resolved_clip
-    family = UnimodalFamily()
-    current: tuple = ()
+    peaks = np.arange(clip[0], clip[1] + 1)
+    sites = np.arange(p.lo - 1, p.hi + 2)
+    # rise sites at or past a peak and fall sites at or before it carry
+    # dyadic weights by distance, the rest none; as (side, site, peak)
+    d = (sites[:, None] - peaks[None, :]).astype(float)
+    on_side = np.stack([d >= 0, d <= 0])
+    dist = np.abs(d) + 2.0
+    log_weights = np.where(on_side, -dist * _LN2, -np.inf)
+    # An untouched site's log is exactly zero, so spreading the weight
+    # left to the untouched components over every site of the tables
+    # gives the same mixture as UnimodalFamily.values_range, with one
+    # remainder per peak.
+    log_rest = np.log(1.0 - np.where(on_side, np.exp2(-dist), 0.0).sum(axis=(0, 1)))
+    # ``current == ()`` before the first step: every peak counts as rejected
+    rejected = np.ones(len(peaks), dtype=bool)
     last_change = 0
-    for t, x in enumerate(sample(c.distribution, derive_seed(c.seed, rep), c.n)):
-        family.update(x)
-        got = mode_estimate(family, clip).intersect_range(*clip)
-        if got != current:
-            current = got
-            last_change = t + 1
+    lo = hi = None
+    blocks = _family_blocks(c, _draws(c, rep), 0, len(peaks) * 2 * len(sites))
+    for start, xs, logs in blocks:
+        # the log mixture of every clip peak at every step, from
+        # (side, site, step, peak) terms so each reduction runs over planes
+        terms = np.empty(log_weights.shape[:2] + (len(xs), len(peaks)))
+        np.add(logs.transpose(0, 2, 1)[:, :, :, None],
+               log_weights[:, :, None, :], out=terms)
+        top = np.maximum(terms.max(axis=(0, 1)), log_rest)
+        terms -= top
+        total = np.exp(terms, out=terms).sum(axis=(0, 1)) + np.exp(log_rest - top)
+        values = top + np.log(total)
+        # mode_estimate's scan at each step: nothing at n = 1 or when
+        # scan_halfwidth finds nothing rejectable, else the data range
+        # widened by it, against log(n**2)
+        ns = range(start + 1, start + len(xs) + 1)
+        half = [scan_halfwidth(n, float(n) * float(n)) if n > 1 else None
+                for n in ns]
+        scanned = np.array([h is not None for h in half])
+        half = np.array([h or 0 for h in half])
+        log_tau = np.array([math.log(float(n) * float(n)) for n in ns])
+        run_lo = np.minimum.accumulate(xs)
+        run_hi = np.maximum.accumulate(xs)
+        if lo is not None:
+            run_lo, run_hi = np.minimum(run_lo, lo), np.maximum(run_hi, hi)
+        lo, hi = run_lo[-1], run_hi[-1]
+        by_step = (scanned[:, None]
+                   & (peaks >= (run_lo - half)[:, None])
+                   & (peaks <= (run_hi + half)[:, None])
+                   & (values > log_tau[:, None]))
+        before = np.vstack([rejected, by_step[:-1]])
+        changed = np.flatnonzero((by_step != before).any(axis=1))
+        if len(changed):
+            last_change = start + int(changed[-1]) + 1
+        rejected = by_step[-1]
+    current = tuple(peaks[~rejected].tolist())
     target = mode_set(c.distribution)
     target_members = tuple(
         t for t in range(clip[0], clip[1] + 1) if target.contains(t)
@@ -348,13 +438,43 @@ def _rep_settlement(c: ScenarioConfig, rep: int) -> dict:
 
 
 def _rep_unrestricted(c: ScenarioConfig, rep: int) -> dict:
-    test = UnrestrictedTest(c.alpha, c.resolved_phi)
-    reject_n = None
-    for x in sample(c.distribution, derive_seed(c.seed, rep), c.n):
-        if test.step(x) == "reject":
-            reject_n = test.rejected_at
-            break
-    return {"rep": rep, "rejected": reject_n is not None, "reject_n": reject_n}
+    p = c.distribution
+    log_threshold = math.log(3.0 / c.alpha)
+    # UnrestrictedTest's prefilter on the linear value at its tracked peak
+    cut = 0.99 * (3.0 / c.alpha)
+    sites = np.arange(p.lo - 1, p.hi + 2)
+    draw = _draws(c, rep)
+    # the first draw buys the peak window, as UnrestrictedTest.step does
+    x = int(draw(1)[0])
+    ci = one_obs_ci_finite(x, 2.0 * c.alpha / 3.0, c.resolved_phi)
+    window = (ci.lo, ci.hi)
+    theta0 = min(max(x, ci.lo), ci.hi)
+    for start, _, logs in _family_blocks(c, draw, 1, len(sites)):
+        # capped products minus one: untouched sites add exactly nothing
+        g = np.exp(np.minimum(logs, 700.0)) - 1.0
+        k = 0
+        while True:
+            d = sites - theta0
+            w = np.where([d >= 0, d <= 0], np.exp2(-np.abs(d) - 2.0), 0.0)
+            # a plain weighted sum, not a matrix product: a process's
+            # first BLAS call alone raises its peak RSS by about 0.3 MB
+            at_theta0 = 1.0 + (g[:, k:] * w[:, None, :]).sum(axis=(0, 2))
+            over = np.flatnonzero(at_theta0 >= cut)
+            if not len(over):
+                break
+            k += int(over[0])
+            # the full scan, on a family holding only this step's log
+            # tables; an untouched site's zero log leaves every value as is
+            family = UnimodalFamily()
+            family.log_rise, family.log_fall = (
+                dict(zip(sites.tolist(), row.tolist())) for row in logs[:, k])
+            vals = family.values_range(*window)
+            j = int(vals.argmin())
+            if float(vals[j]) >= log_threshold:
+                return {"rep": rep, "rejected": True, "reject_n": start + k + 1}
+            theta0 = window[0] + j
+            k += 1
+    return {"rep": rep, "rejected": False, "reject_n": None}
 
 
 def _rep_numeraire(c: ScenarioConfig, rep: int) -> dict:

@@ -10,11 +10,12 @@ an analytic scan bound to certify everything outside a finite window.
 
 from __future__ import annotations
 
+import json
 import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .errors import AlreadyRejected, BadAlpha, ZeroPhi
+from .errors import AlreadyRejected, BadAlpha, InvalidSnapshot, ZeroPhi
 from .eprocess import UnimodalFamily
 from .pmf import ModeInterval
 
@@ -247,6 +248,55 @@ class UnrestrictedTest:
         if self.family is None:
             raise AssertionError("family not initialized")
         return self.family
+
+    def to_snapshot(self) -> dict:
+        """JSON-ready state: level, anchor, phase, peak window, the tracked
+        peak and the family's snapshot (``None`` before the first step)."""
+        return {
+            "alpha": self.alpha,
+            "phi": self.phi,
+            "phase": self.phase,
+            "n": self.n,
+            "theta_window": None if self.theta_window is None
+            else list(self.theta_window),
+            "theta0": self._theta0,
+            "rejected_at": self.rejected_at,
+            "family": None if self.family is None else self.family.to_snapshot(),
+        }
+
+    @classmethod
+    def from_snapshot(cls, snap: dict | str) -> "UnrestrictedTest":
+        """Restore a test; the family goes through its own validation.
+
+        Raises :class:`InvalidSnapshot` unless the phase is known, ``n``
+        counts the first observation plus the family's, the tracked peak
+        lies in the window, and ``rejected_at`` is ``n`` exactly when the
+        test has rejected.
+        """
+        if isinstance(snap, str):
+            snap = json.loads(snap)
+        test = cls(float(snap["alpha"]), int(snap["phi"]))
+        phase, n = snap["phase"], int(snap["n"])
+        if phase == "awaiting_first":
+            if n != 0 or snap["family"] is not None:
+                raise InvalidSnapshot("a test awaiting data cannot hold any")
+            return test
+        if phase not in ("running", "rejected"):
+            raise InvalidSnapshot(f"unknown phase {phase!r}")
+        family = UnimodalFamily.from_snapshot(snap["family"])
+        if n != family.n + 1:
+            raise InvalidSnapshot(f"snapshot n={n} but its family holds {family.n}")
+        lo, hi = (int(v) for v in snap["theta_window"])
+        theta0 = int(snap["theta0"])
+        if not lo <= theta0 <= hi:
+            raise InvalidSnapshot(f"tracked peak {theta0} outside ({lo}, {hi})")
+        rejected_at = snap["rejected_at"]
+        if rejected_at != (n if phase == "rejected" else None):
+            raise InvalidSnapshot(f"rejected_at={rejected_at!r} in phase {phase!r}")
+        test.phase, test.n, test.rejected_at = phase, n, rejected_at
+        test.theta_window, test.family = (lo, hi), family
+        test._rebase_theta0(theta0)
+        return test
 
     def step(self, x: int) -> str:
         """Feed one observation; returns ``"continue"`` or ``"reject"``."""

@@ -6,6 +6,7 @@ one subprocess test at the end confirms the installed entry point.
 
 import io
 import json
+import random
 import subprocess
 import sys
 
@@ -134,6 +135,32 @@ def test_mode_track_streams_jsonl(monkeypatch, capsys):
         assert line["rejected"] == []
 
 
+@pytest.mark.parametrize("offset", [2**53 + 1, 2**63, -(2**63) - 5])
+def test_mode_track_is_shift_invariant_past_float_precision(monkeypatch, capsys,
+                                                             offset):
+    # sites past 2**53 collide as floats; every line must be the line of
+    # the unshifted stream moved by the offset
+    rng = random.Random(3)
+    obs = [rng.choice([0, 1, 1, 2, 2, 2, 5]) for _ in range(40)]
+
+    def track(shift):
+        stdin = "".join(json.dumps({"x": x + shift}) + "\n" for x in obs)
+        code, out, _ = run_cli(monkeypatch, capsys,
+                               ["mode-track", "--alpha", "0.05"], stdin)
+        assert code == 0
+        return [json.loads(line) for line in out.splitlines()]
+
+    base = track(0)
+    assert sum(len(line["rejected"]) for line in base) > 0
+    moved = [{
+        "n": line["n"],
+        "rejected": [r - offset for r in line["rejected"]],
+        "window": line["window"] and [w - offset for w in line["window"]],
+        "estimate_excluded": [e - offset for e in line["estimate_excluded"]],
+    } for line in track(offset)]
+    assert moved == base
+
+
 def test_check_evalue_constant_one(monkeypatch, capsys):
     e_json = json.dumps({"lo": 0, "values": [1.0, 1.0],
                          "left_tail": 1.0, "right_tail": 1.0})
@@ -230,6 +257,25 @@ def test_integer_streams_reject_non_integers(monkeypatch, capsys, line):
     assert code == 1
     assert out == ""
     assert err.startswith("evshape: ")
+
+
+@pytest.mark.parametrize("line", ['{"x": null}', '{"x": true}', '{"x": false}',
+                                  '{"x": "3"}', '{"x": [1.5]}', '{"x": {}}'])
+def test_float_streams_reject_non_numbers(monkeypatch, capsys, line):
+    for argv in (["cont-pvalue", "--a", "1"],
+                 ["cont-ci", "--alpha", "0.1", "--phi", "0"]):
+        code, out, err = run_cli(monkeypatch, capsys, argv, line + "\n")
+        assert code == 1
+        assert out == ""
+        assert "is not a number" in err
+
+
+def test_float_streams_accept_json_numbers(monkeypatch, capsys):
+    for line, x in (('{"x": 3}', 3), ('{"x": 2.5}', 2.5)):
+        code, out, _ = run_cli(monkeypatch, capsys, ["cont-pvalue", "--a", "1"],
+                               line + "\n")
+        assert code == 0
+        assert json.loads(out)["x"] == x
 
 
 def test_non_finite_options_are_usage_errors(monkeypatch, capsys):

@@ -157,6 +157,17 @@ def test_translation_equivariance():
                                                    abs=1e-12)
 
 
+@pytest.mark.parametrize("shift", [2**53 + 1, 2**63, -(2**63) - 5])
+def test_family_values_are_shift_invariant_past_float_precision(shift):
+    # sites this far out collide as floats; the values depend only on
+    # distances, so they must equal those of the unshifted stream
+    rng = random.Random(21)
+    obs = [rng.randint(-2, 4) for _ in range(200)]
+    base, moved = replay_family(obs), replay_family(x + shift for x in obs)
+    assert moved.values_range(shift - 9, shift + 11).tolist() == \
+        base.values_range(-9, 11).tolist()
+
+
 def test_unimodal_snapshot_shape():
     t = UnimodalTracker(0)
     t.update(1)

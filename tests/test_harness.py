@@ -4,9 +4,12 @@ import json
 import math
 import os
 
+import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from evshape.eprocess import MonotoneTracker
+from evshape.eprocess import MonotoneTracker, UnimodalFamily, _tilt_rows
 from evshape.errors import ConfigError
 from evshape.harness import (
     RunReport,
@@ -17,7 +20,8 @@ from evshape.harness import (
     run_experiment,
     worker_count,
 )
-from evshape.pmf import make_pmf, sample
+from evshape.mode import UnrestrictedTest, mode_estimate
+from evshape.pmf import make_pmf, mode_set, sample
 
 UNIFORM10 = make_pmf(0, [0.1] * 10)
 
@@ -211,6 +215,154 @@ def test_type1_digests_are_pinned(c, digest):
     # recorded with the earlier engine that materialized every draw; the
     # streamed engine must reproduce reports byte for byte
     assert run_experiment(c).digest() == digest
+
+
+# ------------------------------------- sequential engine against the trackers
+#
+# The scalar replications the time-blocked engine replaced, kept as the
+# reference: ``sample`` driving ``UnrestrictedTest``, and a
+# ``UnimodalFamily`` queried by ``mode_estimate`` after every step.
+
+
+def reference_unrestricted(c, rep):
+    test = UnrestrictedTest(c.alpha, c.resolved_phi)
+    for x in sample(c.distribution, derive_seed(c.seed, rep), c.n):
+        if test.step(x) == "reject":
+            return {"rep": rep, "rejected": True, "reject_n": test.rejected_at}
+    return {"rep": rep, "rejected": False, "reject_n": None}
+
+
+def reference_settlement(c, rep):
+    clip = c.resolved_clip
+    family = UnimodalFamily()
+    current, last_change = (), 0
+    for t, x in enumerate(sample(c.distribution, derive_seed(c.seed, rep), c.n)):
+        family.update(x)
+        got = mode_estimate(family, clip).intersect_range(*clip)
+        if got != current:
+            current, last_change = got, t + 1
+    modes = mode_set(c.distribution)
+    target = tuple(t for t in range(clip[0], clip[1] + 1) if modes.contains(t))
+    return {"rep": rep, "final_set": list(current), "target_set": list(target),
+            "matches_target": current == target, "last_change_n": last_change}
+
+
+REFERENCES = {"unrestricted_power": reference_unrestricted,
+              "mode_settlement": reference_settlement}
+
+
+def assert_engine_matches_reference(c):
+    report = run_experiment(c)
+    reference = REFERENCES[c.scenario]
+    assert list(report.records) == [reference(c, rep) for rep in range(c.reps)]
+    return report
+
+
+@st.composite
+def sequential_configs(draw, scenario):
+    weights = draw(st.lists(st.integers(0, 6), min_size=1, max_size=6)
+                   .filter(any))
+    extra = {}
+    if scenario == "unrestricted_power":
+        extra["phi"] = draw(st.sampled_from([1, -1, 2, -3, 5]))
+        alpha = draw(st.sampled_from([0.05, 0.2, 0.5]))
+    else:
+        alpha = 0.05
+        if draw(st.booleans()):
+            a = draw(st.integers(-8, 4))
+            extra["clip"] = (a, a + draw(st.integers(0, 12)))
+    return ScenarioConfig(
+        scenario,
+        make_pmf(draw(st.integers(-4, 3)), [w / sum(weights) for w in weights]),
+        n=draw(st.sampled_from([1, 2, 256, 257, 513]) | st.integers(1, 300)),
+        reps=draw(st.integers(1, 2)), alpha=alpha,
+        seed=draw(st.integers(0, 2**32)), **extra)
+
+
+@settings(max_examples=40, deadline=None, database=None)
+@given(c=sequential_configs("unrestricted_power"))
+def test_unrestricted_engine_matches_scalar_test(c):
+    assert_engine_matches_reference(c)
+
+
+@settings(max_examples=20, deadline=None, database=None)
+@given(c=sequential_configs("mode_settlement"))
+def test_settlement_engine_matches_scalar_family(c):
+    assert_engine_matches_reference(c)
+
+
+@pytest.mark.parametrize("c, reject_n", [
+    # inside the first block of draws, after a full scan that moved the
+    # tracked peak; negative support and phi = 2
+    (ScenarioConfig("unrestricted_power", make_pmf(-2, [0.5, 0.0, 0.5]),
+                    n=300, reps=1, alpha=0.3, seed=1, phi=2), 159),
+    # blocks of 256 family steps start after the first draw: the last
+    # row of the first block, the first row of the second, and both
+    # edges of the second and third
+    (ScenarioConfig("unrestricted_power", make_pmf(0, [0.45, 0.1, 0.45]),
+                    n=600, reps=1, alpha=0.1, seed=127), 257),
+    (ScenarioConfig("unrestricted_power", make_pmf(0, [0.45, 0.1, 0.45]),
+                    n=600, reps=1, alpha=0.1, seed=26), 258),
+    (ScenarioConfig("unrestricted_power", make_pmf(0, [0.4, 0.1, 0.5]),
+                    n=600, reps=1, alpha=0.05, seed=156), 513),
+    (ScenarioConfig("unrestricted_power", make_pmf(0, [0.4, 0.1, 0.5]),
+                    n=600, reps=1, alpha=0.05, seed=93), 514),
+])
+def test_unrestricted_engine_rejects_where_the_scalar_test_does(c, reject_n):
+    report = assert_engine_matches_reference(c)
+    assert report.records[0]["reject_n"] == reject_n
+
+
+@pytest.mark.parametrize("c, digest", [
+    (ScenarioConfig("unrestricted_power", make_pmf(0, [0.4, 0.1, 0.5]),
+                    n=2000, reps=6, alpha=0.05, seed=41),
+     "9f468fc057a9d4aadbded2211e57bf03631bd6b61eb71129a6e4aa91f61b6796"),
+    (ScenarioConfig("unrestricted_power",
+                    make_pmf(-2, [0.3, 0.05, 0.3, 0.05, 0.3]),
+                    n=700, reps=4, alpha=0.1, seed=42, phi=2),
+     "ac28d6897c7e5334ade3d078aa9e590e8d650ea3e442c6f1e238bf5c69b1874b"),
+    (ScenarioConfig("unrestricted_power", make_pmf(0, [0.2] * 5),
+                    n=600, reps=5, alpha=0.05, seed=43),
+     "989c4a433352b5c8396a1ae5f7ea2baa1793c58c6be5cb9e443e4bb8c819c993"),
+    (ScenarioConfig("mode_settlement", make_pmf(0, [0.2, 0.6, 0.2]),
+                    n=600, reps=3, alpha=0.05, seed=51),
+     "80e45fbf91521210df6af859eb974c883b50975beecfb6ca82d80cd1dbb7c492"),
+    (ScenarioConfig("mode_settlement",
+                    make_pmf(-3, [0.1, 0.25, 0.4, 0.15, 0.1]),
+                    n=513, reps=3, alpha=0.05, seed=52),
+     "a7f9819d90bb4aa6692e7da3ebc0c273f03bad8904886252dcfe1e4cee0b079e"),
+    (ScenarioConfig("mode_settlement", make_pmf(0, [0.3, 0.1, 0.3, 0.3]),
+                    n=400, reps=2, alpha=0.05, seed=53, clip=(-4, 6)),
+     "b4e6927adebf1d54c8a628949012500b8e4c1762b82c95cc9ac3a6ffd4d57b79"),
+])
+def test_sequential_digests_are_pinned(c, digest):
+    # recorded with the scalar replications the time-blocked engine replaced
+    assert run_experiment(c).digest() == digest
+
+
+@settings(max_examples=60, deadline=None, database=None)
+@given(obs=st.lists(st.integers(-3, 3), min_size=1, max_size=120),
+       cuts=st.lists(st.integers(1, 119), max_size=4))
+def test_tilt_rows_match_the_family_after_every_step(obs, cuts):
+    base = -4  # dense tables over sites -4..4 hold every touched site
+    sites = range(base, 5)
+    counts, rise, fall = np.zeros(9), np.zeros(9), np.zeros(9)
+    family = UnimodalFamily()
+    bounds = sorted({0, len(obs), *(k for k in cuts if k < len(obs))})
+    for a, b in zip(bounds, bounds[1:]):
+        counts, logs = _tilt_rows(counts, rise, fall, np.array(obs[a:b]) - base)
+        for row, x in enumerate(obs[a:b]):
+            family.update(x)
+            for table, got in zip((family.log_rise, family.log_fall), logs[:, row]):
+                for s, v in zip(sites, got):
+                    if s not in table:
+                        assert v == 0.0
+                        continue
+                    # numpy.log and math.log may differ in the last place;
+                    # a log that cancels to near zero is held to 1e-12 absolute
+                    assert abs(v - table[s]) <= 1e-12 * max(abs(table[s]), 1.0)
+        assert {s: int(c) for s, c in zip(sites, counts) if c} == family.counts
+        rise, fall = logs[:, -1]
 
 
 def test_worker_count_does_not_change_reports():

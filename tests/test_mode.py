@@ -1,12 +1,15 @@
 """Mode confidence sets, the set-valued estimator, and the free-mode test."""
 
+import json
 import math
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from evshape.eprocess import UnimodalFamily
-from evshape.errors import AlreadyRejected, BadAlpha, ZeroPhi
+from evshape.errors import AlreadyRejected, BadAlpha, InvalidSnapshot, ZeroPhi
 from evshape.mode import (
     IntSet,
     UnrestrictedTest,
@@ -257,3 +260,63 @@ def test_unrestricted_decisions_match_family_replay():
             assert got == ("reject" if crossed else "continue")
             if got == "reject":
                 break
+
+
+def run_free(test, obs):
+    decisions = []
+    for x in obs:
+        decisions.append(test.step(x))
+        if decisions[-1] == "reject":
+            break
+    return decisions
+
+
+@settings(max_examples=80, deadline=None, database=None)
+@given(obs=st.lists(st.sampled_from([-2, 0, 0, 2, 4, 4]), max_size=120),
+       split=st.integers(0, 120), alpha=st.sampled_from([0.05, 0.3, 0.6]),
+       phi=st.sampled_from([1, -2, 3]))
+def test_unrestricted_snapshot_round_trip_continues(obs, split, alpha, phi):
+    whole = UnrestrictedTest(alpha, phi)
+    expected = run_free(whole, obs)
+    head = UnrestrictedTest(alpha, phi)
+    decisions = run_free(head, obs[:split])
+    resumed = UnrestrictedTest.from_snapshot(json.dumps(head.to_snapshot()))
+    if "reject" in decisions:
+        with pytest.raises(AlreadyRejected):
+            resumed.step(0)
+    else:
+        decisions += run_free(resumed, obs[len(decisions):])
+    assert decisions == expected
+    assert resumed.rejected_at == whole.rejected_at
+    assert resumed.n == whole.n
+    assert resumed.to_snapshot()["family"] == whole.to_snapshot()["family"]
+
+
+def test_unrestricted_snapshots_reject_inconsistent_state():
+    test = UnrestrictedTest(0.3, 1)
+    run_free(test, [0, 3, 3, 0, 1])
+    snap = test.to_snapshot()
+    assert UnrestrictedTest.from_snapshot(snap).to_snapshot() == snap
+    fresh = UnrestrictedTest(0.3, 1).to_snapshot()
+    broken = [
+        (dict(snap, phase="done"), "phase"),
+        (dict(snap, n=snap["n"] + 1), "family holds"),
+        (dict(snap, theta0=snap["theta_window"][1] + 1), "outside"),
+        (dict(snap, rejected_at=snap["n"]), "rejected_at"),
+        (dict(snap, phase="rejected"), "rejected_at"),
+        (dict(fresh, n=1), "awaiting"),
+        (dict(snap, family=dict(snap["family"], n=99)), "counts total"),
+    ]
+    for bad, message in broken:
+        with pytest.raises(InvalidSnapshot, match=message):
+            UnrestrictedTest.from_snapshot(bad)
+    stopped = UnrestrictedTest(0.6, 1)
+    assert run_free(stopped, [0, 4] * 60)[-1] == "reject"
+    resumed = UnrestrictedTest.from_snapshot(json.dumps(stopped.to_snapshot()))
+    assert resumed.rejected_at == stopped.rejected_at
+    with pytest.raises(AlreadyRejected):
+        resumed.step(0)
+    with pytest.raises(BadAlpha):
+        UnrestrictedTest.from_snapshot(dict(snap, alpha=1.5))
+    with pytest.raises(ZeroPhi):
+        UnrestrictedTest.from_snapshot(dict(snap, phi=0))
