@@ -100,33 +100,24 @@ def _first_value(fh, as_int: bool):
 # ------------------------------------------------------------- commands
 
 
-def _cmd_test_monotone(args) -> int:
+def _cmd_test_tracker(args) -> int:
+    """test-monotone and test-unimodal: one tracker, rejecting at 1/alpha."""
+    if args.command == "test-monotone":
+        tracker, extra = MonotoneTracker(), {}
+        value = tracker.mixture_value
+    else:
+        tracker, extra = UnimodalTracker(args.theta), {"theta": args.theta}
+        value = tracker.unimodal_value
     log_threshold = math.log(1.0 / args.alpha)
-    tracker = MonotoneTracker()
+    decision, log_value = "continue", value()
     for x in _stream_values(sys.stdin, as_int=True):
         tracker.update(x)
-        value = tracker.mixture_value()
-        if value >= log_threshold:
-            _emit({"decision": "reject", "n": tracker.n, "log_value": value})
-            return 2
-    _emit({"decision": "continue", "n": tracker.n,
-           "log_value": tracker.mixture_value()})
-    return 0
-
-
-def _cmd_test_unimodal(args) -> int:
-    log_threshold = math.log(1.0 / args.alpha)
-    tracker = UnimodalTracker(args.theta)
-    for x in _stream_values(sys.stdin, as_int=True):
-        tracker.update(x)
-        value = tracker.unimodal_value()
-        if value >= log_threshold:
-            _emit({"decision": "reject", "n": tracker.n,
-                   "theta": args.theta, "log_value": value})
-            return 2
-    _emit({"decision": "continue", "n": tracker.n,
-           "theta": args.theta, "log_value": tracker.unimodal_value()})
-    return 0
+        log_value = value()
+        if log_value >= log_threshold:
+            decision = "reject"
+            break
+    _emit({"decision": decision, "n": tracker.n, "log_value": log_value, **extra})
+    return 2 if decision == "reject" else 0
 
 
 def _cmd_test_unimodal_free(args) -> int:
@@ -243,11 +234,11 @@ def _build_parser() -> _Parser:
         p.set_defaults(fn=fn)
         return p
 
-    p = add("test-monotone", _cmd_test_monotone,
+    p = add("test-monotone", _cmd_test_tracker,
             help="sequential test of a non-increasing mass function")
     p.add_argument("--alpha", type=_finite_float, required=True)
 
-    p = add("test-unimodal", _cmd_test_unimodal,
+    p = add("test-unimodal", _cmd_test_tracker,
             help="sequential test of unimodality with a known peak")
     p.add_argument("--alpha", type=_finite_float, required=True)
     p.add_argument("--theta", type=int, required=True)

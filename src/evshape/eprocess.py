@@ -13,7 +13,9 @@ whole shape class.
 
 All running products are kept in log space; mixture values are computed
 with a log-sum-exp over the stored components plus the exact dyadic
-weight of the untouched remainder.
+weight of the untouched remainder: by :func:`_log_mixture` in the
+trackers, and by :func:`peak_weights` and :func:`peak_values` wherever
+many peaks are evaluated at once (the family and the harness engine).
 """
 
 from __future__ import annotations
@@ -96,11 +98,70 @@ def _tilt_rows(counts: np.ndarray, rise: np.ndarray, fall: np.ndarray,
     return after[-1], np.cumsum(rows, axis=1, out=rows)
 
 
-def _logsumexp(terms: list[float]) -> float:
-    m = max(terms)
-    if m == float("-inf"):
-        return m
-    return m + math.log(math.fsum(math.exp(t - m) for t in terms))
+def peak_weights(sites, peaks) -> tuple[np.ndarray, np.ndarray]:
+    """Log dyadic weights ``(side, site, peak)`` and log leftover weight
+    ``(peak,)``: a rise site (side 0) at or past a peak and a fall site
+    (side 1) at or before it weigh ``2**-(|site - peak| + 2)``, others
+    nothing.  Sites and peaks become floats: pass large ones as offsets."""
+    d = np.subtract.outer(np.asarray(sites, dtype=float),
+                          np.asarray(peaks, dtype=float))
+    on_side = np.stack([d >= 0, d <= 0])
+    k = np.abs(d) + 2.0
+    used = _plane_sum((on_side * np.exp2(-k)).reshape(-1, d.shape[1]))
+    with np.errstate(divide="ignore"):
+        # strictly positive in exact arithmetic; clamp away float dust
+        rest = np.log(np.maximum(1.0 - used, 0.0))
+    # -k ln 2, not log(2**-k): a far site's weight underflows, its log not
+    return np.where(on_side, -k * _LN2, -np.inf), rest
+
+
+def _plane_sum(a: np.ndarray) -> np.ndarray:
+    # Sum over the first axis in place by halving: the order depends on
+    # its length alone, so a peak's sum ignores what shares the array
+    # (numpy's reduction turns pairwise when one column is left).
+    k = len(a)
+    while k > 1:
+        h = k // 2
+        a[:h] += a[k - h:k]
+        k -= h
+    return a[0] if k else np.zeros(a.shape[1:])
+
+
+def peak_values(logs: np.ndarray, weights) -> np.ndarray:
+    """Log mixture value of every peak: ``(peak,)`` from ``(side, site)``
+    tables, ``(step, peak)`` from ``(side, step, site)`` ones as
+    :func:`_tilt_rows` gives them, with ``weights`` from :func:`peak_weights`
+    over the same sites.  Untouched sites may be included (their log is
+    zero).  A peak's value does not depend on what is evaluated with it."""
+    log_w, rest = weights
+    # one plane per (side, site) term and one for the rest, each
+    # ([step,] peak): peaks last, so the reductions add whole planes
+    sides = log_w.shape[:2]
+    terms = np.empty((sides[0] * sides[1] + 1,) + logs.shape[1:-1] + rest.shape)
+    np.add(logs.swapaxes(1, -1)[..., None],
+           log_w.reshape(sides + (1,) * (logs.ndim - 2) + rest.shape),
+           out=terms[:-1].reshape(sides + terms.shape[1:]))
+    terms[-1] = rest
+    top = terms.max(axis=0)
+    terms -= top
+    np.exp(terms, out=terms)
+    return top + np.log(_plane_sum(terms))
+
+
+def _log_mixture(*sides) -> float:
+    """Log of a dyadic mixture: each side ``(table, base, sign)`` maps a
+    touched site ``s`` to its log product, of weight ``2**(base + sign * s)``;
+    the weight left over carries product one."""
+    weight_used = 0.0
+    terms = []
+    for table, base, sign in sides:
+        weight_used += math.fsum([2.0 ** (base + sign * s) for s in table])
+        terms += [(base + sign * s) * _LN2 + lf for s, lf in table.items()]
+    residual = 1.0 - weight_used
+    if residual > 0.0:
+        terms.append(math.log(residual))
+    top = max(terms)
+    return top + math.log(math.fsum([math.exp(t - top) for t in terms]))
 
 
 def _load_snapshot(
@@ -166,14 +227,7 @@ class MonotoneTracker:
 
     def mixture_value(self) -> float:
         """Log of the dyadic mixture over all locations."""
-        weight_used = math.fsum(2.0 ** (-m - 1) for m in self.log_factors)
-        terms = [-(m + 1) * _LN2 + lf for m, lf in self.log_factors.items()]
-        residual = 1.0 - weight_used
-        if residual > 0.0:
-            terms.append(math.log(residual))
-        if not terms:
-            return 0.0
-        return _logsumexp(terms)
+        return _log_mixture((self.log_factors, -1, -1))
 
     def to_snapshot(self) -> dict:
         """JSON-ready state: ``n``, counts, and per-location log factors."""
@@ -220,16 +274,7 @@ class UnimodalTracker:
     def unimodal_value(self) -> float:
         """Log of the two-sided dyadic mixture."""
         th = self.theta
-        weight_used = math.fsum(2.0 ** (th - j - 2) for j in self.log_rise)
-        weight_used += math.fsum(2.0 ** (i - th - 2) for i in self.log_fall)
-        terms = [-(j - th + 2) * _LN2 + lf for j, lf in self.log_rise.items()]
-        terms += [-(th - i + 2) * _LN2 + lf for i, lf in self.log_fall.items()]
-        residual = 1.0 - weight_used
-        if residual > 0.0:
-            terms.append(math.log(residual))
-        if not terms:
-            return 0.0
-        return _logsumexp(terms)
+        return _log_mixture((self.log_rise, th - 2, -1), (self.log_fall, -th - 2, 1))
 
     def to_snapshot(self) -> dict:
         th = self.theta
@@ -296,38 +341,14 @@ class UnimodalFamily:
 
     def values_range(self, lo: int, hi: int) -> np.ndarray:
         """Log mixture value for every peak in ``[lo, hi]``, vectorized."""
-        # positions relative to lo, taken in Python ints: sites past 2**53
-        # would collide as floats
-        thetas = np.arange(hi - lo + 1, dtype=float)
-        rise = sorted(self.log_rise)
-        rise_sites = np.array([j - lo for j in rise], dtype=float)
-        rise_logs = np.array([self.log_rise[j] for j in rise])
-        fall = sorted(self.log_fall)
-        fall_sites = np.array([i - lo for i in fall], dtype=float)
-        fall_logs = np.array([self.log_fall[i] for i in fall])
-
-        def side(sites, logs, sign):
-            # component index of each site for each theta; negative means absent
-            if len(sites) == 0:
-                z = np.zeros((len(thetas), 0))
-                return z, np.zeros(len(thetas))
-            m = sign * (sites[None, :] - thetas[:, None])
-            valid = m >= 0
-            m_safe = np.where(valid, m, 0.0)
-            logw = np.where(valid, -(m_safe + 2.0) * _LN2 + logs[None, :], -np.inf)
-            used = np.where(valid, np.exp2(-(m_safe + 2.0)), 0.0).sum(axis=1)
-            return logw, used
-
-        logw_p, used_p = side(rise_sites, rise_logs, +1)
-        logw_m, used_m = side(fall_sites, fall_logs, -1)
-        # strictly positive in exact arithmetic; clamp away float dust
-        residual = np.maximum(1.0 - used_p - used_m, 0.0)
-        with np.errstate(divide="ignore"):
-            log_res = np.log(residual)
-        terms = np.concatenate([logw_p, logw_m, log_res[:, None]], axis=1)
-        peak = terms.max(axis=1)
-        out = peak + np.log(np.exp(terms - peak[:, None]).sum(axis=1))
-        return out
+        rise, fall = self.log_rise, self.log_fall
+        sites = sorted(rise.keys() | fall.keys())
+        logs = np.array([[rise.get(s, 0.0) for s in sites],
+                         [fall.get(s, 0.0) for s in sites]])
+        # offsets from lo, taken in Python ints: sites past 2**53 would
+        # collide as floats
+        weights = peak_weights([s - lo for s in sites], range(hi - lo + 1))
+        return peak_values(logs, weights)
 
     def value(self, theta: int) -> float:
         """Log mixture value for one peak location."""

@@ -20,17 +20,20 @@ digest, equal those of :func:`sample`.
 time but a block of steps at once: ``eprocess._tilt_rows`` returns the
 family's dense log tables after every step of the block as ``(side,
 steps, sites)`` arrays, and each scenario evaluates its per-step query
-on whole blocks.  These tables differ from the trackers' in the last
-place (``numpy.log`` against ``math.log``); the records, booleans and
-integers, are those of ``UnrestrictedTest`` and of ``mode_estimate`` on
-a ``UnimodalFamily``.  ``growth`` and ``numeraire_compare`` report
-float logs, pinned to ``math.log``, so they keep driving the tracker
-objects.
+on whole blocks with the evaluator of ``UnimodalFamily.values_range``
+(``eprocess.peak_weights``, ``peak_values``) and the rules of
+``mode.first_window`` and ``mode.estimate_scan``.  These tables differ
+from the trackers' in the last place (``numpy.log`` against
+``math.log``); the records, booleans and integers, are those of
+``UnrestrictedTest`` and of ``mode_estimate`` on a ``UnimodalFamily``.
+``growth`` and ``numeraire_compare`` report float logs, pinned to
+``math.log``, so they keep driving the tracker objects.
 """
 
 from __future__ import annotations
 
 import csv
+import functools
 import hashlib
 import io
 import json
@@ -42,15 +45,15 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .eprocess import (
-    _LN2,
     MonotoneTracker,
-    UnimodalFamily,
     _lambdas,
     _tilt_rows,
     numeraire_eprocess,
+    peak_values,
+    peak_weights,
 )
 from .errors import ConfigError, EvshapeError
-from .mode import one_obs_ci, one_obs_ci_finite, scan_halfwidth
+from .mode import estimate_scan, first_window, one_obs_ci
 from .numeraire import lcm, max_epower
 from .pmf import Pmf, inverse_cdf, mode_set, pmf_from_json, sample
 
@@ -369,55 +372,38 @@ def _family_blocks(c: ScenarioConfig, draw, first: int, cells_per_step: int):
         rise, fall = logs[:, -1]
 
 
+@functools.lru_cache(maxsize=1)
+def _estimate_scans(n: int) -> tuple[np.ndarray, np.ndarray]:
+    """``mode.estimate_scan`` at steps 1..n as read-only arrays; a margin of
+    ``None`` becomes ``-inf``, a window holding no peak."""
+    margin, log_tau = zip(*(estimate_scan(k) for k in range(1, n + 1)))
+    margin = np.array([-math.inf if m is None else m for m in margin])
+    log_tau = np.array(log_tau)
+    margin.flags.writeable = log_tau.flags.writeable = False
+    return margin, log_tau
+
+
 def _rep_settlement(c: ScenarioConfig, rep: int) -> dict:
     p = c.distribution
     clip = c.resolved_clip
     peaks = np.arange(clip[0], clip[1] + 1)
     sites = np.arange(p.lo - 1, p.hi + 2)
-    # rise sites at or past a peak and fall sites at or before it carry
-    # dyadic weights by distance, the rest none; as (side, site, peak)
-    d = (sites[:, None] - peaks[None, :]).astype(float)
-    on_side = np.stack([d >= 0, d <= 0])
-    dist = np.abs(d) + 2.0
-    log_weights = np.where(on_side, -dist * _LN2, -np.inf)
-    # An untouched site's log is exactly zero, so spreading the weight
-    # left to the untouched components over every site of the tables
-    # gives the same mixture as UnimodalFamily.values_range, with one
-    # remainder per peak.
-    log_rest = np.log(1.0 - np.where(on_side, np.exp2(-dist), 0.0).sum(axis=(0, 1)))
+    weights = peak_weights(sites, peaks)
+    margin, log_tau = _estimate_scans(c.n)
     # ``current == ()`` before the first step: every peak counts as rejected
     rejected = np.ones(len(peaks), dtype=bool)
     last_change = 0
-    lo = hi = None
-    blocks = _family_blocks(c, _draws(c, rep), 0, len(peaks) * 2 * len(sites))
-    for start, xs, logs in blocks:
-        # the log mixture of every clip peak at every step, from
-        # (side, site, step, peak) terms so each reduction runs over planes
-        terms = np.empty(log_weights.shape[:2] + (len(xs), len(peaks)))
-        np.add(logs.transpose(0, 2, 1)[:, :, :, None],
-               log_weights[:, :, None, :], out=terms)
-        top = np.maximum(terms.max(axis=(0, 1)), log_rest)
-        terms -= top
-        total = np.exp(terms, out=terms).sum(axis=(0, 1)) + np.exp(log_rest - top)
-        values = top + np.log(total)
-        # mode_estimate's scan at each step: nothing at n = 1 or when
-        # scan_halfwidth finds nothing rejectable, else the data range
-        # widened by it, against log(n**2)
-        ns = range(start + 1, start + len(xs) + 1)
-        half = [scan_halfwidth(n, float(n) * float(n)) if n > 1 else None
-                for n in ns]
-        scanned = np.array([h is not None for h in half])
-        half = np.array([h or 0 for h in half])
-        log_tau = np.array([math.log(float(n) * float(n)) for n in ns])
-        run_lo = np.minimum.accumulate(xs)
-        run_hi = np.maximum.accumulate(xs)
-        if lo is not None:
-            run_lo, run_hi = np.minimum(run_lo, lo), np.maximum(run_hi, hi)
+    lo, hi = math.inf, -math.inf
+    for start, xs, logs in _family_blocks(c, _draws(c, rep), 0, weights[0].size):
+        # mode_estimate at each step of the block, cut to the clip
+        values = peak_values(logs, weights)
+        run_lo = np.minimum(np.minimum.accumulate(xs), lo)
+        run_hi = np.maximum(np.maximum.accumulate(xs), hi)
         lo, hi = run_lo[-1], run_hi[-1]
-        by_step = (scanned[:, None]
-                   & (peaks >= (run_lo - half)[:, None])
-                   & (peaks <= (run_hi + half)[:, None])
-                   & (values > log_tau[:, None]))
+        at = slice(start, start + len(xs))
+        by_step = ((peaks >= (run_lo - margin[at])[:, None])
+                   & (peaks <= (run_hi + margin[at])[:, None])
+                   & (values > log_tau[at, None]))
         before = np.vstack([rejected, by_step[:-1]])
         changed = np.flatnonzero((by_step != before).any(axis=1))
         if len(changed):
@@ -440,39 +426,26 @@ def _rep_settlement(c: ScenarioConfig, rep: int) -> dict:
 def _rep_unrestricted(c: ScenarioConfig, rep: int) -> dict:
     p = c.distribution
     log_threshold = math.log(3.0 / c.alpha)
-    # UnrestrictedTest's prefilter on the linear value at its tracked peak
-    cut = 0.99 * (3.0 / c.alpha)
+    # UnrestrictedTest's prefilter on the value at its tracked peak
+    log_cut = math.log(0.99 * (3.0 / c.alpha))
     sites = np.arange(p.lo - 1, p.hi + 2)
     draw = _draws(c, rep)
-    # the first draw buys the peak window, as UnrestrictedTest.step does
-    x = int(draw(1)[0])
-    ci = one_obs_ci_finite(x, 2.0 * c.alpha / 3.0, c.resolved_phi)
-    window = (ci.lo, ci.hi)
-    theta0 = min(max(x, ci.lo), ci.hi)
+    window, theta0 = first_window(int(draw(1)[0]), c.alpha, c.resolved_phi)
+    tracked = peak_weights(sites, [theta0])
     for start, _, logs in _family_blocks(c, draw, 1, len(sites)):
-        # capped products minus one: untouched sites add exactly nothing
-        g = np.exp(np.minimum(logs, 700.0)) - 1.0
         k = 0
-        while True:
-            d = sites - theta0
-            w = np.where([d >= 0, d <= 0], np.exp2(-np.abs(d) - 2.0), 0.0)
-            # a plain weighted sum, not a matrix product: a process's
-            # first BLAS call alone raises its peak RSS by about 0.3 MB
-            at_theta0 = 1.0 + (g[:, k:] * w[:, None, :]).sum(axis=(0, 2))
-            over = np.flatnonzero(at_theta0 >= cut)
+        while k < logs.shape[1]:
+            over = np.flatnonzero(peak_values(logs[:, k:], tracked)[:, 0] >= log_cut)
             if not len(over):
                 break
             k += int(over[0])
-            # the full scan, on a family holding only this step's log
-            # tables; an untouched site's zero log leaves every value as is
-            family = UnimodalFamily()
-            family.log_rise, family.log_fall = (
-                dict(zip(sites.tolist(), row.tolist())) for row in logs[:, k])
-            vals = family.values_range(*window)
+            # the full scan of this step's tables
+            peaks = np.arange(window[0], window[1] + 1)
+            vals = peak_values(logs[:, k], peak_weights(sites, peaks))
             j = int(vals.argmin())
             if float(vals[j]) >= log_threshold:
                 return {"rep": rep, "rejected": True, "reject_n": start + k + 1}
-            theta0 = window[0] + j
+            tracked = peak_weights(sites, [window[0] + j])
             k += 1
     return {"rep": rep, "rejected": False, "reject_n": None}
 

@@ -140,26 +140,30 @@ class ConfidenceSetResult:
         return self.rejected.invert()
 
 
-def _scan(family: UnimodalFamily, tau: float, clip: tuple[int, int] | None = None):
-    """Scanned window and the peaks in it whose mixture value exceeds ``tau``.
+def estimate_scan(n: int) -> tuple[int | None, float]:
+    """Margin around the data and log threshold ``log(n**2)`` of
+    :func:`mode_estimate` at ``n``; the margin is ``None`` when nothing can
+    be rejected, as at ``n <= 1``, where every factor is one."""
+    tau = float(n) * float(n)
+    if tau <= 1.0:
+        return None, math.inf
+    return scan_halfwidth(n, tau), math.log(tau)
 
-    The window is the data range widened by :func:`scan_halfwidth` and
-    cut to ``clip`` when one is given; it is ``None``, with no peaks,
-    when nothing can be rejected.
-    """
+
+def _scan(family: UnimodalFamily, margin: int | None, log_tau: float,
+          clip: tuple[int, int] | None = None):
+    """Scanned window and the peaks in it whose log mixture value exceeds
+    ``log_tau``: the data range widened by ``margin`` and cut to ``clip``,
+    ``None`` with no peaks when the margin is ``None`` or it is empty."""
     rng = family.data_range()
-    if rng is None or tau <= 1.0:
+    if rng is None or margin is None:
         return None, []
-    w = scan_halfwidth(family.n, tau)
-    if w is None:
-        return None, []
-    lo, hi = rng[0] - w, rng[1] + w
+    lo, hi = rng[0] - margin, rng[1] + margin
     if clip is not None:
         lo, hi = max(lo, clip[0]), min(hi, clip[1])
         if lo > hi:
             return None, []
     vals = family.values_range(lo, hi)
-    log_tau = math.log(tau)
     return (lo, hi), [lo + k for k, v in enumerate(vals) if v > log_tau]
 
 
@@ -167,7 +171,7 @@ def confidence_set(family: UnimodalFamily, alpha: float) -> ConfidenceSetResult:
     """Peaks whose mixture value exceeds ``1/alpha``, with certificate."""
     _check_alpha(alpha)
     tau = 1.0 / alpha
-    window, rejected = _scan(family, tau)
+    window, rejected = _scan(family, scan_halfwidth(family.n, tau), math.log(tau))
     return ConfidenceSetResult(IntSet.finite(rejected), window, tau, family.n)
 
 
@@ -180,9 +184,7 @@ def mode_estimate(
     With ``clip = (lo, hi)`` only peaks inside the clip window are
     examined, which is exact for queries restricted to that window.
     """
-    n = family.n
-    # n <= 1 scans nothing: a first observation contributes factors of one
-    _, rejected = _scan(family, float(n) * float(n), clip)
+    _, rejected = _scan(family, *estimate_scan(family.n), clip)
     return IntSet.cofinite(rejected)
 
 
@@ -198,14 +200,22 @@ def strong_hull(weak: IntSet) -> ModeInterval:
 # ------------------------------------------------- anchor-free mode test
 
 
+def first_window(x: int, alpha: float, phi: int) -> tuple[tuple[int, int], int]:
+    """The free test's peak window from its first observation ``x`` (two
+    level-``alpha/3`` intervals anchored at ``phi`` and ``-phi``), and the
+    peak it tracks first, ``x`` moved into the window."""
+    # the finite variant halves its level, so this uses alpha/3 per side
+    ci = one_obs_ci_finite(x, 2.0 * alpha / 3.0, phi)
+    return (ci.lo, ci.hi), min(max(x, ci.lo), ci.hi)
+
+
 class UnrestrictedTest:
     """Two-step sequential test of unimodality with unknown peak.
 
-    The first observation buys a bounded peak interval (two
-    level-``alpha/3`` one-observation intervals anchored at ``phi`` and
-    ``-phi``); afterwards a fresh mixture family runs on the remaining
-    stream and the test rejects as soon as every peak in the interval
-    has mixture value at least ``3/alpha``.
+    The first observation buys a bounded peak interval
+    (:func:`first_window`); afterwards a fresh mixture family runs on
+    the remaining stream and the test rejects as soon as every peak in
+    the interval has mixture value at least ``3/alpha``.
     """
 
     def __init__(self, alpha: float, phi: int) -> None:
@@ -216,6 +226,7 @@ class UnrestrictedTest:
         self.phi = int(phi)
         self.phase = "awaiting_first"
         self.n = 0
+        self.first: int | None = None
         self.theta_window: tuple[int, int] | None = None
         self.family: UnimodalFamily | None = None
         self.rejected_at: int | None = None
@@ -250,13 +261,14 @@ class UnrestrictedTest:
         return self.family
 
     def to_snapshot(self) -> dict:
-        """JSON-ready state: level, anchor, phase, peak window, the tracked
-        peak and the family's snapshot (``None`` before the first step)."""
+        """JSON-ready state: level, anchor, phase, first observation, window,
+        tracked peak and family snapshot (``None`` before the first step)."""
         return {
             "alpha": self.alpha,
             "phi": self.phi,
             "phase": self.phase,
             "n": self.n,
+            "first": self.first,
             "theta_window": None if self.theta_window is None
             else list(self.theta_window),
             "theta0": self._theta0,
@@ -269,16 +281,16 @@ class UnrestrictedTest:
         """Restore a test; the family goes through its own validation.
 
         Raises :class:`InvalidSnapshot` unless the phase is known, ``n``
-        counts the first observation plus the family's, the tracked peak
-        lies in the window, and ``rejected_at`` is ``n`` exactly when the
-        test has rejected.
+        counts the first observation plus the family's, the window is the
+        first observation's, the tracked peak lies in it, and
+        ``rejected_at`` is ``n`` exactly when the test has rejected.
         """
         if isinstance(snap, str):
             snap = json.loads(snap)
         test = cls(float(snap["alpha"]), int(snap["phi"]))
         phase, n = snap["phase"], int(snap["n"])
         if phase == "awaiting_first":
-            if n != 0 or snap["family"] is not None:
+            if n != 0 or snap["first"] is not None or snap["family"] is not None:
                 raise InvalidSnapshot("a test awaiting data cannot hold any")
             return test
         if phase not in ("running", "rejected"):
@@ -286,7 +298,11 @@ class UnrestrictedTest:
         family = UnimodalFamily.from_snapshot(snap["family"])
         if n != family.n + 1:
             raise InvalidSnapshot(f"snapshot n={n} but its family holds {family.n}")
-        lo, hi = (int(v) for v in snap["theta_window"])
+        first = int(snap["first"])
+        (lo, hi), _ = first_window(first, test.alpha, test.phi)
+        if [int(v) for v in snap["theta_window"]] != [lo, hi]:
+            raise InvalidSnapshot(f"window {snap['theta_window']} is not "
+                                  f"({lo}, {hi}), the one {first} gives")
         theta0 = int(snap["theta0"])
         if not lo <= theta0 <= hi:
             raise InvalidSnapshot(f"tracked peak {theta0} outside ({lo}, {hi})")
@@ -294,7 +310,7 @@ class UnrestrictedTest:
         if rejected_at != (n if phase == "rejected" else None):
             raise InvalidSnapshot(f"rejected_at={rejected_at!r} in phase {phase!r}")
         test.phase, test.n, test.rejected_at = phase, n, rejected_at
-        test.theta_window, test.family = (lo, hi), family
+        test.first, test.theta_window, test.family = first, (lo, hi), family
         test._rebase_theta0(theta0)
         return test
 
@@ -304,13 +320,11 @@ class UnrestrictedTest:
             raise AlreadyRejected(f"test stopped at observation {self.rejected_at}")
         x = int(x)
         if self.phase == "awaiting_first":
-            window = one_obs_ci_finite(x, 2.0 * self.alpha / 3.0, self.phi)
-            # the finite variant halves its level, so this uses alpha/3 per side
-            self.theta_window = (window.lo, window.hi)
+            self.first = x
+            self.theta_window, self._theta0 = first_window(x, self.alpha, self.phi)
             self.family = UnimodalFamily()
             self.n = 1
             self.phase = "running"
-            self._theta0 = min(max(x, window.lo), window.hi)
             return "continue"
         fam = self.family_required()
         fam.update(x)

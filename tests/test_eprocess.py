@@ -4,8 +4,9 @@ import json
 import math
 import random
 
+import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from evshape.eprocess import (
@@ -13,6 +14,8 @@ from evshape.eprocess import (
     UnimodalFamily,
     UnimodalTracker,
     numeraire_eprocess,
+    peak_values,
+    peak_weights,
 )
 from evshape.errors import InvalidSnapshot, NegativeObservation
 from evshape.pmf import make_pmf, sample
@@ -428,6 +431,92 @@ def test_tilt_kernel_matches_reference_loops(obs, thetas):
             # each peak's tracker is the family cut to its side of the peak
             assert uni.log_rise == {j: v for j, v in fam.log_rise.items() if j >= th}
             assert uni.log_fall == {i: v for i, v in fam.log_fall.items() if i <= th}
+
+
+# ----------------------------------- reference: the family's vectorized mixture
+#
+# UnimodalFamily.values_range as it was before the shared array evaluator,
+# kept verbatim as a plain reference: rise and fall sites in separate
+# arrays, each weighted by its component index.
+
+_LN2 = math.log(2.0)
+
+
+def _reference_values_range(self, lo: int, hi: int) -> np.ndarray:
+    """Log mixture value for every peak in ``[lo, hi]``, vectorized."""
+    # positions relative to lo, taken in Python ints: sites past 2**53
+    # would collide as floats
+    thetas = np.arange(hi - lo + 1, dtype=float)
+    rise = sorted(self.log_rise)
+    rise_sites = np.array([j - lo for j in rise], dtype=float)
+    rise_logs = np.array([self.log_rise[j] for j in rise])
+    fall = sorted(self.log_fall)
+    fall_sites = np.array([i - lo for i in fall], dtype=float)
+    fall_logs = np.array([self.log_fall[i] for i in fall])
+
+    def side(sites, logs, sign):
+        # component index of each site for each theta; negative means absent
+        if len(sites) == 0:
+            z = np.zeros((len(thetas), 0))
+            return z, np.zeros(len(thetas))
+        m = sign * (sites[None, :] - thetas[:, None])
+        valid = m >= 0
+        m_safe = np.where(valid, m, 0.0)
+        logw = np.where(valid, -(m_safe + 2.0) * _LN2 + logs[None, :], -np.inf)
+        used = np.where(valid, np.exp2(-(m_safe + 2.0)), 0.0).sum(axis=1)
+        return logw, used
+
+    logw_p, used_p = side(rise_sites, rise_logs, +1)
+    logw_m, used_m = side(fall_sites, fall_logs, -1)
+    # strictly positive in exact arithmetic; clamp away float dust
+    residual = np.maximum(1.0 - used_p - used_m, 0.0)
+    with np.errstate(divide="ignore"):
+        log_res = np.log(residual)
+    terms = np.concatenate([logw_p, logw_m, log_res[:, None]], axis=1)
+    peak = terms.max(axis=1)
+    out = peak + np.log(np.exp(terms - peak[:, None]).sum(axis=1))
+    return out
+
+
+# dense sites near zero, and sparse ones up to 2000 away, past the
+# distance (about 1073) where a dyadic weight underflows as a float
+_sites = st.one_of(st.integers(-12, 12), st.integers(-2000, 2000))
+_tables = st.dictionaries(_sites, st.floats(-60.0, 1400.0), max_size=24)
+
+
+@settings(max_examples=150, deadline=None, database=None)
+@given(rise=_tables, fall=_tables, lo=st.integers(-40, 30),
+       width=st.integers(0, 60))
+@example(rise={}, fall={}, lo=-3, width=6)
+@example(rise={j: 0.3 * j - 1.0 for j in range(-4, 8)},
+         fall={i: 0.7 - 0.2 * i for i in range(-6, 5)}, lo=-9, width=20)
+@example(rise={1500: 1100.0, 3: -2.0}, fall={-1400: 1000.0}, lo=-5, width=10)
+def test_peak_values_match_the_reference_values_range(rise, fall, lo, width):
+    family = UnimodalFamily()
+    family.log_rise, family.log_fall = rise, fall
+    got = family.values_range(lo, lo + width)
+    want = _reference_values_range(family, lo, lo + width)
+    assert got.shape == want.shape
+    assert np.all(np.abs(got - want) <= 1e-12 * np.maximum(np.abs(want), 1.0))
+
+
+@settings(max_examples=60, deadline=None, database=None)
+@given(sites=st.lists(_sites, min_size=1, max_size=16, unique=True),
+       steps=st.integers(1, 6), lo=st.integers(-20, 10),
+       width=st.integers(0, 30), seed=st.integers(0, 2**32 - 1))
+def test_peak_values_per_step_and_per_peak_agree(sites, steps, lo, width, seed):
+    # a steps axis gives each step's values, and a peak's value does not
+    # depend on the peaks evaluated with it: equal to the last bit
+    logs = np.random.default_rng(seed).uniform(-20.0, 40.0, (2, steps, len(sites)))
+    weights = peak_weights(sites, range(lo, lo + width + 1))
+    together = peak_values(logs, weights)
+    assert together.shape == (steps, width + 1)
+    for t in range(steps):
+        alone = peak_values(logs[:, t], weights)
+        assert alone.tolist() == together[t].tolist()
+        for j in range(width + 1):
+            one = (weights[0][..., j:j + 1], weights[1][j:j + 1])
+            assert peak_values(logs[:, t], one)[0] == alone[j]
 
 
 # ----------------------------------------------------- numeraire e-process

@@ -298,9 +298,15 @@ def test_unrestricted_snapshots_reject_inconsistent_state():
     snap = test.to_snapshot()
     assert UnrestrictedTest.from_snapshot(snap).to_snapshot() == snap
     fresh = UnrestrictedTest(0.3, 1).to_snapshot()
+    lo, hi = snap["theta_window"]
     broken = [
         (dict(snap, phase="done"), "phase"),
         (dict(snap, n=snap["n"] + 1), "family holds"),
+        # a hand-widened window would test at a level other than alpha
+        (dict(snap, theta_window=[lo - 1, hi]), "window"),
+        (dict(snap, theta_window=[lo, hi + 5]), "window"),
+        (dict(snap, first=snap["first"] + 1), "window"),
+        (dict(fresh, first=0), "awaiting"),
         (dict(snap, theta0=snap["theta_window"][1] + 1), "outside"),
         (dict(snap, rejected_at=snap["n"]), "rejected_at"),
         (dict(snap, phase="rejected"), "rejected_at"),
