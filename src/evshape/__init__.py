@@ -51,7 +51,6 @@ from .pmf import (
 from .evalues import (
     EvalFn,
     PolarCertificate,
-    WaveletParams,
     epower,
     epower_lower_bound,
     expectation,
@@ -73,7 +72,6 @@ from .eprocess import (
     numeraire_eprocess,
 )
 from .mode import (
-    CiParams,
     ConfidenceSetResult,
     IntSet,
     UnrestrictedTest,
@@ -128,19 +126,19 @@ __all__ = [
     "pmf_from_text", "sample", "satisfies_basic_inequality",
     "unimodal_envelope",
     # single e-values and polars
-    "EvalFn", "PolarCertificate", "WaveletParams", "epower",
-    "epower_lower_bound", "expectation", "is_in_polar_D", "is_in_polar_M",
-    "is_xq_form", "polar_certificate_d", "polar_certificate_m",
-    "wavelet_evalue", "wavelet_lambda", "witness", "xq_evalue",
+    "EvalFn", "PolarCertificate", "epower", "epower_lower_bound",
+    "expectation", "is_in_polar_D", "is_in_polar_M", "is_xq_form",
+    "polar_certificate_d", "polar_certificate_m", "wavelet_evalue",
+    "wavelet_lambda", "witness", "xq_evalue",
     # log-optimality
     "LcmResult", "lcm", "max_epower", "numeraire_evalue", "ripr",
     # sequential
     "MonotoneTracker", "UnimodalFamily", "UnimodalTracker",
     "numeraire_eprocess",
     # mode inference
-    "CiParams", "ConfidenceSetResult", "IntSet", "UnrestrictedTest",
-    "confidence_set", "mode_estimate", "one_obs_ci", "one_obs_ci_finite",
-    "scan_halfwidth", "strong_hull",
+    "ConfidenceSetResult", "IntSet", "UnrestrictedTest", "confidence_set",
+    "mode_estimate", "one_obs_ci", "one_obs_ci_finite", "scan_halfwidth",
+    "strong_hull",
     # continuous
     "RealInterval", "StepDensity", "StepFn", "XqEvalue", "bump_evalue",
     "bump_mixture_value", "cont_mode_ci", "edelman_ci", "edelman_pvalue",

@@ -14,12 +14,12 @@ import math
 import sys
 
 from .continuous import (
+    _numeraire_cont,
     cont_mode_ci,
     edelman_ci,
     edelman_pvalue,
     epower_cont,
     lcm_cont,
-    numeraire_cont,
     step_density_from_json,
 )
 from .eprocess import MonotoneTracker, UnimodalFamily, UnimodalTracker
@@ -29,7 +29,7 @@ from .errors import (
     NonIntegerInput,
     NonNumericInput,
 )
-from .evalues import EvalFn, is_in_polar_D, is_in_polar_M
+from .evalues import EvalFn, epower, is_in_polar_D, is_in_polar_M
 from .harness import config_from_json, run_experiment
 from .mode import (
     UnrestrictedTest,
@@ -38,7 +38,7 @@ from .mode import (
     one_obs_ci,
     one_obs_ci_finite,
 )
-from .numeraire import lcm, max_epower, numeraire_evalue, ripr
+from .numeraire import _numeraire_evalue, _ripr, lcm
 from .pmf import pmf_from_text
 
 
@@ -172,13 +172,15 @@ def _cmd_check_evalue(args) -> int:
 
 def _cmd_numeraire(args) -> int:
     q = pmf_from_text(sys.stdin.read())
-    res = lcm(q)
+    res = lcm(q)  # the one fit every output below reads
+    fitted = res.fitted_masses()
+    e = _numeraire_evalue(q, fitted)
     _emit({
         "contacts": list(res.contacts),
-        "slopes": res.fitted_masses(),
-        "ripr": ripr(q).to_json(),
-        "numeraire": numeraire_evalue(q).to_json(),
-        "max_epower": max_epower(q),
+        "slopes": fitted,
+        "ripr": _ripr(q, fitted).to_json(),
+        "numeraire": e.to_json(),
+        "max_epower": epower(e, q),
     })
     return 0
 
@@ -203,7 +205,7 @@ def _cmd_cont_pvalue(args) -> int:
 def _cmd_cont_numeraire(args) -> int:
     q = step_density_from_json(sys.stdin.read())
     fitted = lcm_cont(q)
-    e = numeraire_cont(q)
+    e = _numeraire_cont(q, fitted)
     _emit({
         "lcm": fitted.to_json(),
         "numeraire": e.to_json(),

@@ -7,6 +7,13 @@ matter of walking breakpoints.  The single membership oracle checks the
 integral condition ``integral of e over [0, x] <= x`` at breakpoints,
 which suffices because the integral minus ``x`` is piecewise linear for
 step functions and piecewise convex for the ``x * q(x)`` family.
+
+Every table operation is one linear walk.  The polar check carries the
+running integral as Shewchuk partials (the ones ``math.fsum`` keeps) and
+rounds each prefix once, so it returns what summing every prefix afresh
+with ``fsum`` would, bit for bit.  Expectations and e-powers merge the
+two breakpoint grids with two pointers, and the numeraire divides by a
+majorant fitted once per table.
 """
 
 from __future__ import annotations
@@ -15,6 +22,7 @@ import json
 import math
 from bisect import bisect_left
 from dataclasses import dataclass
+from operator import mul, sub
 
 from .errors import (
     AtomPresent,
@@ -53,7 +61,7 @@ class StepFn:
         object.__setattr__(self, "tail_level", float(self.tail_level))
         if not bps or bps[0] != 0.0:
             raise BadInterval("breakpoints must start at 0")
-        if any(b >= c for b, c in zip(bps, bps[1:])) or not math.isfinite(bps[-1]):
+        if not all(b < c for b, c in zip(bps, bps[1:])) or not math.isfinite(bps[-1]):
             raise BadInterval("breakpoints must increase strictly and stay finite")
         if len(lvs) != len(bps) - 1:
             raise BadInterval(
@@ -86,6 +94,11 @@ class StepFn:
         if x > bps[-1]:
             parts.append(self.tail_level * (x - bps[-1]))
         return math.fsum(parts)
+
+    def _areas(self):
+        # the integral over each piece, as integral_to computes it
+        bps = self.breakpoints
+        return map(mul, self.levels, map(sub, bps[1:], bps))
 
     def total_integral(self) -> float:
         if self.tail_level > 0.0:
@@ -235,6 +248,12 @@ class XqEvalue:
             parts.append(lv * (right * right - left * left) / 2.0)
         return math.fsum(parts)
 
+    def _areas(self):
+        # the integral over each piece, as integral_to computes it
+        bps = self.q.fn.breakpoints
+        return (lv * (right * right - left * left) / 2.0
+                for lv, left, right in zip(self.q.fn.levels, bps, bps[1:]))
+
 
 def xq_evalue_cont(q: StepDensity) -> XqEvalue:
     """Package ``x * q(x)``; the density must put no mass on the point 0."""
@@ -267,38 +286,76 @@ def is_in_polar_U(e, require_jump_guard: bool = False, tol: float = PROB_TOL) ->
     requires the tail level at most one so the condition persists, and
     with ``require_jump_guard`` also caps the value at 0 by one, which
     extends validity to nulls carrying an atom there.
+
+    One pass: the running integral is kept as ``math.fsum``'s own
+    partials, so ``fsum(partials)`` at each breakpoint is exactly
+    ``e.integral_to(b)``.
     """
     if e.tail_level > 1.0 + tol:
         return False
     if require_jump_guard and e.value_at_0 > 1.0 + tol:
         return False
-    return all(
-        e.integral_to(b) <= b + tol * max(1.0, b) for b in e.breakpoints
-    )
+    bps = e.breakpoints
+    if not 0.0 <= bps[0] + tol * max(1.0, bps[0]):
+        return False
+    partials: list[float] = []
+    for k, x in enumerate(e._areas(), 1):
+        # add x to the partials as fsum does: exact, nonoverlapping, ascending
+        i = 0
+        for y in partials:
+            if abs(x) < abs(y):
+                x, y = y, x
+            hi = x + y
+            lo = y - (hi - x)
+            if lo:
+                partials[i] = lo
+                i += 1
+            x = hi
+        if not math.isfinite(x):
+            # an infinite piece or an overflowing sum: integral_to decides
+            # the rest (inf, nan or OverflowError) as it always has
+            return all(e.integral_to(b) <= b + tol * max(1.0, b) for b in bps[k:])
+        partials[i:] = [x] if x else []
+        b = bps[k]
+        if not math.fsum(partials) <= b + tol * max(1.0, b):
+            return False
+    return True
 
 
 # -------------------------------------------------- expectation, e-power
 
 
-def _refined_pieces(e_bps, p_bps):
-    # common refinement of two breakpoint grids, as (left, right] pairs
-    cuts = sorted(set(e_bps) | set(p_bps))
-    return list(zip(cuts, cuts[1:]))
+def _common_pieces(a: StepFn, b: StepFn):
+    # one merge of two breakpoint grids: (left, right, a level, b level) for
+    # each piece (left, right] of the common refinement, levels as at(right)
+    abps, bbps = a.breakpoints, b.breakpoints
+    na, nb = len(abps), len(bbps)
+    i = j = 1  # the first breakpoint of each grid not left of the cut
+    left = 0.0
+    while i < na or j < nb:
+        ra = abps[i] if i < na else math.inf
+        rb = bbps[j] if j < nb else math.inf
+        right = ra if ra <= rb else rb
+        yield (left, right,
+               a.levels[i - 1] if i < na else a.tail_level,
+               b.levels[j - 1] if j < nb else b.tail_level)
+        i += ra == right
+        j += rb == right
+        left = right
 
 
 def expectation_cont(e, p: StepDensity) -> float:
     """Exact ``E_p[e(X)]`` for ``e`` a StepFn or XqEvalue."""
     parts = [p.atom0 * e.value_at_0]
     product_form = isinstance(e, XqEvalue)
-    for left, right in _refined_pieces(e.breakpoints, p.fn.breakpoints):
-        p_lv = p.fn.at(right)
+    grid = e.q.fn if product_form else e
+    for left, right, e_lv, p_lv in _common_pieces(grid, p.fn):
         if p_lv == 0.0:
             continue
         if product_form:
-            q_lv = e.q.fn.at(right)
-            parts.append(p_lv * q_lv * (right * right - left * left) / 2.0)
+            parts.append(p_lv * e_lv * (right * right - left * left) / 2.0)
         else:
-            parts.append(p_lv * e.at(right) * (right - left))
+            parts.append(p_lv * e_lv * (right - left))
     return math.fsum(parts)
 
 
@@ -309,11 +366,9 @@ def epower_cont(e: StepFn, q: StepDensity) -> float:
         if e.value_at_0 <= 0.0:
             return -math.inf
         parts.append(q.atom0 * math.log(e.value_at_0))
-    for left, right in _refined_pieces(e.breakpoints, q.fn.breakpoints):
-        q_lv = q.fn.at(right)
+    for left, right, e_lv, q_lv in _common_pieces(e, q.fn):
         if q_lv == 0.0:
             continue
-        e_lv = e.at(right)
         if e_lv <= 0.0:
             return -math.inf
         parts.append(q_lv * (right - left) * math.log(e_lv))
@@ -429,10 +484,14 @@ def numeraire_cont(q: StepDensity) -> StepFn:
     subset), zero off the support of ``q``, and exactly one at 0 when
     the atom survives the projection untouched.
     """
-    fitted = lcm_cont(q)
-    values = []
-    for right in q.fn.breakpoints[1:]:
-        q_lv = q.fn.at(right)
-        values.append(q_lv / fitted.fn.at(right) if q_lv > 0.0 else 0.0)
+    return _numeraire_cont(q, lcm_cont(q))
+
+
+def _numeraire_cont(q: StepDensity, fitted: StepDensity) -> StepFn:
+    # fitted = lcm_cont(q), whose grid is a subset of q's
+    values = tuple(
+        q_lv / f_lv if q_lv > 0.0 else 0.0
+        for _, _, q_lv, f_lv in _common_pieces(q.fn, fitted.fn)
+    )
     at0 = 1.0 if q.atom0 > 0.0 else 0.0
-    return StepFn(q.fn.breakpoints, tuple(values), at0, 0.0)
+    return StepFn(q.fn.breakpoints, values, at0, 0.0)

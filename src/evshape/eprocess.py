@@ -164,18 +164,28 @@ def _log_mixture(*sides) -> float:
     return top + math.log(math.fsum([math.exp(t - top) for t in terms]))
 
 
+def _snapshot_fields(snap: dict | str, keys) -> dict:
+    """Parse a snapshot; :class:`InvalidSnapshot` names a missing key."""
+    if isinstance(snap, str):
+        snap = json.loads(snap)
+    for key in keys:
+        if key not in snap:
+            raise InvalidSnapshot(f"snapshot has no {key!r}")
+    return snap
+
+
 def _load_snapshot(
     snap: dict | str, log_keys: tuple[str, ...], nonneg: tuple[str, ...] = ()
 ):
     """Parse a tracker snapshot; returns it with ``n``, counts and log tables.
 
-    Raises :class:`InvalidSnapshot` unless every count is nonnegative,
+    Raises :class:`InvalidSnapshot` unless ``n``, the counts and every
+    table in ``log_keys`` are present, every count is nonnegative,
     ``n`` is their total, every log factor is finite, and the tables
     named in ``nonneg`` (component indices, or the counts of a stream
     on the nonnegative integers) have no negative key.
     """
-    if isinstance(snap, str):
-        snap = json.loads(snap)
+    snap = _snapshot_fields(snap, ("n", "counts") + log_keys)
     n = int(snap["n"])
     counts = {int(k): int(v) for k, v in snap["counts"].items()}
     if any(v < 0 for v in counts.values()):
@@ -294,6 +304,7 @@ class UnimodalTracker:
     @classmethod
     def from_snapshot(cls, snap: dict | str) -> "UnimodalTracker":
         keys = ("log_factors_plus", "log_factors_minus")
+        snap = _snapshot_fields(snap, ("theta",))
         snap, n, counts, (plus, minus) = _load_snapshot(snap, keys, nonneg=keys)
         t = cls(int(snap["theta"]))
         t.n, t.counts = n, counts

@@ -77,18 +77,6 @@ class EvalFn:
 
 
 @dataclass(frozen=True)
-class WaveletParams:
-    """Location and amplitude of a two-point tilt."""
-
-    m: int
-    lam: float
-
-    def __post_init__(self) -> None:
-        if not 0.0 <= self.lam <= 0.5:
-            raise InvalidCertificate(f"amplitude {self.lam} outside [0, 1/2]")
-
-
-@dataclass(frozen=True)
 class PolarCertificate:
     """Running-sum certificate of polar membership.
 
@@ -287,36 +275,41 @@ def witness(q: Pmf, theta: int | None = None) -> EvalFn:
     the peak are scanned.  The winner maximizes the guaranteed growth
     and has expectation strictly above one under ``q``.
     """
-    best: tuple[float, EvalFn] | None = None
+    # the scan keeps (bound, location, f_m, f_m1, falling) and the first
+    # strict maximum wins; only its tilt is built
+    best: tuple[float, int, float, float, bool] | None = None
 
-    def consider(bound: float, fn: EvalFn) -> None:
+    def consider(bound: float, at: int, a: float, b: float, falling: bool) -> None:
         nonlocal best
         if best is None or bound > best[0]:
-            best = (bound, fn)
+            best = (bound, at, a, b, falling)
 
+    f = [0.0, *q.masses, 0.0]  # f[n + off] is q.f(n) for q.lo - 1 <= n <= q.hi + 1
+    off = 1 - q.lo
     if theta is None:
         if q.lo < 0:
             raise NegativeSupport("monotone witness needs nonnegative support")
         if is_monotone(q):
             raise NoViolation("distribution is non-increasing")
         for m in range(max(0, q.lo - 1), q.hi):
-            if q.f(m + 1) - q.f(m) > SHAPE_TOL:
-                consider(epower_lower_bound(q, m), wavelet_evalue(q, m))
+            a, b = f[m + off], f[m + 1 + off]
+            if b - a > SHAPE_TOL:
+                delta = b - a  # epower_lower_bound(q, m)
+                consider(delta * delta / (4.0 * (a + b)), m, a, b, False)
     else:
         if is_theta_unimodal(q, theta):
             raise NoViolation(f"distribution is unimodal with peak {theta}")
-        for s in range(max(0, q.lo - 1 - theta), q.hi - theta):
-            a, b = q.f(theta + s), q.f(theta + s + 1)
+        for j in range(max(theta, q.lo - 1), q.hi):
+            a, b = f[j + off], f[j + 1 + off]
             if b - a > SHAPE_TOL:
-                lam = wavelet_lambda(a, b)
-                fn = EvalFn(theta + s, (1.0 - lam, 1.0 + lam), 1.0, 1.0)
-                consider((b - a) ** 2 / (4.0 * (a + b)), fn)
-        for r in range(max(0, theta - q.hi - 1), theta - q.lo):
-            a, b = q.f(theta - r), q.f(theta - r - 1)
+                consider((b - a) ** 2 / (4.0 * (a + b)), j, a, b, False)
+        for i in range(min(theta - 1, q.hi), q.lo - 1, -1):
+            a, b = f[i + 1 + off], f[i + off]
             if b - a > SHAPE_TOL:
-                lam = wavelet_lambda(a, b)
-                fn = EvalFn(theta - r - 1, (1.0 + lam, 1.0 - lam), 1.0, 1.0)
-                consider((b - a) ** 2 / (4.0 * (a + b)), fn)
+                consider((b - a) ** 2 / (4.0 * (a + b)), i, a, b, True)
     if best is None:
         raise NoViolation("no adjacent-pair violation found")
-    return best[1]
+    _, at, a, b, falling = best
+    lam = wavelet_lambda(a, b)
+    values = (1.0 + lam, 1.0 - lam) if falling else (1.0 - lam, 1.0 + lam)
+    return EvalFn(at, values, 1.0, 1.0)

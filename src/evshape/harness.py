@@ -53,8 +53,9 @@ from .eprocess import (
     peak_weights,
 )
 from .errors import ConfigError, EvshapeError
+from .evalues import epower
 from .mode import estimate_scan, first_window, one_obs_ci
-from .numeraire import lcm, max_epower
+from .numeraire import _numeraire_evalue, lcm
 from .pmf import Pmf, inverse_cdf, mode_set, pmf_from_json, sample
 
 SCENARIOS = (
@@ -522,9 +523,10 @@ def _run_unrestricted(c: ScenarioConfig) -> tuple[list[dict], dict]:
 
 def _run_numeraire_compare(c: ScenarioConfig) -> tuple[list[dict], dict]:
     records = _map_reps(c)
-    res = lcm(c.distribution)
+    q = c.distribution
+    res = lcm(q)
     return records, {
-        "analytic_epower": max_epower(c.distribution),
+        "analytic_epower": epower(_numeraire_evalue(q, res.fitted_masses()), q),
         "mean_numeraire_rate": _mean(rec["numeraire_rate"] for rec in records),
         "mean_mixture_rate": _mean(rec["mixture_rate"] for rec in records),
         "lcm_contacts": list(res.contacts),

@@ -10,28 +10,15 @@ an analytic scan bound to certify everything outside a finite window.
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import AlreadyRejected, BadAlpha, InvalidSnapshot, ZeroPhi
-from .eprocess import UnimodalFamily
+from .eprocess import UnimodalFamily, _snapshot_fields
 from .pmf import ModeInterval
 
 _LOG2_3HALF = math.log2(1.5)
-
-
-@dataclass(frozen=True)
-class CiParams:
-    """Level and anchor for one-observation intervals."""
-
-    alpha: float
-    phi: int
-
-    def __post_init__(self) -> None:
-        _check_alpha(self.alpha)
-        object.__setattr__(self, "phi", int(self.phi))
 
 
 @dataclass(frozen=True)
@@ -218,6 +205,9 @@ class UnrestrictedTest:
     the interval has mixture value at least ``3/alpha``.
     """
 
+    _SNAPSHOT_KEYS = ("alpha", "phi", "phase", "n", "first", "theta_window",
+                      "theta0", "rejected_at", "family")
+
     def __init__(self, alpha: float, phi: int) -> None:
         _check_alpha(alpha)
         if int(phi) == 0:
@@ -280,13 +270,13 @@ class UnrestrictedTest:
     def from_snapshot(cls, snap: dict | str) -> "UnrestrictedTest":
         """Restore a test; the family goes through its own validation.
 
-        Raises :class:`InvalidSnapshot` unless the phase is known, ``n``
+        Raises :class:`InvalidSnapshot` unless every key that
+        :meth:`to_snapshot` writes is present, the phase is known, ``n``
         counts the first observation plus the family's, the window is the
         first observation's, the tracked peak lies in it, and
         ``rejected_at`` is ``n`` exactly when the test has rejected.
         """
-        if isinstance(snap, str):
-            snap = json.loads(snap)
+        snap = _snapshot_fields(snap, cls._SNAPSHOT_KEYS)
         test = cls(float(snap["alpha"]), int(snap["phi"]))
         phase, n = snap["phase"], int(snap["n"])
         if phase == "awaiting_first":

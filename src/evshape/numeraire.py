@@ -9,8 +9,8 @@ projection is the log-optimal e-value against the monotone null.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
+from itertools import accumulate
 
 from .errors import NegativeSupport, SubprobabilityInput
 from .evalues import EvalFn, epower
@@ -42,15 +42,6 @@ class LcmResult:
     @property
     def hi(self) -> int:
         return self.contacts[-1]
-
-    def fitted_mass(self, n: int) -> float:
-        """Slope of the majorant over the unit step ending at ``n``."""
-        if n < 0 or n > self.hi:
-            return 0.0
-        for k in range(len(self.slopes)):
-            if n <= self.contacts[k + 1]:
-                return self.slopes[k]
-        raise AssertionError("unreachable")
 
     def fitted_masses(self) -> list[float]:
         """Fitted mass at every index ``0 .. hi``."""
@@ -88,6 +79,11 @@ def _upper_hull(xs: list[int], ys: list[float]) -> tuple[list[int], list[float]]
     return hx, hy
 
 
+def _masses_from_0(q: Pmf) -> list[float]:
+    # q.f(n) for n = 0 .. q.hi, without a call per index
+    return [0.0] * q.lo + list(q.masses)
+
+
 def lcm(q: Pmf) -> LcmResult:
     """Least concave majorant of the CDF of a probability ``q``.
 
@@ -100,10 +96,7 @@ def lcm(q: Pmf) -> LcmResult:
     if q.is_sub or abs(q.total - 1.0) > PROB_TOL:
         raise SubprobabilityInput("majorant needs a full probability")
     xs = list(range(-1, q.hi + 1))
-    cdf, acc = [0.0], 0.0
-    for n in range(0, q.hi + 1):
-        acc += q.f(n)
-        cdf.append(acc)
+    cdf = list(accumulate(_masses_from_0(q), initial=0.0))
     hx, hy = _upper_hull(xs, cdf)
     # merge numerically equal adjacent slopes so contacts are canonical
     contacts = [hx[0]]
@@ -123,18 +116,27 @@ def lcm(q: Pmf) -> LcmResult:
     return LcmResult(tuple(contacts), tuple(slopes), tuple(heights))
 
 
+def _numeraire_evalue(q: Pmf, fitted: list[float]) -> EvalFn:
+    # fitted = lcm(q).fitted_masses()
+    values = tuple(
+        m / fit if m > 0.0 else 0.0 for m, fit in zip(_masses_from_0(q), fitted)
+    )
+    return EvalFn(0, values, 0.0, 0.0)
+
+
+def _ripr(q: Pmf, fitted: list[float]) -> Pmf:
+    # fitted = lcm(q).fitted_masses()
+    masses = [fit if m > 0.0 else 0.0 for m, fit in zip(_masses_from_0(q), fitted)]
+    return make_pmf(0, masses, is_sub=True)
+
+
 def numeraire_evalue(q: Pmf) -> EvalFn:
     """Pointwise ratio of ``q`` to its fitted non-increasing mass.
 
     Zero tails; indices where ``q`` vanishes get value zero.  This is
     the growth-optimal e-value against the monotone null.
     """
-    res = lcm(q)
-    fitted = res.fitted_masses()
-    values = tuple(
-        q.f(n) / fitted[n] if q.f(n) > 0.0 else 0.0 for n in range(0, res.hi + 1)
-    )
-    return EvalFn(0, values, 0.0, 0.0)
+    return _numeraire_evalue(q, lcm(q).fitted_masses())
 
 
 def ripr(q: Pmf) -> Pmf:
@@ -144,10 +146,7 @@ def ripr(q: Pmf) -> Pmf:
     monotone class: the fitted masses where ``q`` has mass, zero
     elsewhere.
     """
-    res = lcm(q)
-    fitted = res.fitted_masses()
-    masses = [fitted[n] if q.f(n) > 0.0 else 0.0 for n in range(0, res.hi + 1)]
-    return make_pmf(0, masses, is_sub=True)
+    return _ripr(q, lcm(q).fitted_masses())
 
 
 def max_epower(q: Pmf) -> float:

@@ -19,6 +19,7 @@ from .errors import (
     MassSumViolation,
     NegativeMass,
     NegativeSupport,
+    NonFiniteInput,
     SubprobabilitySampling,
 )
 
@@ -103,8 +104,9 @@ class ModeInterval:
 class Pmf:
     """Mass table on the integer window ``[lo, lo + len(masses) - 1]``.
 
-    Direct construction only checks nonnegativity; use :func:`make_pmf`
-    to additionally trim zeros and enforce the total-mass constraints.
+    Direct construction only checks that every mass is finite and
+    nonnegative; use :func:`make_pmf` to additionally trim zeros and
+    enforce the total-mass constraints.
     The relaxed path exists because envelope operations legitimately
     produce tables whose total exceeds one.
     """
@@ -119,6 +121,8 @@ class Pmf:
         for m in self.masses:
             if m < 0.0 or math.isnan(m):
                 raise NegativeMass(f"mass {m} is negative")
+        if math.inf in self.masses:
+            raise NonFiniteInput("a mass is infinite")
 
     @property
     def hi(self) -> int:

@@ -18,6 +18,7 @@ from evshape.eprocess import (
     peak_weights,
 )
 from evshape.errors import InvalidSnapshot, NegativeObservation
+from evshape.mode import UnrestrictedTest
 from evshape.pmf import make_pmf, sample
 
 
@@ -235,6 +236,39 @@ def test_snapshots_reject_inconsistent_state():
         MonotoneTracker.from_snapshot(
             '{"n": 5, "counts": {"0": -3}, "log_factors": {"0": NaN}}')
 
+
+
+def _snapshots_missing_a_key():
+    uni = UnimodalTracker(1)
+    for x in [0, 1, 2, 1]:
+        uni.update(x)
+    free = UnrestrictedTest(0.3, 1)
+    for x in [3, 0, 1, 2]:
+        free.step(x)
+    cases = [
+        (MonotoneTracker, replay_monotone([0, 1, 0, 2]).to_snapshot()),
+        (UnimodalTracker, uni.to_snapshot()),
+        (UnimodalFamily, replay_family([0, 1, 2, 1]).to_snapshot()),
+        (UnrestrictedTest, free.to_snapshot()),
+    ]
+    params = []
+    for cls, snap in cases:
+        for key in snap:
+            broken = {k: v for k, v in snap.items() if k != key}
+            params.append(pytest.param(cls, broken, key, id=f"{cls.__name__}-{key}"))
+    snap = free.to_snapshot()
+    for key in snap["family"]:
+        family = {k: v for k, v in snap["family"].items() if k != key}
+        params.append(pytest.param(UnrestrictedTest, dict(snap, family=family), key,
+                                   id=f"UnrestrictedTest-family.{key}"))
+    return params
+
+
+@pytest.mark.parametrize("cls, snap, key", _snapshots_missing_a_key())
+def test_snapshot_missing_a_key_is_invalid(cls, snap, key):
+    for form in (snap, json.dumps(snap)):
+        with pytest.raises(InvalidSnapshot, match=f"has no '{key}'"):
+            cls.from_snapshot(form)
 
 # ---------------------------------------------------------- UnimodalFamily
 
