@@ -29,7 +29,7 @@ from .errors import (
     NonIntegerInput,
     NonNumericInput,
 )
-from .evalues import EvalFn, epower, is_in_polar_D, is_in_polar_M
+from .evalues import EvalFn, is_in_polar_D, is_in_polar_M
 from .harness import config_from_json, run_experiment
 from .mode import (
     UnrestrictedTest,
@@ -38,7 +38,7 @@ from .mode import (
     one_obs_ci,
     one_obs_ci_finite,
 )
-from .numeraire import _numeraire_evalue, _ripr, lcm
+from .numeraire import _numeraire_with_epower, _ripr, lcm
 from .pmf import pmf_from_text
 
 
@@ -174,13 +174,13 @@ def _cmd_numeraire(args) -> int:
     q = pmf_from_text(sys.stdin.read())
     res = lcm(q)  # the one fit every output below reads
     fitted = res.fitted_masses()
-    e = _numeraire_evalue(q, fitted)
+    e, power = _numeraire_with_epower(q, fitted)
     _emit({
         "contacts": list(res.contacts),
         "slopes": fitted,
         "ripr": _ripr(q, fitted).to_json(),
         "numeraire": e.to_json(),
-        "max_epower": epower(e, q),
+        "max_epower": power,
     })
     return 0
 

@@ -153,6 +153,12 @@ def epower(e: EvalFn, q: Pmf) -> float:
     return math.fsum(terms)
 
 
+def _rise_bound(a: float, b: float) -> float:
+    # epower_lower_bound for the masses (a, b) = (f(m), f(m+1))
+    delta = b - a
+    return delta * delta / (4.0 * (a + b))
+
+
 def epower_lower_bound(q: Pmf, m: int) -> float:
     """Guaranteed growth from the rise of ``q`` at ``(m, m+1)``.
 
@@ -163,11 +169,10 @@ def epower_lower_bound(q: Pmf, m: int) -> float:
     guarantee (masses ``(0.2, 0.4, 0.4)`` at ``m = 0`` have e-power
     about ``0.0252 < 0.0333``).
     """
-    delta = q.f(m + 1) - q.f(m)
-    if delta <= 0.0:
+    a, b = q.f(m), q.f(m + 1)
+    if b - a <= 0.0:
         raise NoViolationAt(f"no rise at ({m}, {m + 1})")
-    s = q.f(m) + q.f(m + 1)
-    return delta * delta / (4.0 * s)
+    return _rise_bound(a, b)
 
 
 # ----------------------------------------------------- polar membership
@@ -275,14 +280,12 @@ def witness(q: Pmf, theta: int | None = None) -> EvalFn:
     the peak are scanned.  The winner maximizes the guaranteed growth
     and has expectation strictly above one under ``q``.
     """
-    # the scan keeps (bound, location, f_m, f_m1, falling) and the first
-    # strict maximum wins; only its tilt is built
-    best: tuple[float, int, float, float, bool] | None = None
+    best: tuple[float, int, bool] | None = None  # (bound, location, falling)
 
-    def consider(bound: float, at: int, a: float, b: float, falling: bool) -> None:
+    def consider(bound: float, at: int, falling: bool) -> None:
         nonlocal best
         if best is None or bound > best[0]:
-            best = (bound, at, a, b, falling)
+            best = (bound, at, falling)
 
     f = [0.0, *q.masses, 0.0]  # f[n + off] is q.f(n) for q.lo - 1 <= n <= q.hi + 1
     off = 1 - q.lo
@@ -294,22 +297,23 @@ def witness(q: Pmf, theta: int | None = None) -> EvalFn:
         for m in range(max(0, q.lo - 1), q.hi):
             a, b = f[m + off], f[m + 1 + off]
             if b - a > SHAPE_TOL:
-                delta = b - a  # epower_lower_bound(q, m)
-                consider(delta * delta / (4.0 * (a + b)), m, a, b, False)
+                consider(_rise_bound(a, b), m, False)
     else:
         if is_theta_unimodal(q, theta):
             raise NoViolation(f"distribution is unimodal with peak {theta}")
+        # the bound as (b - a) ** 2: pow rounds apart from _rise_bound's product
         for j in range(max(theta, q.lo - 1), q.hi):
             a, b = f[j + off], f[j + 1 + off]
             if b - a > SHAPE_TOL:
-                consider((b - a) ** 2 / (4.0 * (a + b)), j, a, b, False)
+                consider((b - a) ** 2 / (4.0 * (a + b)), j, False)
         for i in range(min(theta - 1, q.hi), q.lo - 1, -1):
             a, b = f[i + 1 + off], f[i + off]
             if b - a > SHAPE_TOL:
-                consider((b - a) ** 2 / (4.0 * (a + b)), i, a, b, True)
+                consider((b - a) ** 2 / (4.0 * (a + b)), i, True)
     if best is None:
         raise NoViolation("no adjacent-pair violation found")
-    _, at, a, b, falling = best
-    lam = wavelet_lambda(a, b)
-    values = (1.0 + lam, 1.0 - lam) if falling else (1.0 - lam, 1.0 + lam)
-    return EvalFn(at, values, 1.0, 1.0)
+    _, at, falling = best
+    if not falling:
+        return wavelet_evalue(q, at)
+    lam = wavelet_lambda(q.f(at + 1), q.f(at))
+    return EvalFn(at, (1.0 + lam, 1.0 - lam), 1.0, 1.0)

@@ -53,9 +53,8 @@ from .eprocess import (
     peak_weights,
 )
 from .errors import ConfigError, EvshapeError
-from .evalues import epower
 from .mode import estimate_scan, first_window, one_obs_ci
-from .numeraire import _numeraire_evalue, lcm
+from .numeraire import _numeraire_with_epower, lcm
 from .pmf import Pmf, inverse_cdf, mode_set, pmf_from_json, sample
 
 SCENARIOS = (
@@ -526,7 +525,7 @@ def _run_numeraire_compare(c: ScenarioConfig) -> tuple[list[dict], dict]:
     q = c.distribution
     res = lcm(q)
     return records, {
-        "analytic_epower": epower(_numeraire_evalue(q, res.fitted_masses()), q),
+        "analytic_epower": _numeraire_with_epower(q, res.fitted_masses())[1],
         "mean_numeraire_rate": _mean(rec["numeraire_rate"] for rec in records),
         "mean_mixture_rate": _mean(rec["mixture_rate"] for rec in records),
         "lcm_contacts": list(res.contacts),

@@ -149,6 +149,12 @@ def ripr(q: Pmf) -> Pmf:
     return _ripr(q, lcm(q).fitted_masses())
 
 
+def _numeraire_with_epower(q: Pmf, fitted: list[float]) -> tuple[EvalFn, float]:
+    # fitted = lcm(q).fitted_masses(); the e-power is the best achievable growth
+    e = _numeraire_evalue(q, fitted)
+    return e, epower(e, q)
+
+
 def max_epower(q: Pmf) -> float:
     """Best achievable expected log growth against the monotone null."""
-    return epower(numeraire_evalue(q), q)
+    return _numeraire_with_epower(q, lcm(q).fitted_masses())[1]

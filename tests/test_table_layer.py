@@ -519,6 +519,10 @@ def witness_cases(draw):
 @example(case=(Pmf(0, (0.2, 0.1, 0.2, 0.1, 0.2)), 2))  # tied across both sides
 @example(case=(Pmf(0, (0.2, 0.1, 0.2, 0.1, 0.2)), 4))  # tied on the falling side
 @example(case=(Pmf(2, (0.3, 0.3)), None))  # the rise into the window
+# neighbouring rises whose bounds tie under one of delta * delta and
+# delta ** 2 and not under the other
+@example(case=(Pmf(0, (0.0, 0.24632406204900867, 0.0, 0.2463240620490087)), None))
+@example(case=(Pmf(0, (0.0, 0.0, 0.013046783940414964, 0.0, 0.013046783940414966)), 0))
 def test_witness_matches_the_tilt_per_pair_scan(case):
     q, theta = case
     assert outcome(witness, q, theta) == outcome(ref_witness, q, theta)
