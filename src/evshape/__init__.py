@@ -31,6 +31,7 @@ from .errors import (
     NoViolationAt,
     SubprobabilityInput,
     SubprobabilitySampling,
+    ZeroFittedMass,
     ZeroPhi,
 )
 from .pmf import (
@@ -119,7 +120,7 @@ __all__ = [
     "NegativeMass", "NegativeObservation", "NegativeSupport",
     "NegativeValue", "NonFiniteInput", "NonIntegerInput", "NonNumericInput",
     "NonzeroTail", "NoViolation", "NoViolationAt", "SubprobabilityInput",
-    "SubprobabilitySampling", "ZeroPhi",
+    "SubprobabilitySampling", "ZeroFittedMass", "ZeroPhi",
     # mass tables and shapes
     "ModeInterval", "Pmf", "empirical", "is_monotone", "is_theta_unimodal",
     "make_pmf", "mode_set", "monotone_envelope", "pmf_from_json",

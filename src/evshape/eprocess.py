@@ -27,7 +27,7 @@ import numpy as np
 
 from .errors import InvalidSnapshot, NegativeObservation
 from .evalues import wavelet_lambda
-from .numeraire import lcm
+from .numeraire import _numeraire_evalue, lcm
 from .pmf import Pmf
 
 _LN2 = math.log(2.0)
@@ -64,50 +64,55 @@ def _lambdas(c_m: np.ndarray, c_m1: np.ndarray) -> np.ndarray:
 # The four tilts of one family update, in its order: rise sites x - 1 and
 # x, then fall sites x + 1 and x.  Per tilt: table (0 rise, 1 fall), site
 # offset from x, sign of lam in the factor, and the offsets from x of the
-# two counts whose amplitude it takes.
-_SIDE = np.array([[0], [0], [1], [1]])
-_SITE = np.array([[-1], [0], [1], [0]])
-_SIGN = np.array([[1.0], [-1.0], [1.0], [-1.0]])
-_PAIR = (np.array([[-1], [0], [1], [0]]), np.array([[0], [1], [0], [-1]]))
+# two counts whose amplitude it takes; shaped to broadcast over (row, step).
+_SIDE = np.array([0, 0, 1, 1]).reshape(4, 1, 1)
+_SITE = np.array([-1, 0, 1, 0]).reshape(4, 1, 1)
+_SIGN = np.array([1.0, -1.0, 1.0, -1.0]).reshape(4, 1, 1)
+_PAIR = (np.array([-1, 0, 1, 0]).reshape(4, 1, 1),
+         np.array([0, 1, 0, -1]).reshape(4, 1, 1))
 
 
 def _tilt_rows(counts: np.ndarray, rise: np.ndarray, fall: np.ndarray,
                cells: np.ndarray):
-    """Fold a block of observations into dense family tables, every step kept.
+    """Fold blocks of observations into dense family tables, every step kept.
 
-    ``counts``, ``rise`` and ``fall`` are the tables of one
-    :class:`UnimodalFamily` over consecutive sites, and ``cells`` holds
-    each observation's index into them, never the first or last one.
-    Returns the counts after the block and the logs after every step, as
-    ``(side, steps, sites)`` with side 0 rise and 1 fall.  Each site's
-    log gains :func:`_tilt`'s increments in the same order, but through
-    ``numpy.log``, which differs from ``math.log`` in the last place on
-    about 1 % of arguments.
+    Each row is one :class:`UnimodalFamily`: ``counts``, ``rise`` and
+    ``fall`` are its ``(row, site)`` tables over consecutive sites, and
+    ``cells`` holds each row's observations ``(row, step)`` as indices
+    into them, never the first or last one.  Returns the counts after the
+    block and the logs after every step, as ``(side, row, step, site)``
+    with side 0 rise and 1 fall.  Each site's log gains :func:`_tilt`'s
+    increments in the same order, but through ``numpy.log``, which
+    differs from ``math.log`` in the last place on about 1 % of arguments.
     """
-    steps = np.arange(len(cells))
-    hits = np.zeros((len(cells), len(counts)))
-    hits[steps, cells] = 1.0
-    after = np.cumsum(hits, axis=0)
-    after += counts
-    before = after - hits
-    lam = _lambdas(*(before[steps, cells + d] for d in _PAIR))
-    rows = np.zeros((2,) + hits.shape)
-    # the first row starts from the tables, so the cumsum adds in _tilt's order
-    rows[0, 0], rows[1, 0] = rise, fall
-    rows[_SIDE, steps, cells + _SITE] += np.log(1.0 + _SIGN * lam)
-    return after[-1], np.cumsum(rows, axis=1, out=rows)
+    rows, steps = cells.shape
+    width = counts.shape[-1]
+    # flat index of each observation's cell in a (row, step, site) array
+    at = cells + np.arange(0, rows * steps * width, width).reshape(rows, steps)
+    hits = np.zeros((rows, steps, width))
+    hits.ravel()[at] = 1.0
+    after = np.cumsum(hits, axis=1)
+    after += counts[:, None]
+    before = np.subtract(after, hits, out=hits).ravel()
+    lam = _lambdas(*(before[at + d] for d in _PAIR))
+    logs = np.zeros((2,) + hits.shape)
+    # the first step starts from the tables, so the cumsum adds in _tilt's order
+    logs[0, :, 0], logs[1, :, 0] = rise, fall
+    logs.ravel()[at + _SITE + _SIDE * hits.size] += np.log(1.0 + _SIGN * lam)
+    return after[:, -1], np.cumsum(logs, axis=2, out=logs)
 
 
 def peak_weights(sites, peaks) -> tuple[np.ndarray, np.ndarray]:
-    """Log dyadic weights ``(side, site, peak)`` and log leftover weight
-    ``(peak,)``: a rise site (side 0) at or past a peak and a fall site
-    (side 1) at or before it weigh ``2**-(|site - peak| + 2)``, others
-    nothing.  Sites and peaks become floats: pass large ones as offsets."""
+    """Log dyadic weights ``(side, site, *peaks.shape)`` and log leftover
+    weight ``peaks.shape``: a rise site (side 0) at or past a peak and a
+    fall site (side 1) at or before it weigh ``2**-(|site - peak| + 2)``,
+    others nothing.  Sites and peaks become floats: pass large ones as
+    offsets."""
     d = np.subtract.outer(np.asarray(sites, dtype=float),
                           np.asarray(peaks, dtype=float))
     on_side = np.stack([d >= 0, d <= 0])
     k = np.abs(d) + 2.0
-    used = _plane_sum((on_side * np.exp2(-k)).reshape(-1, d.shape[1]))
+    used = _plane_sum((on_side * np.exp2(-k)).reshape((-1,) + d.shape[1:]))
     with np.errstate(divide="ignore"):
         # strictly positive in exact arithmetic; clamp away float dust
         rest = np.log(np.maximum(1.0 - used, 0.0))
@@ -128,20 +133,26 @@ def _plane_sum(a: np.ndarray) -> np.ndarray:
 
 
 def peak_values(logs: np.ndarray, weights) -> np.ndarray:
-    """Log mixture value of every peak: ``(peak,)`` from ``(side, site)``
-    tables, ``(step, peak)`` from ``(side, step, site)`` ones as
-    :func:`_tilt_rows` gives them, with ``weights`` from :func:`peak_weights`
-    over the same sites.  Untouched sites may be included (their log is
-    zero).  A peak's value does not depend on what is evaluated with it."""
+    """Log mixture value of every peak: ``(..., peak)`` from ``(side, ...,
+    site)`` tables, with ``weights`` from :func:`peak_weights` over the same
+    sites.  Peaks ``(peak,)`` serve every table; peaks ``(row, peak)`` pair
+    row by row with tables ``(side, row, ..., site)``.  So ``(side, site)``
+    tables give ``(peak,)``, ``(side, step, site)`` ones as
+    :func:`_tilt_rows` gives them for one row ``(step, peak)``, and
+    ``(side, row, step, site)`` ones ``(row, step, peak)``.  Untouched
+    sites may be included (their log is zero).  A peak's value does not
+    depend on what is evaluated with it."""
     log_w, rest = weights
-    # one plane per (side, site) term and one for the rest, each
-    # ([step,] peak): peaks last, so the reductions add whole planes
     sides = log_w.shape[:2]
-    terms = np.empty((sides[0] * sides[1] + 1,) + logs.shape[1:-1] + rest.shape)
-    np.add(logs.swapaxes(1, -1)[..., None],
-           log_w.reshape(sides + (1,) * (logs.ndim - 2) + rest.shape),
+    # the peaks' leading axes pair with the tables' first middle axes
+    lead = rest.shape[:-1] + (1,) * (logs.ndim - 1 - rest.ndim)
+    # one plane per (side, site) term and one for the rest, each
+    # (..., peak): peaks last, so the reductions add whole planes
+    terms = np.empty((sides[0] * sides[1] + 1,) + logs.shape[1:-1] + rest.shape[-1:])
+    by_site = logs.transpose((0, logs.ndim - 1) + tuple(range(1, logs.ndim - 1)))
+    np.add(by_site[..., None], log_w.reshape(sides + lead + rest.shape[-1:]),
            out=terms[:-1].reshape(sides + terms.shape[1:]))
-    terms[-1] = rest
+    terms[-1] = rest.reshape(lead + rest.shape[-1:])
     top = terms.max(axis=0)
     terms -= top
     np.exp(terms, out=terms)
@@ -210,6 +221,75 @@ def _check_obs(x) -> int:
     if x < 0:
         raise NegativeObservation(f"observation {x} is negative")
     return x
+
+
+class _MonotoneRows:
+    """One fresh :class:`MonotoneTracker` state per row, over values ``0`` to
+    ``top``, folded a block of observations at a time.  After each
+    :meth:`fold`, the :meth:`tracker` of a row equals a tracker after
+    ``update`` with the row's observations so far: the same counts, and
+    log factors with the same keys and the same floats.
+
+    Site ``s`` gains a factor at each observation of ``s`` (``1 - lam``)
+    and of ``s + 1`` (``1 + lam``), with ``lam`` from the counts of ``s``
+    and ``s + 1`` before it.  Sorted by (row, site, step), each site's
+    events form one segment, and those counts are the carried counts plus
+    running counts within it.  Each factor goes through ``math.log``, and
+    each site adds its logs one by one in step order to its carried sum
+    with ``numpy.add.accumulate``, as the tracker does (``numpy.sum`` adds
+    pairwise, and the builtin ``sum`` compensates from Python 3.12).
+    """
+
+    def __init__(self, rows: int, top: int) -> None:
+        self.counts = np.zeros((rows, top + 2), dtype=np.int64)
+        self.sums = np.zeros((rows, top + 1))
+        self.touched = np.zeros((rows, top + 1), dtype=bool)
+
+    def fold(self, xs: np.ndarray) -> None:
+        """Fold ``(row, step)`` observations, each row into its own state."""
+        rows, steps = xs.shape
+        width = self.sums.shape[1]
+        t = np.arange(steps)
+        seg = np.arange(rows)[:, None] * width + xs
+        # event keys: segment (row and site), step, and 1 where the
+        # observation is the site's upper neighbour; no site x - 1 at x = 0
+        keys = np.sort(np.concatenate([((seg * steps + t) * 2).ravel(),
+                                       ((seg - 1) * steps + t)[xs > 0] * 2 + 1]))
+        up = keys & 1
+        seg = (keys >> 1) // steps
+        first = np.flatnonzero(np.diff(seg, prepend=-1))
+        size = np.diff(first, append=len(keys))
+        ups = np.cumsum(up) - up
+        c_up = ups - np.repeat(ups[first], size)
+        c_down = np.arange(len(keys)) - np.repeat(first, size) - c_up
+        # counts carried from earlier blocks, at the site and one up
+        at = seg + seg // width
+        counts = self.counts.ravel()
+        lam = _lambdas((c_down + counts[at]).astype(float),
+                       (c_up + counts[at + 1]).astype(float))
+        logs = np.zeros(len(keys))  # math.log(1.0) where lam is 0
+        tilted = lam > 0.0
+        factors = np.where(up == 1, 1.0 + lam, 1.0 - lam)[tilted]
+        logs[tilted] = list(map(math.log, factors.tolist()))
+        segs = seg[first]
+        sums = self.sums.ravel()
+        logs[first] += sums[segs]  # each site's sum goes on from its carry
+        for s, a, b in zip(segs.tolist(), first.tolist(), (first + size).tolist()):
+            sums[s] = np.add.accumulate(logs[a:b])[-1]
+        self.touched.ravel()[segs] = True
+        cells = np.arange(rows)[:, None] * (width + 1) + xs
+        self.counts += np.bincount(cells.ravel(), minlength=counts.size).reshape(
+            self.counts.shape)
+
+    def tracker(self, row: int) -> "MonotoneTracker":
+        """The row's state as a :class:`MonotoneTracker`."""
+        t = MonotoneTracker()
+        values = np.flatnonzero(self.counts[row])
+        t.counts = dict(zip(values.tolist(), self.counts[row, values].tolist()))
+        t.n = sum(t.counts.values())
+        sites = np.flatnonzero(self.touched[row])
+        t.log_factors = dict(zip(sites.tolist(), self.sums[row, sites].tolist()))
+        return t
 
 
 class MonotoneTracker:
@@ -381,19 +461,29 @@ class UnimodalFamily:
         return f
 
 
+def _numeraire_logs(q: Pmf, fitted: list[float]) -> np.ndarray:
+    """``math.log`` of the numeraire e-value at ``0 .. q.hi``, then ``-inf``
+    for every value past it: the per-observation factors of
+    :func:`numeraire_eprocess`.  ``fitted`` is ``lcm(q).fitted_masses()``."""
+    values = _numeraire_evalue(q, fitted).values
+    return np.array([math.log(v) if v > 0.0 else -math.inf for v in values]
+                    + [-math.inf])
+
+
+def _numeraire_sums(logs: np.ndarray, xs: np.ndarray, carry) -> np.ndarray:
+    """Log product of the factors ``logs`` along the last axis of the
+    observations ``xs``, added one by one in order to ``carry``."""
+    terms = logs[xs]
+    terms[..., 0] += carry
+    return np.add.accumulate(terms, axis=-1)[..., -1]
+
+
 def numeraire_eprocess(q: Pmf, obs) -> float:
     """Log of the n-fold product of the optimal e-value along ``obs``.
 
     Uses the true alternative ``q``; an observation outside the support
     of ``q`` sends the product to zero (log ``-inf``).
     """
-    res = lcm(q)
-    fitted = res.fitted_masses()
-    total = 0.0
-    for x in obs:
-        x = _check_obs(x)
-        fx = q.f(x)
-        if fx <= 0.0:
-            return float("-inf")
-        total += math.log(fx / fitted[x])
-    return total
+    logs = _numeraire_logs(q, lcm(q).fitted_masses())
+    xs = np.array([min(_check_obs(x), len(logs) - 1) for x in obs], dtype=np.int64)
+    return float(_numeraire_sums(logs, xs, 0.0)) if len(xs) else 0.0

@@ -53,6 +53,10 @@ class InvalidCertificate(EvshapeError):
     """A dual certificate violates its structural constraints."""
 
 
+class ZeroFittedMass(EvshapeError):
+    """A positive mass whose fitted non-increasing mass rounds to zero."""
+
+
 # ----------------------------------------------------------- processes
 
 class NegativeObservation(EvshapeError):

@@ -16,18 +16,32 @@ rather than ``reps * n``.  PCG64 ``random()`` yields the same stream
 whatever the block size, so the draws, and with them every report
 digest, equal those of :func:`sample`.
 
-``unrestricted_power`` and ``mode_settlement`` run one replication at a
-time but a block of steps at once: ``eprocess._tilt_rows`` returns the
-family's dense log tables after every step of the block as ``(side,
-steps, sites)`` arrays, and each scenario evaluates its per-step query
-on whole blocks with the evaluator of ``UnimodalFamily.values_range``
-(``eprocess.peak_weights``, ``peak_values``) and the rules of
-``mode.first_window`` and ``mode.estimate_scan``.  These tables differ
-from the trackers' in the last place (``numpy.log`` against
-``math.log``); the records, booleans and integers, are those of
-``UnrestrictedTest`` and of ``mode_estimate`` on a ``UnimodalFamily``.
+The other four scenarios run replications as rows too.
+:func:`_map_reps` cuts the replications into chunks, spread over the
+worker processes, and each chunk draws one row per replication from
+that replication's own generator, through a ``pmf.GuideTable`` built
+once per scenario.  A chunk holds as many whole replications as fit one
+block of ``_BLOCK_CELLS`` cells, or else one replication in blocks of
+steps; a record depends on its replication alone, whatever the chunking.
+
+``unrestricted_power`` and ``mode_settlement`` fold the rows in blocks:
+``eprocess._tilt_rows`` returns every row's dense family log tables after
+every step of the block as ``(side, row, step, site)`` arrays, and each
+scenario evaluates its per-step query on whole blocks with the evaluator
+of ``UnimodalFamily.values_range`` (``eprocess.peak_weights``,
+``peak_values``) and the rules of ``mode.first_window`` and
+``mode.estimate_scan``.  Rows of the free test that reject are dropped,
+and a chunk ends when none is left.  These tables differ from the
+trackers' in the last place (``numpy.log`` against ``math.log``); the
+records, booleans and integers, are those of ``UnrestrictedTest`` and of
+``mode_estimate`` on a ``UnimodalFamily``.
+
 ``growth`` and ``numeraire_compare`` report float logs, pinned to
-``math.log``, so they keep driving the tracker objects.
+``math.log`` and to the trackers' order of additions.
+``eprocess._MonotoneRows`` folds every row's ``MonotoneTracker`` state
+block by block in a sorted pass that keeps both, so the floats are the
+tracker's bit for bit; the numeraire e-process adds up a table of
+``math.log`` values from the one majorant fit of the scenario.
 """
 
 from __future__ import annotations
@@ -45,17 +59,19 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .eprocess import (
-    MonotoneTracker,
     _lambdas,
+    _MonotoneRows,
+    _numeraire_logs,
+    _numeraire_sums,
     _tilt_rows,
-    numeraire_eprocess,
     peak_values,
     peak_weights,
 )
 from .errors import ConfigError, EvshapeError
 from .mode import estimate_scan, first_window, one_obs_ci
 from .numeraire import _numeraire_with_epower, lcm
-from .pmf import Pmf, inverse_cdf, mode_set, pmf_from_json, sample
+from .pmf import GuideTable, Pmf, mode_set, pmf_from_json
+from .pmf import sample  # noqa: F401 - kept as harness.sample, which perfbench patches
 
 SCENARIOS = (
     "type1",
@@ -73,10 +89,12 @@ _MIX1 = 0xBF58476D1CE4E5B9
 _MIX2 = 0x94D049BB133111EB
 
 _RESYNC_EVERY = 256
-# family blocks of the sequential scenarios: at most this many steps, and
-# at most this many cells in a caller's (steps x cells per step) temporary
-_BLOCK_STEPS = 256
-_BLOCK_CELLS = 1 << 15
+# blocks of the per-replication scenarios: at most this many cells of a
+# (rows x steps x cells per step) temporary
+_BLOCK_CELLS = 1 << 16
+# cells the monotone fold holds per observation: two events, each in some
+# ten numpy arrays and two lists of Python floats
+_FOLD_CELLS = 32
 
 
 def derive_seed(master: int, index: int) -> int:
@@ -254,6 +272,7 @@ def _run_type1(c: ScenarioConfig) -> tuple[list[dict], dict]:
     threshold = 1.0 / c.alpha
     hi = p.hi
     rngs = [np.random.default_rng(derive_seed(c.seed, r)) for r in range(reps)]
+    draw = GuideTable(p)
 
     # Flat state, one row of ``width`` cells per replication; cell k of a
     # row stands for location k - 1.  Location -1 carries weight zero, so
@@ -287,7 +306,7 @@ def _run_type1(c: ScenarioConfig) -> tuple[list[dict], dict]:
         m = min(_RESYNC_EVERY, n - start)
         for r, rng in enumerate(rngs):
             rng.random(out=u[r, :m])
-        xs = np.ascontiguousarray(inverse_cdf(p, u[:, :m]).T)
+        xs = np.ascontiguousarray(draw(u[:, :m]).T)
         for k in range(m):
             cell = xs[k] + offsets
             c_lo = counts[cell]
@@ -335,41 +354,89 @@ def _run_type1(c: ScenarioConfig) -> tuple[list[dict], dict]:
 # ------------------------------------------- per-replication scenarios
 
 
-def _rep_growth(c: ScenarioConfig, rep: int) -> dict:
-    tracker = MonotoneTracker()
-    for x in sample(c.distribution, derive_seed(c.seed, rep), c.n):
-        tracker.update(x)
-    terminal = tracker.mixture_value()
-    return {"rep": rep, "terminal_log": terminal, "rate": terminal / c.n}
+class _Rows:
+    """A chunk of replications as the rows of blocks of draws.
 
-
-def _draws(c: ScenarioConfig, rep: int):
-    """A replication's next ``m`` draws, as ``draw(m)``.
-
-    PCG64 ``random()`` gives the same stream in any block size, so the
-    values are those of :func:`sample`.
+    Each row draws from its own ``default_rng(derive_seed(seed, rep))``;
+    PCG64 ``random()`` gives the same stream in any block size, so a
+    row's draws are those of :func:`sample`.  :meth:`takes` yields them
+    block by block, and :meth:`blocks` also folds them into the row's own
+    dense family over every site the draws can touch, ``p.lo - 1`` to
+    ``p.hi + 1``.  Rows whose replication has stopped can be dropped
+    between blocks.
     """
-    rng = np.random.default_rng(derive_seed(c.seed, rep))
-    return lambda m: inverse_cdf(c.distribution, rng.random(m))
+
+    def __init__(self, c: ScenarioConfig, reps: range, draw: GuideTable) -> None:
+        p = c.distribution
+        self.n, self.draw, self.offset = c.n, draw, p.lo - 1
+        self.rngs = [np.random.default_rng(derive_seed(c.seed, r)) for r in reps]
+        self.counts = np.zeros((len(reps), p.hi - p.lo + 3))
+        self.tables = np.zeros((2,) + self.counts.shape)
+
+    def take(self, m: int) -> np.ndarray:
+        """The next ``m`` draws of every row, ``(row, m)``."""
+        u = np.empty((len(self.rngs), m))
+        for rng, row in zip(self.rngs, u):
+            rng.random(out=row)
+        return self.draw(u)
+
+    def takes(self, start: int, cells_per_step: int):
+        """Draws ``start`` to ``n - 1``, as ``(start, xs)`` per block of at
+        most ``_BLOCK_CELLS`` cells at ``cells_per_step`` per row and step;
+        they end early when no row is left."""
+        while start < self.n and self.rngs:
+            steps = _BLOCK_CELLS // (len(self.rngs) * cells_per_step)
+            xs = self.take(max(1, min(steps, self.n - start)))
+            yield start, xs
+            start += xs.shape[1]
+
+    def blocks(self, start: int, cells_per_step: int):
+        """:meth:`takes`, folded into the families: ``(start, xs, logs)``
+        with the log tables after every step (see ``eprocess._tilt_rows``)."""
+        for start, xs in self.takes(start, cells_per_step):
+            self.counts, logs = _tilt_rows(self.counts, *self.tables,
+                                           xs - self.offset)
+            self.tables = logs[:, :, -1].copy()
+            yield start, xs, logs
+
+    def drop(self, rows: list[int]) -> None:
+        keep = np.setdiff1d(np.arange(len(self.rngs)), rows)
+        self.rngs = [self.rngs[i] for i in keep]
+        self.counts, self.tables = self.counts[keep], self.tables[:, keep]
 
 
-def _family_blocks(c: ScenarioConfig, draw, first: int, cells_per_step: int):
-    """Fold draws ``first`` to ``c.n - 1`` into one fresh dense family.
+def _fold_monotone(c: ScenarioConfig, reps: range, draw: GuideTable, logs=None):
+    """Every row's ``MonotoneTracker`` state after all its draws, and with
+    ``logs`` (see ``eprocess._numeraire_logs``) its numeraire log product."""
+    rows, fold = _Rows(c, reps, draw), _MonotoneRows(len(reps), c.distribution.hi)
+    log_opt = np.zeros(len(reps))
+    for _, xs in rows.takes(0, _FOLD_CELLS):
+        fold.fold(xs)
+        if logs is not None:
+            log_opt = _numeraire_sums(logs, xs, log_opt)
+    return fold, log_opt.tolist()
 
-    Yields ``(start, xs, logs)`` per block of draws ``xs``: the log
-    tables after every step of the block (see ``eprocess._tilt_rows``),
-    over every site the draws can touch, ``p.lo - 1`` to ``p.hi + 1``.
-    Blocks are sized by the caller's cells per step.
-    """
-    p = c.distribution
-    steps = max(1, min(_BLOCK_STEPS, _BLOCK_CELLS // cells_per_step))
-    counts = np.zeros(p.hi - p.lo + 3)
-    rise = fall = counts
-    for start in range(first, c.n, steps):
-        xs = draw(min(steps, c.n - start))
-        counts, logs = _tilt_rows(counts, rise, fall, xs - (p.lo - 1))
-        yield start, xs, logs
-        rise, fall = logs[:, -1]
+
+def _chunk_growth(c: ScenarioConfig, reps: range, draw: GuideTable) -> list[dict]:
+    fold, _ = _fold_monotone(c, reps, draw)
+    records = []
+    for row, rep in enumerate(reps):
+        terminal = fold.tracker(row).mixture_value()
+        records.append({"rep": rep, "terminal_log": terminal, "rate": terminal / c.n})
+    return records
+
+
+def _chunk_numeraire(c: ScenarioConfig, reps: range, draw: GuideTable,
+                     logs: np.ndarray) -> list[dict]:
+    fold, log_opt = _fold_monotone(c, reps, draw, logs)
+    return [
+        {
+            "rep": rep,
+            "numeraire_rate": log_opt[row] / c.n,
+            "mixture_rate": fold.tracker(row).mixture_value() / c.n,
+        }
+        for row, rep in enumerate(reps)
+    ]
 
 
 @functools.lru_cache(maxsize=1)
@@ -383,115 +450,126 @@ def _estimate_scans(n: int) -> tuple[np.ndarray, np.ndarray]:
     return margin, log_tau
 
 
-def _rep_settlement(c: ScenarioConfig, rep: int) -> dict:
-    p = c.distribution
+def _family_cells(c: ScenarioConfig, peaks: int) -> int:
+    """Cells per row and step of a family block evaluated at ``peaks``
+    peaks, in its two largest arrays: the log tables, one cell per (side,
+    site), and the terms of ``eprocess.peak_values``, one per (side, site,
+    peak) and one per peak for the leftover weight."""
+    sides = 2 * (c.distribution.hi - c.distribution.lo + 3)
+    return sides + (sides + 1) * peaks
+
+
+def _clip_peaks(c: ScenarioConfig) -> np.ndarray:
     clip = c.resolved_clip
-    peaks = np.arange(clip[0], clip[1] + 1)
-    sites = np.arange(p.lo - 1, p.hi + 2)
-    weights = peak_weights(sites, peaks)
+    return np.arange(clip[0], clip[1] + 1)
+
+
+def _chunk_settlement(c: ScenarioConfig, reps: range, draw: GuideTable) -> list[dict]:
+    p = c.distribution
+    peaks = _clip_peaks(c)
+    weights = peak_weights(np.arange(p.lo - 1, p.hi + 2), peaks)
     margin, log_tau = _estimate_scans(c.n)
     # ``current == ()`` before the first step: every peak counts as rejected
-    rejected = np.ones(len(peaks), dtype=bool)
-    last_change = 0
-    lo, hi = math.inf, -math.inf
-    for start, xs, logs in _family_blocks(c, _draws(c, rep), 0, weights[0].size):
+    rejected = np.ones((len(reps), len(peaks)), dtype=bool)
+    last_change = np.zeros(len(reps), dtype=np.int64)
+    lo, hi = np.full((len(reps), 1), math.inf), np.full((len(reps), 1), -math.inf)
+    rows = _Rows(c, reps, draw)
+    for start, xs, logs in rows.blocks(0, _family_cells(c, len(peaks))):
         # mode_estimate at each step of the block, cut to the clip
         values = peak_values(logs, weights)
-        run_lo = np.minimum(np.minimum.accumulate(xs), lo)
-        run_hi = np.maximum(np.maximum.accumulate(xs), hi)
-        lo, hi = run_lo[-1], run_hi[-1]
-        at = slice(start, start + len(xs))
-        by_step = ((peaks >= (run_lo - margin[at])[:, None])
-                   & (peaks <= (run_hi + margin[at])[:, None])
+        run_lo = np.minimum(np.minimum.accumulate(xs, axis=1), lo)
+        run_hi = np.maximum(np.maximum.accumulate(xs, axis=1), hi)
+        lo, hi = run_lo[:, -1:], run_hi[:, -1:]
+        at = slice(start, start + xs.shape[1])
+        by_step = ((peaks >= (run_lo - margin[at])[..., None])
+                   & (peaks <= (run_hi + margin[at])[..., None])
                    & (values > log_tau[at, None]))
-        before = np.vstack([rejected, by_step[:-1]])
-        changed = np.flatnonzero((by_step != before).any(axis=1))
-        if len(changed):
-            last_change = start + int(changed[-1]) + 1
-        rejected = by_step[-1]
-    current = tuple(peaks[~rejected].tolist())
-    target = mode_set(c.distribution)
-    target_members = tuple(
-        t for t in range(clip[0], clip[1] + 1) if target.contains(t)
-    )
-    return {
-        "rep": rep,
-        "final_set": list(current),
-        "target_set": list(target_members),
-        "matches_target": current == target_members,
-        "last_change_n": last_change,
-    }
+        before = np.concatenate([rejected[:, None], by_step[:, :-1]], axis=1)
+        changed = (by_step != before).any(axis=2)
+        moved = changed.any(axis=1)
+        last_step = changed.shape[1] - changed[:, ::-1].argmax(axis=1)
+        last_change[moved] = start + last_step[moved]
+        rejected = by_step[:, -1]
+    target = mode_set(p)
+    target_members = tuple(t for t in peaks.tolist() if target.contains(t))
+    records = []
+    for rep, row, last in zip(reps, rejected, last_change.tolist()):
+        current = tuple(peaks[~row].tolist())
+        records.append({
+            "rep": rep,
+            "final_set": list(current),
+            "target_set": list(target_members),
+            "matches_target": current == target_members,
+            "last_change_n": last,
+        })
+    return records
 
 
-def _rep_unrestricted(c: ScenarioConfig, rep: int) -> dict:
+def _chunk_unrestricted(c: ScenarioConfig, reps: range, draw: GuideTable) -> list[dict]:
     p = c.distribution
     log_threshold = math.log(3.0 / c.alpha)
     # UnrestrictedTest's prefilter on the value at its tracked peak
     log_cut = math.log(0.99 * (3.0 / c.alpha))
     sites = np.arange(p.lo - 1, p.hi + 2)
-    draw = _draws(c, rep)
-    window, theta0 = first_window(int(draw(1)[0]), c.alpha, c.resolved_phi)
-    tracked = peak_weights(sites, [theta0])
-    for start, _, logs in _family_blocks(c, draw, 1, len(sites)):
-        k = 0
-        while k < logs.shape[1]:
-            over = np.flatnonzero(peak_values(logs[:, k:], tracked)[:, 0] >= log_cut)
-            if not len(over):
-                break
-            k += int(over[0])
-            # the full scan of this step's tables
-            peaks = np.arange(window[0], window[1] + 1)
-            vals = peak_values(logs[:, k], peak_weights(sites, peaks))
-            j = int(vals.argmin())
-            if float(vals[j]) >= log_threshold:
-                return {"rep": rep, "rejected": True, "reject_n": start + k + 1}
-            tracked = peak_weights(sites, [window[0] + j])
-            k += 1
-    return {"rep": rep, "rejected": False, "reject_n": None}
-
-
-def _rep_numeraire(c: ScenarioConfig, rep: int) -> dict:
-    obs = sample(c.distribution, derive_seed(c.seed, rep), c.n)
-    log_opt = numeraire_eprocess(c.distribution, obs)
-    tracker = MonotoneTracker()
-    for x in obs:
-        tracker.update(x)
-    return {
-        "rep": rep,
-        "numeraire_rate": log_opt / c.n,
-        "mixture_rate": tracker.mixture_value() / c.n,
-    }
-
-
-_REP_FNS = {
-    "growth": _rep_growth,
-    "mode_settlement": _rep_settlement,
-    "unrestricted_power": _rep_unrestricted,
-    "numeraire_compare": _rep_numeraire,
-}
-
-
-def _rep_task(packed: tuple) -> dict:
-    config_json, rep = packed
-    c = config_from_json(config_json)
-    return _REP_FNS[c.scenario](c, rep)
-
-
-def _map_reps(c: ScenarioConfig) -> list[dict]:
-    workers = pool_size(worker_count(), c.reps, os.cpu_count())
-    if workers == 1:
-        fn = _REP_FNS[c.scenario]
-        return [fn(c, rep) for rep in range(c.reps)]
-    tasks = [(c.to_json(), rep) for rep in range(c.reps)]
-    chunk = max(1, c.reps // (workers * 4))
-    with ProcessPoolExecutor(max_workers=workers) as pool:
-        records = list(pool.map(_rep_task, tasks, chunksize=chunk))
-    records.sort(key=lambda rec: rec["rep"])
+    rows = _Rows(c, reps, draw)
+    windows, tracked = zip(*(first_window(x, c.alpha, c.resolved_phi)
+                             for x in rows.take(1)[:, 0].tolist()))
+    tracked = np.array(tracked)
+    records = [{"rep": rep, "rejected": False, "reject_n": None} for rep in reps]
+    live = list(range(len(reps)))  # record index of each row
+    for start, _, logs in rows.blocks(1, _family_cells(c, 1)):
+        vals = peak_values(logs, peak_weights(sites, tracked[live, None]))[..., 0]
+        stopped = []
+        for i in np.flatnonzero((vals >= log_cut).any(axis=1)).tolist():
+            rec = live[i]
+            lo, hi = windows[rec]
+            over = np.flatnonzero(vals[i] >= log_cut)
+            k = 0
+            while len(over):
+                k += int(over[0])
+                # the full scan of this step's tables
+                peaks = np.arange(lo, hi + 1)
+                scan = peak_values(logs[:, i, k], peak_weights(sites, peaks))
+                j = int(scan.argmin())
+                if float(scan[j]) >= log_threshold:
+                    records[rec].update(rejected=True, reject_n=start + k + 1)
+                    stopped.append(i)
+                    break
+                tracked[rec] = lo + j
+                k += 1
+                rest = peak_values(logs[:, i, k:], peak_weights(sites, [lo + j]))
+                over = np.flatnonzero(rest[:, 0] >= log_cut)
+        if stopped:
+            rows.drop(stopped)
+            live = [rec for i, rec in enumerate(live) if i not in stopped]
     return records
 
 
+def _chunk_task(packed: tuple) -> list[dict]:
+    fn, config_json, reps, shared = packed
+    return fn(config_from_json(config_json), reps, *shared)
+
+
+def _map_reps(c: ScenarioConfig, fn, cells_per_rep: int, *shared) -> list[dict]:
+    """Records of every replication, in order, from ``fn(c, reps, *shared)``
+    on chunks of consecutive replications: as many as fit ``_BLOCK_CELLS``
+    at ``cells_per_rep`` each, at least one.  Chunks go to the worker
+    processes; each replication's record depends on nothing else, so the
+    chunking and the worker count do not change it."""
+    size = max(1, _BLOCK_CELLS // cells_per_rep)
+    chunks = [range(a, min(a + size, c.reps)) for a in range(0, c.reps, size)]
+    workers = pool_size(worker_count(), len(chunks), os.cpu_count())
+    if workers == 1:
+        return [rec for reps in chunks for rec in fn(c, reps, *shared)]
+    tasks = [(fn, c.to_json(), reps, shared) for reps in chunks]
+    with ProcessPoolExecutor(max_workers=workers) as pool:
+        parts = list(pool.map(_chunk_task, tasks,
+                              chunksize=max(1, len(tasks) // (workers * 4))))
+    return [rec for part in parts for rec in part]
+
+
 def _run_growth(c: ScenarioConfig) -> tuple[list[dict], dict]:
-    records = _map_reps(c)
+    records = _map_reps(c, _chunk_growth, _FOLD_CELLS * c.n, GuideTable(c.distribution))
     rates = [rec["rate"] for rec in records]
     return records, {
         "mean_rate": _mean(rates),
@@ -501,7 +579,8 @@ def _run_growth(c: ScenarioConfig) -> tuple[list[dict], dict]:
 
 
 def _run_settlement(c: ScenarioConfig) -> tuple[list[dict], dict]:
-    records = _map_reps(c)
+    cells = _family_cells(c, len(_clip_peaks(c))) * c.n
+    records = _map_reps(c, _chunk_settlement, cells, GuideTable(c.distribution))
     return records, {
         "all_match_target": all(rec["matches_target"] for rec in records),
         "max_last_change_n": max(rec["last_change_n"] for rec in records),
@@ -509,7 +588,8 @@ def _run_settlement(c: ScenarioConfig) -> tuple[list[dict], dict]:
 
 
 def _run_unrestricted(c: ScenarioConfig) -> tuple[list[dict], dict]:
-    records = _map_reps(c)
+    records = _map_reps(c, _chunk_unrestricted, _family_cells(c, 1) * c.n,
+                        GuideTable(c.distribution))
     rate = sum(1 for rec in records if rec["rejected"]) / c.reps
     times = [rec["reject_n"] for rec in records if rec["rejected"]]
     return records, {
@@ -521,11 +601,13 @@ def _run_unrestricted(c: ScenarioConfig) -> tuple[list[dict], dict]:
 
 
 def _run_numeraire_compare(c: ScenarioConfig) -> tuple[list[dict], dict]:
-    records = _map_reps(c)
     q = c.distribution
-    res = lcm(q)
+    res = lcm(q)  # the one fit: every replication's e-process and the report
+    fitted = res.fitted_masses()
+    records = _map_reps(c, _chunk_numeraire, _FOLD_CELLS * c.n, GuideTable(q),
+                        _numeraire_logs(q, fitted))
     return records, {
-        "analytic_epower": _numeraire_with_epower(q, res.fitted_masses())[1],
+        "analytic_epower": _numeraire_with_epower(q, fitted)[1],
         "mean_numeraire_rate": _mean(rec["numeraire_rate"] for rec in records),
         "mean_mixture_rate": _mean(rec["mixture_rate"] for rec in records),
         "lcm_contacts": list(res.contacts),

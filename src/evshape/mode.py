@@ -10,6 +10,7 @@ an analytic scan bound to certify everything outside a finite window.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -187,6 +188,7 @@ def strong_hull(weak: IntSet) -> ModeInterval:
 # ------------------------------------------------- anchor-free mode test
 
 
+@functools.lru_cache(maxsize=1024)
 def first_window(x: int, alpha: float, phi: int) -> tuple[tuple[int, int], int]:
     """The free test's peak window from its first observation ``x`` (two
     level-``alpha/3`` intervals anchored at ``phi`` and ``-phi``), and the

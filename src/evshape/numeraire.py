@@ -12,7 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from itertools import accumulate
 
-from .errors import NegativeSupport, SubprobabilityInput
+from .errors import NegativeSupport, SubprobabilityInput, ZeroFittedMass
 from .evalues import EvalFn, epower
 from .pmf import PROB_TOL, Pmf, make_pmf
 
@@ -118,9 +118,14 @@ def lcm(q: Pmf) -> LcmResult:
 
 def _numeraire_evalue(q: Pmf, fitted: list[float]) -> EvalFn:
     # fitted = lcm(q).fitted_masses()
-    values = tuple(
-        m / fit if m > 0.0 else 0.0 for m, fit in zip(_masses_from_0(q), fitted)
-    )
+    masses = _masses_from_0(q)
+    try:
+        values = tuple(m / fit if m > 0.0 else 0.0 for m, fit in zip(masses, fitted))
+    except ZeroDivisionError:
+        # a mass below the rounding of the CDF next to it is fitted as 0
+        k = next(k for k, m in enumerate(masses) if m > 0.0 and fitted[k] == 0.0)
+        raise ZeroFittedMass(f"mass {masses[k]!r} at index {k} has fitted mass 0: "
+                             "it is below the rounding of the CDF") from None
     return EvalFn(0, values, 0.0, 0.0)
 
 

@@ -194,6 +194,16 @@ def test_numeraire_command(monkeypatch, capsys):
                                                   abs=1e-9)
 
 
+def test_numeraire_with_a_mass_below_the_cdf_rounding_is_a_typed_error(
+        monkeypatch, capsys):
+    # 1 + 1e-165 == 1, so the majorant fits mass 0 at index 1
+    code, out, err = run_cli(monkeypatch, capsys, ["numeraire"],
+                             "0 1.0\n1 1e-165\n")
+    assert (code, out) == (1, "")
+    assert err == ("evshape: mass 1e-165 at index 1 has fitted mass 0: "
+                   "it is below the rounding of the CDF\n")
+
+
 def test_cont_ci(monkeypatch, capsys):
     code, out, _ = run_cli(monkeypatch, capsys,
                            ["cont-ci", "--alpha", "0.1", "--phi", "0"],

@@ -340,29 +340,64 @@ def test_sequential_digests_are_pinned(c, digest):
     assert run_experiment(c).digest() == digest
 
 
+RISE100 = make_pmf(0, [(k + 1) / 5050 for k in range(100)])
+SPARSE = make_pmf(0, [0.5] + [0.0] * 20 + [0.25] + [0.0] * 17 + [0.25])
+
+
+@pytest.mark.parametrize("c, digest", [
+    (ScenarioConfig("growth", make_pmf(0, [0.01] * 100), n=700, reps=3,
+                    alpha=0.05, seed=61),
+     "e4299c16cdd6c4e48076805805fd7a26884dce46a166f445ec9c1eb14b12cd95"),
+    (ScenarioConfig("growth", make_pmf(0, [0.25, 0.75]), n=513, reps=4,
+                    alpha=0.05, seed=62),
+     "680995e7c1cc3a4ada7698f9bdd59164c8c3e9498f98a98e45e2c24609c0b25e"),
+    (ScenarioConfig("growth", SPARSE, n=300, reps=3, alpha=0.05, seed=63),
+     "8fda9e11334d486f43b5c8a885ddc7998e175ba3abf186ac2db8ea7c936f9bd6"),
+    (ScenarioConfig("numeraire_compare", RISE100, n=513, reps=3, alpha=0.05,
+                    seed=71),
+     "1888696756f137a740d896b457908f43fcade4a2eb1c4350c72b3eb75a7ce3ac"),
+    (ScenarioConfig("numeraire_compare", make_pmf(0, [0.2, 0.3, 0.5]), n=1000,
+                    reps=5, alpha=0.05, seed=72),
+     "1e7f9bdb5decb67b4eb75dff18d46e9db247f987b883ef3aed259728dd90d5bd"),
+    (ScenarioConfig("numeraire_compare", make_pmf(3, [0.3, 0.7]), n=257, reps=2,
+                    alpha=0.05, seed=73),
+     "c5b5d9ea37381a10d4aa3ecd42d04f7896c134ab5cb30c11e154e149f73d879c"),
+])
+def test_monotone_digests_are_pinned(c, digest):
+    # recorded with the scalar MonotoneTracker replications the block fold
+    # replaced: float logs through math.log, summed one by one
+    assert run_experiment(c).digest() == digest
+
+
 @settings(max_examples=60, deadline=None, database=None)
 @given(obs=st.lists(st.integers(-3, 3), min_size=1, max_size=120),
-       cuts=st.lists(st.integers(1, 119), max_size=4))
-def test_tilt_rows_match_the_family_after_every_step(obs, cuts):
+       rows=st.integers(1, 3), cuts=st.lists(st.integers(1, 119), max_size=4))
+def test_tilt_rows_match_the_family_after_every_step(obs, rows, cuts):
     base = -4  # dense tables over sites -4..4 hold every touched site
     sites = range(base, 5)
-    counts, rise, fall = np.zeros(9), np.zeros(9), np.zeros(9)
-    family = UnimodalFamily()
+    # row r folds obs rotated by r, so the rows differ
+    streams = [obs[r % len(obs):] + obs[:r % len(obs)] for r in range(rows)]
+    counts, rise, fall = np.zeros((rows, 9)), np.zeros((rows, 9)), np.zeros((rows, 9))
+    families = [UnimodalFamily() for _ in range(rows)]
     bounds = sorted({0, len(obs), *(k for k in cuts if k < len(obs))})
     for a, b in zip(bounds, bounds[1:]):
-        counts, logs = _tilt_rows(counts, rise, fall, np.array(obs[a:b]) - base)
-        for row, x in enumerate(obs[a:b]):
-            family.update(x)
-            for table, got in zip((family.log_rise, family.log_fall), logs[:, row]):
-                for s, v in zip(sites, got):
-                    if s not in table:
-                        assert v == 0.0
-                        continue
-                    # numpy.log and math.log may differ in the last place;
-                    # a log that cancels to near zero is held to 1e-12 absolute
-                    assert abs(v - table[s]) <= 1e-12 * max(abs(table[s]), 1.0)
-        assert {s: int(c) for s, c in zip(sites, counts) if c} == family.counts
-        rise, fall = logs[:, -1]
+        block = np.array([stream[a:b] for stream in streams]) - base
+        counts, logs = _tilt_rows(counts, rise, fall, block)
+        for r, family in enumerate(families):
+            for step, x in enumerate(streams[r][a:b]):
+                family.update(x)
+                for table, got in zip((family.log_rise, family.log_fall),
+                                      logs[:, r, step]):
+                    for s, v in zip(sites, got):
+                        if s not in table:
+                            assert v == 0.0
+                            continue
+                        # numpy.log and math.log may differ in the last place;
+                        # a log that cancels to near zero is held to 1e-12
+                        # absolute
+                        assert abs(v - table[s]) <= 1e-12 * max(abs(table[s]), 1.0)
+            assert {s: int(c) for s, c in zip(sites, counts[r]) if c} == family.counts
+        rise, fall = logs[:, :, -1]
 
 
 def test_worker_count_does_not_change_reports():

@@ -437,15 +437,25 @@ def pmf_texts(draw):
     return "".join(f"{lo + i} {m / total!r}\n" for i, m in enumerate(raw))
 
 
+# Where a positive mass is fitted 0, the reference divides by zero and
+# lets ZeroDivisionError escape; the package raises the typed
+# ZeroFittedMass there, which the CLI reports with exit 1.
+_TYPED = {"raises ZeroDivisionError": "raises ZeroFittedMass"}
+
+
 @settings(max_examples=100, deadline=None, database=None)
 @given(text=pmf_texts())
 @example(text="0 1.0\n1 1e-165\n")  # a fitted mass of 0 under a positive one
 def test_numeraire_payload_matches_the_four_fit_composition(text):
-    assert cli_outcome(["numeraire"], text) == ref_cli_outcome(ref_numeraire_stdout, text)
+    want = ref_cli_outcome(ref_numeraire_stdout, text)
+    if want == "raises ZeroDivisionError":
+        want = (1, "")
+    assert cli_outcome(["numeraire"], text) == want
     q = pmf_from_text(text)
     for fn, ref in ((lcm, ref_lcm), (numeraire_evalue, ref_numeraire_evalue),
                     (ripr, ref_ripr), (max_epower, ref_max_epower)):
-        assert outcome(fn, q) == outcome(ref, q)
+        want = outcome(ref, q)
+        assert outcome(fn, q) == _TYPED.get(want, want)
 
 
 @st.composite
@@ -492,12 +502,12 @@ def test_each_table_command_fits_its_majorant_once(monkeypatch):
     density = json.dumps({"breakpoints": [0.0, 1.0, 2.0], "levels": [0.25, 0.75]})
     code, _ = cli_outcome(["cont-numeraire"], density)
     assert (code, len(lcm_cont_calls)) == (0, 1)
-    # numeraire_compare: one fit per replication's e-process, one for the report
+    # numeraire_compare: one fit serves every replication and the report
     del lcm_calls[:]
     monkeypatch.delenv("EVSHAPE_WORKERS", raising=False)
     run_experiment(ScenarioConfig("numeraire_compare", make_pmf(0, [0.2, 0.3, 0.5]),
                                   n=20, reps=3, alpha=0.05, seed=1))
-    assert len(lcm_calls) == 3 + 1
+    assert len(lcm_calls) == 1
 
 
 # ---------------------------------------------------------------- witness
