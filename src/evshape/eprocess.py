@@ -175,6 +175,13 @@ def _log_mixture(*sides) -> float:
     return top + math.log(math.fsum([math.exp(t - top) for t in terms]))
 
 
+def _peak_value(log_rise: dict, log_fall: dict, theta: int) -> float:
+    """Log mixture value of peak ``theta`` from tables of its sides only:
+    rise sites ``j >= theta`` weigh ``2**-(j - theta + 2)`` and fall sites
+    ``i <= theta`` weigh ``2**-(theta - i + 2)``."""
+    return _log_mixture((log_rise, theta - 2, -1), (log_fall, -theta - 2, 1))
+
+
 def _snapshot_fields(snap: dict | str, keys) -> dict:
     """Parse a snapshot; :class:`InvalidSnapshot` names a missing key."""
     if isinstance(snap, str):
@@ -363,8 +370,7 @@ class UnimodalTracker:
 
     def unimodal_value(self) -> float:
         """Log of the two-sided dyadic mixture."""
-        th = self.theta
-        return _log_mixture((self.log_rise, th - 2, -1), (self.log_fall, -th - 2, 1))
+        return _peak_value(self.log_rise, self.log_fall, self.theta)
 
     def to_snapshot(self) -> dict:
         th = self.theta

@@ -68,7 +68,7 @@ from .eprocess import (
     peak_weights,
 )
 from .errors import ConfigError, EvshapeError
-from .mode import estimate_scan, first_window, one_obs_ci
+from .mode import estimate_scan, first_window, free_levels, one_obs_ci
 from .numeraire import _numeraire_with_epower, lcm
 from .pmf import GuideTable, Pmf, mode_set, pmf_from_json
 from .pmf import sample  # noqa: F401 - kept as harness.sample, which perfbench patches
@@ -131,7 +131,6 @@ class ScenarioConfig:
     reps: int
     alpha: float
     seed: int = 0
-    theta: int | None = None
     phi: int | None = None
     clip: tuple[int, int] | None = None
 
@@ -182,8 +181,6 @@ class ScenarioConfig:
             "alpha": self.alpha,
             "seed": self.seed,
         }
-        if self.theta is not None:
-            out["theta"] = self.theta
         if self.phi is not None:
             out["phi"] = self.phi
         if self.clip is not None:
@@ -193,7 +190,7 @@ class ScenarioConfig:
 
 _CONFIG_KEYS = {
     "scenario", "distribution", "n", "reps", "alpha", "seed",
-    "theta", "phi", "clip",
+    "phi", "clip",
 }
 
 
@@ -218,7 +215,6 @@ def config_from_json(obj: dict | str) -> ScenarioConfig:
         reps=int(obj["reps"]),
         alpha=float(obj["alpha"]),
         seed=int(obj.get("seed", 0)),
-        theta=None if obj.get("theta") is None else int(obj["theta"]),
         phi=None if obj.get("phi") is None else int(obj["phi"]),
         clip=None if clip is None else (int(clip[0]), int(clip[1])),
     )
@@ -507,9 +503,8 @@ def _chunk_settlement(c: ScenarioConfig, reps: range, draw: GuideTable) -> list[
 
 def _chunk_unrestricted(c: ScenarioConfig, reps: range, draw: GuideTable) -> list[dict]:
     p = c.distribution
-    log_threshold = math.log(3.0 / c.alpha)
-    # UnrestrictedTest's prefilter on the value at its tracked peak
-    log_cut = math.log(0.99 * (3.0 / c.alpha))
+    # UnrestrictedTest's rejection level and its cut at the tracked peak
+    log_threshold, log_cut = free_levels(c.alpha)
     sites = np.arange(p.lo - 1, p.hi + 2)
     rows = _Rows(c, reps, draw)
     windows, tracked = zip(*(first_window(x, c.alpha, c.resolved_phi)

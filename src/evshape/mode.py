@@ -6,6 +6,12 @@ phi|`` exceeds ``1/alpha`` only outside an explicit open interval.  The
 sequential tools build on :class:`~evshape.eprocess.UnimodalFamily`,
 whose per-peak mixture values are exact for every integer peak, and use
 an analytic scan bound to certify everything outside a finite window.
+
+The anchor-free test scans its peak window only at steps where the value
+at one tracked peak reaches ``0.99 * 3/alpha``.  Tilt amplitudes are at
+most 1/2, so one observation multiplies any peak's value by at most 3/2,
+and a log value ``g`` below that cut cannot reach it in the next ``g /
+log 1.5`` observations: the test skips those evaluations.
 """
 
 from __future__ import annotations
@@ -16,10 +22,12 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import AlreadyRejected, BadAlpha, InvalidSnapshot, ZeroPhi
-from .eprocess import UnimodalFamily, _snapshot_fields
+from .eprocess import UnimodalFamily, _peak_value, _snapshot_fields
 from .pmf import ModeInterval
 
 _LOG2_3HALF = math.log2(1.5)
+_LN_3HALF = math.log(1.5)
+_SKIP_SLACK = 1e-9  # log margin over the rounding of a mixture value
 
 
 @dataclass(frozen=True)
@@ -198,6 +206,13 @@ def first_window(x: int, alpha: float, phi: int) -> tuple[tuple[int, int], int]:
     return (ci.lo, ci.hi), min(max(x, ci.lo), ci.hi)
 
 
+def free_levels(alpha: float) -> tuple[float, float]:
+    """Log levels of the free test at ``alpha``: it rejects when every peak
+    of its window reaches ``log(3/alpha)``, and scans the window only at
+    steps where its tracked peak reaches ``log(0.99 * 3/alpha)``."""
+    return math.log(3.0 / alpha), math.log(0.99 * (3.0 / alpha))
+
+
 class UnrestrictedTest:
     """Two-step sequential test of unimodality with unknown peak.
 
@@ -205,6 +220,13 @@ class UnrestrictedTest:
     (:func:`first_window`); afterwards a fresh mixture family runs on
     the remaining stream and the test rejects as soon as every peak in
     the interval has mixture value at least ``3/alpha``.
+
+    A step can reject only if the value at the tracked peak reaches
+    ``0.99 * 3/alpha`` (:func:`free_levels`); a scan that does not reject
+    tracks the window's weakest peak.  As tilts ``lam <= 1/2`` lift a value
+    by at most 3/2 per observation, a log value ``g`` below that cut skips
+    the next ``g / log 1.5`` evaluations.  The skip count is not part of
+    the snapshot: a restored test evaluates at its next observation.
     """
 
     _SNAPSHOT_KEYS = ("alpha", "phi", "phase", "n", "first", "theta_window",
@@ -222,35 +244,9 @@ class UnrestrictedTest:
         self.theta_window: tuple[int, int] | None = None
         self.family: UnimodalFamily | None = None
         self.rejected_at: int | None = None
-        self._log_threshold = math.log(3.0 / alpha)
+        self._log_threshold, self._log_cut = free_levels(alpha)
         self._theta0: int | None = None
-        self._j0 = 1.0  # linear-space mixture value at _theta0
-        self._j0_exp: dict[tuple[str, int], float] = {}
-
-    def _fold(self, side: str, site: int, lf: float) -> None:
-        # move _j0 to the new log product ``lf`` of one site, if _theta0 keeps it
-        th = self._theta0
-        if (site < th) if side == "rise" else (site > th):
-            return
-        g = math.exp(min(lf, 700.0))  # cap: stay finite, never NaN
-        g_old = self._j0_exp.get((side, site), 1.0)
-        self._j0 += 2.0 ** (-abs(site - th) - 2) * (g - g_old)
-        self._j0_exp[(side, site)] = g
-
-    def _rebase_theta0(self, theta: int) -> None:
-        # rebuild the incremental mixture value around a new cheap peak
-        self._theta0 = theta
-        self._j0 = 1.0
-        self._j0_exp = {}
-        fam = self.family_required()
-        for side, table in (("rise", fam.log_rise), ("fall", fam.log_fall)):
-            for site, lf in table.items():
-                self._fold(side, site, lf)
-
-    def family_required(self) -> UnimodalFamily:
-        if self.family is None:
-            raise AssertionError("family not initialized")
-        return self.family
+        self._skip = 0  # coming observations that cannot reach the cut
 
     def to_snapshot(self) -> dict:
         """JSON-ready state: level, anchor, phase, first observation, window,
@@ -303,7 +299,7 @@ class UnrestrictedTest:
             raise InvalidSnapshot(f"rejected_at={rejected_at!r} in phase {phase!r}")
         test.phase, test.n, test.rejected_at = phase, n, rejected_at
         test.first, test.theta_window, test.family = first, (lo, hi), family
-        test._rebase_theta0(theta0)
+        test._theta0 = theta0
         return test
 
     def step(self, x: int) -> str:
@@ -318,17 +314,18 @@ class UnrestrictedTest:
             self.n = 1
             self.phase = "running"
             return "continue"
-        fam = self.family_required()
+        fam = self.family
         fam.update(x)
         self.n += 1
-        # cheap necessary condition: the tracked peak alone stays below
-        # the threshold most of the time under the null
-        rise, fall = fam.log_rise, fam.log_fall
-        self._fold("rise", x - 1, rise[x - 1])
-        self._fold("rise", x, rise[x])
-        self._fold("fall", x + 1, fall[x + 1])
-        self._fold("fall", x, fall[x])
-        if self._j0 < 0.99 * (3.0 / self.alpha):
+        if self._skip:
+            self._skip -= 1
+            return "continue"
+        th = self._theta0
+        rise = {j: lf for j, lf in fam.log_rise.items() if j >= th}
+        fall = {i: lf for i, lf in fam.log_fall.items() if i <= th}
+        gap = self._log_cut - _peak_value(rise, fall, th)
+        if gap > 0.0:
+            self._skip = int((gap - _SKIP_SLACK) / _LN_3HALF)
             return "continue"
         lo, hi = self.theta_window
         vals = fam.values_range(lo, hi)
@@ -337,5 +334,5 @@ class UnrestrictedTest:
             self.phase = "rejected"
             self.rejected_at = self.n
             return "reject"
-        self._rebase_theta0(lo + k)
+        self._theta0 = lo + k
         return "continue"

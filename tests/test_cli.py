@@ -94,6 +94,15 @@ def test_test_unimodal_free(monkeypatch, capsys):
     assert code == 0
     assert json.loads(out)["decision"] == "continue"
 
+    # full scans move the tracked peak about 1300 sites below the data
+    code, out, _ = run_cli(monkeypatch, capsys,
+                           ["test-unimodal-free", "--alpha", "0.05",
+                            "--phi", "1"],
+                           "\n".join(str(x) for x in sample(
+                               make_pmf(10, [0.4, 0.1, 0.5]), 7, 40_000)))
+    assert code == 2
+    assert json.loads(out)["n"] == 5554
+
 
 def test_mode_ci(monkeypatch, capsys):
     code, out, _ = run_cli(monkeypatch, capsys,
@@ -333,6 +342,12 @@ def test_simulate(monkeypatch, capsys, tmp_path):
                            ["simulate", "--config", str(cfg_path),
                             "--seed", "99"])
     assert json.loads(out)["config"]["seed"] == 99
+
+    cfg_path.write_text(json.dumps(dict(cfg, theta=1)))
+    code, out, err = run_cli(monkeypatch, capsys,
+                             ["simulate", "--config", str(cfg_path)])
+    assert (code, out) == (1, "")
+    assert "unknown config fields: theta" in err
 
 
 def test_simulate_missing_file(monkeypatch, capsys, tmp_path):

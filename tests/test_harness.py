@@ -90,6 +90,9 @@ def test_config_json_rejects_unknown_keys():
         config_from_json(obj)
     with pytest.raises(ConfigError):
         config_from_json({"scenario": "growth"})
+    # no scenario reads a peak, so theta is unknown like any other field
+    with pytest.raises(ConfigError, match="unknown config fields: theta"):
+        config_from_json(dict(config().to_json(), theta=3))
 
 
 def test_worker_count_env(monkeypatch):
@@ -307,10 +310,18 @@ def test_settlement_engine_matches_scalar_family(c):
                     n=600, reps=1, alpha=0.05, seed=156), 513),
     (ScenarioConfig("unrestricted_power", make_pmf(0, [0.4, 0.1, 0.5]),
                     n=600, reps=1, alpha=0.05, seed=93), 514),
+    # full scans move the tracked peak over a thousand sites from the
+    # data: its dyadic weights lie below the float range and its products
+    # above exp(700), and each replication still rejects
+    (ScenarioConfig("unrestricted_power", make_pmf(10, [0.4, 0.1, 0.5]),
+                    n=8000, reps=2, alpha=0.05, seed=3), 5863),
+    (ScenarioConfig("unrestricted_power", make_pmf(13, [0.4, 0.1, 0.5]),
+                    n=6000, reps=4, alpha=0.08, seed=3), 4664),
 ])
 def test_unrestricted_engine_rejects_where_the_scalar_test_does(c, reject_n):
     report = assert_engine_matches_reference(c)
     assert report.records[0]["reject_n"] == reject_n
+    assert report.aggregates["rejection_rate"] == 1.0
 
 
 @pytest.mark.parametrize("c, digest", [

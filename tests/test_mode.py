@@ -3,17 +3,20 @@
 import json
 import math
 import random
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from evshape.eprocess import UnimodalFamily
+from evshape.eprocess import UnimodalFamily, UnimodalTracker, _peak_value
 from evshape.errors import AlreadyRejected, BadAlpha, InvalidSnapshot, ZeroPhi
 from evshape.mode import (
     IntSet,
     UnrestrictedTest,
     confidence_set,
+    first_window,
+    free_levels,
     mode_estimate,
     one_obs_ci,
     one_obs_ci_finite,
@@ -260,6 +263,82 @@ def test_unrestricted_decisions_match_family_replay():
             assert got == ("reject" if crossed else "continue")
             if got == "reject":
                 break
+
+
+def every_step_free_test(alpha, phi, obs):
+    """The free test evaluating its tracked peak at every observation, with
+    a tracker at that peak replayed on the stream: decisions, the step that
+    rejected, and the tracked peak's log value after each observation from
+    the second on."""
+    log_threshold, log_cut = free_levels(alpha)
+    (lo, hi), theta0 = first_window(obs[0], alpha, phi)
+    family, tracker = UnimodalFamily(), UnimodalTracker(theta0)
+    decisions, values = ["continue"], []
+    for x in obs[1:]:
+        family.update(x)
+        tracker.update(x)
+        values.append(tracker.unimodal_value())
+        decision = "continue"
+        if values[-1] >= log_cut:
+            vals = family.values_range(lo, hi)
+            k = int(vals.argmin())
+            if float(vals[k]) >= log_threshold:
+                decision = "reject"
+            tracker = UnimodalTracker(lo + k)
+            for y in obs[1:len(decisions) + 1]:
+                tracker.update(y)
+        decisions.append(decision)
+        if decision == "reject":
+            return decisions, len(decisions), values
+    return decisions, None, values
+
+
+@settings(max_examples=60, deadline=None, database=None)
+@given(masses=st.sampled_from([[0.4, 0.1, 0.5], [0.5, 0.0, 0.5],
+                               [0.2, 0.6, 0.2], [0.1, 0.2, 0.4, 0.2, 0.1]]),
+       lo=st.integers(-20, 20), seed=st.integers(0, 2**32),
+       n=st.integers(1, 1500), alpha=st.sampled_from([0.05, 0.3, 0.6]),
+       phi=st.sampled_from([1, -2, 3]))
+def test_unrestricted_skips_only_steps_below_the_cut(masses, lo, seed, n,
+                                                      alpha, phi):
+    """The skipping test against a plain evaluation at every observation:
+    the same decisions, the same value wherever it evaluates, and a value
+    below the cut wherever it skips."""
+    obs = sample(make_pmf(lo, masses), seed, n)
+    test = UnrestrictedTest(alpha, phi)
+    decisions, evaluated = run_recorded(test, obs)
+    expected, rejected_at, values = every_step_free_test(alpha, phi, obs)
+    assert decisions == expected
+    assert test.rejected_at == rejected_at
+    log_cut = free_levels(alpha)[1]
+    for step, value in enumerate(values[:len(decisions) - 1], start=2):
+        if step in evaluated:
+            assert evaluated[step] == value
+        else:
+            assert value < log_cut
+
+
+def test_unrestricted_skips_on_streams_that_reject_and_that_do_not():
+    for masses, seed, rejects in (([0.4, 0.1, 0.5], 31, True),
+                                  ([0.2, 0.6, 0.2], 5, False)):
+        test = UnrestrictedTest(0.05, phi=1)
+        decisions, evaluated = run_recorded(
+            test, sample(make_pmf(0, masses), seed, 3000))
+        assert (decisions[-1] == "reject") == rejects
+        assert 0 < len(evaluated) < len(decisions) // 2
+
+
+def run_recorded(test, obs):
+    """:func:`run_free`, and the tracked peak's value at each step that
+    evaluated it, by step."""
+    evaluated = {}
+
+    def record(*args):
+        evaluated[test.n] = _peak_value(*args)
+        return evaluated[test.n]
+
+    with mock.patch("evshape.mode._peak_value", record):
+        return run_free(test, obs), evaluated
 
 
 def run_free(test, obs):
