@@ -23,12 +23,7 @@ from .continuous import (
     step_density_from_json,
 )
 from .eprocess import MonotoneTracker, UnimodalFamily, UnimodalTracker
-from .errors import (
-    EvshapeError,
-    NonFiniteInput,
-    NonIntegerInput,
-    NonNumericInput,
-)
+from .errors import EvshapeError, NonFiniteInput
 from .evalues import EvalFn, is_in_polar_D, is_in_polar_M
 from .harness import config_from_json, run_experiment
 from .mode import (
@@ -39,7 +34,7 @@ from .mode import (
     one_obs_ci_finite,
 )
 from .numeraire import _numeraire_with_epower, _ripr, lcm
-from .pmf import pmf_from_text
+from .pmf import _json_int, _json_number, _json_object, pmf_from_text
 
 
 class _Parser(argparse.ArgumentParser):
@@ -74,12 +69,7 @@ def _stream_values(fh, as_int: bool):
             # JSON admits Infinity and NaN, which int() would not report
             if isinstance(raw, float) and not math.isfinite(raw):
                 raise NonFiniteInput(f"observation {raw!r} is not finite")
-            # int() would truncate 2.7 and read true as 1
-            if as_int and type(raw) is not int:
-                raise NonIntegerInput(f"observation {raw!r} is not an integer")
-            # float() would read true as 1.0 and fail uncaught on null
-            if type(raw) not in (int, float):
-                raise NonNumericInput(f"observation {raw!r} is not a number")
+            raw = (_json_int if as_int else _json_number)(raw, "observation")
         else:
             raw = line
         if as_int:
@@ -216,7 +206,7 @@ def _cmd_cont_numeraire(args) -> int:
 
 def _cmd_simulate(args) -> int:
     with open(args.config) as fh:
-        obj = json.load(fh)
+        obj = _json_object(fh.read())
     if args.seed is not None:
         obj["seed"] = args.seed
     report = run_experiment(config_from_json(obj))
@@ -298,10 +288,7 @@ def main(argv=None) -> int:
         return int(exc.code or 0)
     try:
         return args.fn(args)
-    except EvshapeError as exc:
-        print(f"evshape: {exc}", file=sys.stderr)
-        return 1
-    except (ValueError, KeyError, OSError, json.JSONDecodeError) as exc:
+    except (EvshapeError, ValueError, KeyError, OSError) as exc:
         print(f"evshape: {exc}", file=sys.stderr)
         return 1
 

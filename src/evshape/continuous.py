@@ -18,7 +18,6 @@ majorant fitted once per table.
 
 from __future__ import annotations
 
-import json
 import math
 from bisect import bisect_left
 from dataclasses import dataclass
@@ -33,7 +32,8 @@ from .errors import (
 )
 from .mode import _check_alpha
 from .numeraire import _upper_hull
-from .pmf import MASS_TOL, PROB_TOL, SHAPE_TOL
+from .pmf import (MASS_TOL, PROB_TOL, SHAPE_TOL, _json_number, _json_numbers,
+                  _json_object)
 
 
 @dataclass(frozen=True)
@@ -113,17 +113,6 @@ class StepFn:
             "tail_level": self.tail_level,
         }
 
-    @classmethod
-    def from_json(cls, obj: dict | str) -> "StepFn":
-        if isinstance(obj, str):
-            obj = json.loads(obj)
-        return cls(
-            tuple(obj["breakpoints"]),
-            tuple(obj["levels"]),
-            float(obj.get("value_at_0", 0.0)),
-            float(obj.get("tail_level", 0.0)),
-        )
-
 
 @dataclass(frozen=True)
 class StepDensity:
@@ -187,12 +176,11 @@ def make_step_density(
 
 
 def step_density_from_json(obj: dict | str) -> StepDensity:
-    if isinstance(obj, str):
-        obj = json.loads(obj)
+    obj = _json_object(obj)
     return make_step_density(
-        obj["breakpoints"],
-        obj["levels"],
-        float(obj.get("atom0", 0.0)),
+        _json_numbers(obj["breakpoints"], "breakpoints"),
+        _json_numbers(obj["levels"], "levels"),
+        _json_number(obj.get("atom0", 0.0), "atom0"),
         bool(obj.get("is_sub", False)),
     )
 

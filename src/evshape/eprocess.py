@@ -20,7 +20,6 @@ many peaks are evaluated at once (the family and the harness engine).
 
 from __future__ import annotations
 
-import json
 import math
 
 import numpy as np
@@ -28,7 +27,7 @@ import numpy as np
 from .errors import InvalidSnapshot, NegativeObservation
 from .evalues import wavelet_lambda
 from .numeraire import _numeraire_evalue, lcm
-from .pmf import Pmf
+from .pmf import Pmf, _json_object
 
 _LN2 = math.log(2.0)
 
@@ -184,8 +183,7 @@ def _peak_value(log_rise: dict, log_fall: dict, theta: int) -> float:
 
 def _snapshot_fields(snap: dict | str, keys) -> dict:
     """Parse a snapshot; :class:`InvalidSnapshot` names a missing key."""
-    if isinstance(snap, str):
-        snap = json.loads(snap)
+    snap = _json_object(snap)
     for key in keys:
         if key not in snap:
             raise InvalidSnapshot(f"snapshot has no {key!r}")

@@ -105,8 +105,12 @@ class NonFiniteInput(EvshapeError):
 
 
 class NonIntegerInput(EvshapeError):
-    """An integer stream carries a value that is not an integer."""
+    """An integer stream or JSON field carries a value that is not an integer."""
 
 
 class NonNumericInput(EvshapeError):
-    """A number stream carries a JSON value that is not a number."""
+    """A number stream or JSON field carries a value that is not a number."""
+
+
+class MalformedJson(EvshapeError):
+    """A JSON input is not an object, or a field is not the list it should be."""

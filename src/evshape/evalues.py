@@ -9,7 +9,6 @@ classes are uniform blocks.
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass
 
@@ -21,7 +20,8 @@ from .errors import (
     NoViolation,
     NoViolationAt,
 )
-from .pmf import PROB_TOL, SHAPE_TOL, Pmf, is_monotone, is_theta_unimodal
+from .pmf import (PROB_TOL, SHAPE_TOL, Pmf, _json_int, _json_number, _json_numbers,
+                  _json_object, is_monotone, is_theta_unimodal)
 
 
 @dataclass(frozen=True)
@@ -71,9 +71,17 @@ class EvalFn:
 
     @classmethod
     def from_json(cls, obj: dict | str) -> "EvalFn":
-        if isinstance(obj, str):
-            obj = json.loads(obj)
-        return cls(obj["lo"], tuple(obj["values"]), obj["left_tail"], obj["right_tail"])
+        obj = _json_object(obj)
+        return cls(_json_int(obj["lo"], "lo"),
+                   tuple(_json_numbers(obj["values"], "values")),
+                   _json_number(obj["left_tail"], "left_tail"),
+                   _json_number(obj["right_tail"], "right_tail"))
+
+
+def _over_block_cap(s: float, n: int, tol: float = PROB_TOL) -> bool:
+    # the running sum through n breaks the uniform blocks' cap n + 1; the
+    # oracle and its certificate share this rule, so their verdicts agree
+    return s > (n + 1.0) * (1.0 + tol)
 
 
 @dataclass(frozen=True)
@@ -97,7 +105,7 @@ class PolarCertificate:
             if any(b < a - SHAPE_TOL for a, b in zip(seq, seq[1:])):
                 raise InvalidCertificate("certificate sums must be non-decreasing")
         if self.eta is None:
-            if any(r > n + 1 + PROB_TOL for n, r in enumerate(self.rho)):
+            if any(_over_block_cap(r, n) for n, r in enumerate(self.rho)):
                 raise InvalidCertificate("monotone certificate exceeds its cap")
         else:
             if not self.rho or not self.eta:
@@ -190,7 +198,7 @@ def is_in_polar_M(e: EvalFn, tol: float = PROB_TOL) -> bool:
     s = 0.0
     for n in range(0, max(e.hi, 0) + 1):
         s += e.at(n)
-        if s > (n + 1.0) * (1.0 + tol):
+        if _over_block_cap(s, n, tol):
             return False
     return True
 

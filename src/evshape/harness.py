@@ -2,8 +2,7 @@
 
 Every replication derives its own generator seed from the master seed
 and the replication index through a SplitMix64 mix, so reports are
-reproducible byte-for-byte for a given config and identical no matter
-how many worker processes share the replications.  Aggregation always
+reproducible byte-for-byte for a given config.  Aggregation always
 reduces records in replication order.
 
 The ``type1`` scenario runs all replications side by side as numpy
@@ -17,12 +16,12 @@ whatever the block size, so the draws, and with them every report
 digest, equal those of :func:`sample`.
 
 The other four scenarios run replications as rows too.
-:func:`_map_reps` cuts the replications into chunks, spread over the
-worker processes, and each chunk draws one row per replication from
-that replication's own generator, through a ``pmf.GuideTable`` built
-once per scenario.  A chunk holds as many whole replications as fit one
-block of ``_BLOCK_CELLS`` cells, or else one replication in blocks of
-steps; a record depends on its replication alone, whatever the chunking.
+:func:`_map_reps` runs the replications in chunks, one after another,
+and each chunk draws one row per replication from that replication's own
+generator, through a ``pmf.GuideTable`` built once per scenario.  A
+chunk holds as many whole replications as fit one block of
+``_BLOCK_CELLS`` cells, or else one replication in blocks of steps; a
+record depends on its replication alone, whatever the chunking.
 
 ``unrestricted_power`` and ``mode_settlement`` fold the rows in blocks:
 ``eprocess._tilt_rows`` returns every row's dense family log tables after
@@ -47,13 +46,10 @@ tracker's bit for bit; the numeraire e-process adds up a table of
 from __future__ import annotations
 
 import csv
-import functools
 import hashlib
 import io
 import json
 import math
-import os
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -67,10 +63,12 @@ from .eprocess import (
     peak_values,
     peak_weights,
 )
-from .errors import ConfigError, EvshapeError
+from .errors import (ConfigError, EvshapeError, MalformedJson, NonIntegerInput,
+                     NonNumericInput)
 from .mode import estimate_scan, first_window, free_levels, one_obs_ci
 from .numeraire import _numeraire_with_epower, lcm
-from .pmf import GuideTable, Pmf, mode_set, pmf_from_json
+from .pmf import (GuideTable, Pmf, _json_int, _json_number, _json_numbers,
+                  _json_object, mode_set, pmf_from_json)
 from .pmf import sample  # noqa: F401 - kept as harness.sample, which perfbench patches
 
 SCENARIOS = (
@@ -103,22 +101,6 @@ def derive_seed(master: int, index: int) -> int:
     z = ((z ^ (z >> 30)) * _MIX1) & _MASK64
     z = ((z ^ (z >> 27)) * _MIX2) & _MASK64
     return z ^ (z >> 31)
-
-
-def worker_count() -> int:
-    raw = os.environ.get("EVSHAPE_WORKERS", "1")
-    try:
-        w = int(raw)
-    except ValueError:
-        raise ConfigError(f"EVSHAPE_WORKERS={raw!r} is not an integer")
-    if w < 1:
-        raise ConfigError(f"EVSHAPE_WORKERS must be >= 1, got {w}")
-    return w
-
-
-def pool_size(requested: int, reps: int, cpus: int | None) -> int:
-    """Worker processes to start: at most one per replication and per CPU."""
-    return max(1, min(requested, reps, cpus or 1))
 
 
 @dataclass(frozen=True)
@@ -195,29 +177,33 @@ _CONFIG_KEYS = {
 
 
 def config_from_json(obj: dict | str) -> ScenarioConfig:
-    if isinstance(obj, str):
-        obj = json.loads(obj)
-    unknown = sorted(set(obj) - _CONFIG_KEYS)
-    if unknown:
-        raise ConfigError(f"unknown config fields: {', '.join(unknown)}")
-    for key in ("scenario", "distribution", "n", "reps", "alpha"):
-        if key not in obj:
-            raise ConfigError(f"config is missing required field {key!r}")
     try:
-        dist = pmf_from_json(obj["distribution"])
-    except (EvshapeError, KeyError, TypeError, ValueError) as exc:
-        raise ConfigError(f"bad distribution: {exc}") from exc
-    clip = obj.get("clip")
-    return ScenarioConfig(
-        scenario=str(obj["scenario"]),
-        distribution=dist,
-        n=int(obj["n"]),
-        reps=int(obj["reps"]),
-        alpha=float(obj["alpha"]),
-        seed=int(obj.get("seed", 0)),
-        phi=None if obj.get("phi") is None else int(obj["phi"]),
-        clip=None if clip is None else (int(clip[0]), int(clip[1])),
-    )
+        obj = _json_object(obj)
+        unknown = sorted(set(obj) - _CONFIG_KEYS)
+        if unknown:
+            raise ConfigError(f"unknown config fields: {', '.join(unknown)}")
+        for key in ("scenario", "distribution", "n", "reps", "alpha"):
+            if key not in obj:
+                raise ConfigError(f"config is missing required field {key!r}")
+        try:
+            dist = pmf_from_json(obj["distribution"])
+        except (EvshapeError, KeyError, TypeError, ValueError) as exc:
+            raise ConfigError(f"bad distribution: {exc}") from exc
+        clip = obj.get("clip")
+        if clip is not None and len(_json_numbers(clip, "clip")) != 2:
+            raise ConfigError(f"clip must be a pair of integers, got {clip!r}")
+        return ScenarioConfig(
+            scenario=str(obj["scenario"]),
+            distribution=dist,
+            n=_json_int(obj["n"], "n"),
+            reps=_json_int(obj["reps"], "reps"),
+            alpha=_json_number(obj["alpha"], "alpha"),
+            seed=_json_int(obj.get("seed", 0), "seed"),
+            phi=None if obj.get("phi") is None else _json_int(obj["phi"], "phi"),
+            clip=None if clip is None else tuple(_json_int(v, "clip") for v in clip),
+        )
+    except (MalformedJson, NonIntegerInput, NonNumericInput) as exc:
+        raise ConfigError(f"bad config: {exc}") from exc
 
 
 @dataclass(frozen=True)
@@ -350,6 +336,11 @@ def _run_type1(c: ScenarioConfig) -> tuple[list[dict], dict]:
 # ------------------------------------------- per-replication scenarios
 
 
+def _sites(p: Pmf) -> np.ndarray:
+    """The sites ``p.lo - 1`` to ``p.hi + 1`` of a family fed draws from ``p``."""
+    return np.arange(p.lo - 1, p.hi + 2)
+
+
 class _Rows:
     """A chunk of replications as the rows of blocks of draws.
 
@@ -357,16 +348,15 @@ class _Rows:
     PCG64 ``random()`` gives the same stream in any block size, so a
     row's draws are those of :func:`sample`.  :meth:`takes` yields them
     block by block, and :meth:`blocks` also folds them into the row's own
-    dense family over every site the draws can touch, ``p.lo - 1`` to
-    ``p.hi + 1``.  Rows whose replication has stopped can be dropped
-    between blocks.
+    dense family over the sites of :func:`_sites`.  Rows whose
+    replication has stopped can be dropped between blocks.
     """
 
     def __init__(self, c: ScenarioConfig, reps: range, draw: GuideTable) -> None:
-        p = c.distribution
-        self.n, self.draw, self.offset = c.n, draw, p.lo - 1
+        sites = _sites(c.distribution)
+        self.n, self.draw, self.offset = c.n, draw, int(sites[0])
         self.rngs = [np.random.default_rng(derive_seed(c.seed, r)) for r in reps]
-        self.counts = np.zeros((len(reps), p.hi - p.lo + 3))
+        self.counts = np.zeros((len(reps), sites.size))
         self.tables = np.zeros((2,) + self.counts.shape)
 
     def take(self, m: int) -> np.ndarray:
@@ -435,15 +425,12 @@ def _chunk_numeraire(c: ScenarioConfig, reps: range, draw: GuideTable,
     ]
 
 
-@functools.lru_cache(maxsize=1)
 def _estimate_scans(n: int) -> tuple[np.ndarray, np.ndarray]:
-    """``mode.estimate_scan`` at steps 1..n as read-only arrays; a margin of
-    ``None`` becomes ``-inf``, a window holding no peak."""
+    """``mode.estimate_scan`` at steps 1..n as arrays; a margin of ``None``
+    becomes ``-inf``, a window holding no peak."""
     margin, log_tau = zip(*(estimate_scan(k) for k in range(1, n + 1)))
     margin = np.array([-math.inf if m is None else m for m in margin])
-    log_tau = np.array(log_tau)
-    margin.flags.writeable = log_tau.flags.writeable = False
-    return margin, log_tau
+    return margin, np.array(log_tau)
 
 
 def _family_cells(c: ScenarioConfig, peaks: int) -> int:
@@ -451,7 +438,7 @@ def _family_cells(c: ScenarioConfig, peaks: int) -> int:
     peaks, in its two largest arrays: the log tables, one cell per (side,
     site), and the terms of ``eprocess.peak_values``, one per (side, site,
     peak) and one per peak for the leftover weight."""
-    sides = 2 * (c.distribution.hi - c.distribution.lo + 3)
+    sides = 2 * _sites(c.distribution).size
     return sides + (sides + 1) * peaks
 
 
@@ -460,11 +447,11 @@ def _clip_peaks(c: ScenarioConfig) -> np.ndarray:
     return np.arange(clip[0], clip[1] + 1)
 
 
-def _chunk_settlement(c: ScenarioConfig, reps: range, draw: GuideTable) -> list[dict]:
+def _chunk_settlement(c: ScenarioConfig, reps: range, draw: GuideTable,
+                      margin: np.ndarray, log_tau: np.ndarray) -> list[dict]:
     p = c.distribution
     peaks = _clip_peaks(c)
-    weights = peak_weights(np.arange(p.lo - 1, p.hi + 2), peaks)
-    margin, log_tau = _estimate_scans(c.n)
+    weights = peak_weights(_sites(p), peaks)
     # ``current == ()`` before the first step: every peak counts as rejected
     rejected = np.ones((len(reps), len(peaks)), dtype=bool)
     last_change = np.zeros(len(reps), dtype=np.int64)
@@ -502,10 +489,9 @@ def _chunk_settlement(c: ScenarioConfig, reps: range, draw: GuideTable) -> list[
 
 
 def _chunk_unrestricted(c: ScenarioConfig, reps: range, draw: GuideTable) -> list[dict]:
-    p = c.distribution
     # UnrestrictedTest's rejection level and its cut at the tracked peak
     log_threshold, log_cut = free_levels(c.alpha)
-    sites = np.arange(p.lo - 1, p.hi + 2)
+    sites = _sites(c.distribution)
     rows = _Rows(c, reps, draw)
     windows, tracked = zip(*(first_window(x, c.alpha, c.resolved_phi)
                              for x in rows.take(1)[:, 0].tolist()))
@@ -540,31 +526,19 @@ def _chunk_unrestricted(c: ScenarioConfig, reps: range, draw: GuideTable) -> lis
     return records
 
 
-def _chunk_task(packed: tuple) -> list[dict]:
-    fn, config_json, reps, shared = packed
-    return fn(config_from_json(config_json), reps, *shared)
-
-
 def _map_reps(c: ScenarioConfig, fn, cells_per_rep: int, *shared) -> list[dict]:
-    """Records of every replication, in order, from ``fn(c, reps, *shared)``
-    on chunks of consecutive replications: as many as fit ``_BLOCK_CELLS``
-    at ``cells_per_rep`` each, at least one.  Chunks go to the worker
-    processes; each replication's record depends on nothing else, so the
-    chunking and the worker count do not change it."""
-    size = max(1, _BLOCK_CELLS // cells_per_rep)
-    chunks = [range(a, min(a + size, c.reps)) for a in range(0, c.reps, size)]
-    workers = pool_size(worker_count(), len(chunks), os.cpu_count())
-    if workers == 1:
-        return [rec for reps in chunks for rec in fn(c, reps, *shared)]
-    tasks = [(fn, c.to_json(), reps, shared) for reps in chunks]
-    with ProcessPoolExecutor(max_workers=workers) as pool:
-        parts = list(pool.map(_chunk_task, tasks,
-                              chunksize=max(1, len(tasks) // (workers * 4))))
-    return [rec for part in parts for rec in part]
+    """Records of every replication, in order, from ``fn(c, reps, draw,
+    *shared)`` on chunks of consecutive replications: as many as fit
+    ``_BLOCK_CELLS`` at ``cells_per_rep`` each, at least one, all drawing
+    through one ``GuideTable``.  Each replication's record depends on
+    nothing else, so the chunking does not change it."""
+    size, draw = max(1, _BLOCK_CELLS // cells_per_rep), GuideTable(c.distribution)
+    return [rec for a in range(0, c.reps, size)
+            for rec in fn(c, range(a, min(a + size, c.reps)), draw, *shared)]
 
 
 def _run_growth(c: ScenarioConfig) -> tuple[list[dict], dict]:
-    records = _map_reps(c, _chunk_growth, _FOLD_CELLS * c.n, GuideTable(c.distribution))
+    records = _map_reps(c, _chunk_growth, _FOLD_CELLS * c.n)
     rates = [rec["rate"] for rec in records]
     return records, {
         "mean_rate": _mean(rates),
@@ -575,7 +549,7 @@ def _run_growth(c: ScenarioConfig) -> tuple[list[dict], dict]:
 
 def _run_settlement(c: ScenarioConfig) -> tuple[list[dict], dict]:
     cells = _family_cells(c, len(_clip_peaks(c))) * c.n
-    records = _map_reps(c, _chunk_settlement, cells, GuideTable(c.distribution))
+    records = _map_reps(c, _chunk_settlement, cells, *_estimate_scans(c.n))
     return records, {
         "all_match_target": all(rec["matches_target"] for rec in records),
         "max_last_change_n": max(rec["last_change_n"] for rec in records),
@@ -583,8 +557,7 @@ def _run_settlement(c: ScenarioConfig) -> tuple[list[dict], dict]:
 
 
 def _run_unrestricted(c: ScenarioConfig) -> tuple[list[dict], dict]:
-    records = _map_reps(c, _chunk_unrestricted, _family_cells(c, 1) * c.n,
-                        GuideTable(c.distribution))
+    records = _map_reps(c, _chunk_unrestricted, _family_cells(c, 1) * c.n)
     rate = sum(1 for rec in records if rec["rejected"]) / c.reps
     times = [rec["reject_n"] for rec in records if rec["rejected"]]
     return records, {
@@ -599,7 +572,7 @@ def _run_numeraire_compare(c: ScenarioConfig) -> tuple[list[dict], dict]:
     q = c.distribution
     res = lcm(q)  # the one fit: every replication's e-process and the report
     fitted = res.fitted_masses()
-    records = _map_reps(c, _chunk_numeraire, _FOLD_CELLS * c.n, GuideTable(q),
+    records = _map_reps(c, _chunk_numeraire, _FOLD_CELLS * c.n,
                         _numeraire_logs(q, fitted))
     return records, {
         "analytic_epower": _numeraire_with_epower(q, fitted)[1],

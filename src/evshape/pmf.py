@@ -10,16 +10,20 @@ from __future__ import annotations
 
 import json
 import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import (
     EmptyObservations,
+    MalformedJson,
     MassSumViolation,
     NegativeMass,
     NegativeSupport,
     NonFiniteInput,
+    NonIntegerInput,
+    NonNumericInput,
     SubprobabilitySampling,
 )
 
@@ -193,10 +197,43 @@ def make_pmf(lo: int, masses, is_sub: bool = False) -> Pmf:
     return Pmf(lo2, tuple(ms2), is_sub)
 
 
+# JSON readers: a value of the wrong type is a typed error, not a TypeError
+# in a constructor, and int() never truncates 0.5 or reads true as 1
+
+def _json_object(obj: dict | str) -> dict:
+    obj = json.loads(obj) if isinstance(obj, str) else obj
+    if not isinstance(obj, dict):
+        raise MalformedJson(f"expected a JSON object, got {type(obj).__name__}")
+    return obj
+
+
+def _json_int(value, name: str) -> int:
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+        raise NonIntegerInput(f"{name} {value!r} is not an integer")
+    return int(value)
+
+
+def _json_number(value, name: str) -> float:
+    if isinstance(value, bool) or not isinstance(value, numbers.Real):
+        raise NonNumericInput(f"{name} {value!r} is not a number")
+    return float(value)
+
+
+def _json_numbers(values, name: str) -> list:
+    if not isinstance(values, (list, tuple)):
+        raise MalformedJson(f"{name} must be a list, got {type(values).__name__}")
+    for t in set(map(type, values)):  # one check per type, not per entry
+        if issubclass(t, bool) or not issubclass(t, numbers.Real):
+            bad = next(v for v in values if type(v) is t)
+            raise NonNumericInput(f"{name} entry {bad!r} is not a number")
+    return values
+
+
 def pmf_from_json(obj: dict | str) -> Pmf:
-    if isinstance(obj, str):
-        obj = json.loads(obj)
-    return make_pmf(obj["lo"], obj["masses"], bool(obj.get("is_sub", False)))
+    obj = _json_object(obj)
+    return make_pmf(_json_int(obj["lo"], "lo"),
+                    _json_numbers(obj["masses"], "masses"),
+                    bool(obj.get("is_sub", False)))
 
 
 def pmf_from_text(text: str, is_sub: bool = False) -> Pmf:

@@ -365,6 +365,57 @@ def test_usage_errors_exit_one(monkeypatch, capsys):
                    ["test-monotone", "--alpha", "oops"])[0] == 1
 
 
+GROWTH_CONFIG = {"scenario": "growth",
+                 "distribution": {"lo": 0, "masses": [0.25, 0.75]},
+                 "n": 100, "reps": 2, "alpha": 0.05}
+
+MALFORMED = [
+    pytest.param(["check-evalue"],
+                 '{"lo":0,"values":[null],"left_tail":0,"right_tail":0}',
+                 "is not a number", id="evalue-null-entry"),
+    pytest.param(["check-evalue"],
+                 '{"lo":0,"values":5,"left_tail":0,"right_tail":0}',
+                 "must be a list", id="evalue-values-not-a-list"),
+    pytest.param(["check-evalue"],
+                 '{"lo":0.5,"values":[1],"left_tail":0,"right_tail":0}',
+                 "is not an integer", id="evalue-fractional-lo"),
+    pytest.param(["check-evalue"],
+                 '{"lo":true,"values":[1],"left_tail":0,"right_tail":0}',
+                 "is not an integer", id="evalue-boolean-lo"),
+    pytest.param(["numeraire"], '{"lo":0,"masses":[null,1]}',
+                 "is not a number", id="pmf-null-mass"),
+    pytest.param(["numeraire"], '{"lo":0.5,"masses":[0.5,0.5]}',
+                 "is not an integer", id="pmf-fractional-lo"),
+    pytest.param(["numeraire"], '{"lo":true,"masses":[0.5,0.5]}',
+                 "is not an integer", id="pmf-boolean-lo"),
+    pytest.param(["cont-numeraire"], '{"breakpoints":[0,null],"levels":[1]}',
+                 "is not a number", id="density-null-breakpoint"),
+    pytest.param(["cont-numeraire"], "[1,2]",
+                 "expected a JSON object", id="density-not-an-object"),
+    pytest.param(["simulate"], json.dumps(dict(GROWTH_CONFIG, n=None)),
+                 "is not an integer", id="config-null-n"),
+    pytest.param(["simulate"], json.dumps(dict(GROWTH_CONFIG, n="abc")),
+                 "is not an integer", id="config-string-n"),
+    pytest.param(["simulate"], "[1]",
+                 "expected a JSON object", id="config-not-an-object"),
+    pytest.param(["simulate", "--seed", "5"], "[1]",
+                 "expected a JSON object", id="config-not-an-object-seeded"),
+]
+
+
+@pytest.mark.parametrize("argv, text, message", MALFORMED)
+def test_malformed_json_is_a_one_line_error(monkeypatch, capsys, tmp_path,
+                                            argv, text, message):
+    if argv[0] == "simulate":
+        path = tmp_path / "cfg.json"
+        path.write_text(text)
+        argv, text = argv + ["--config", str(path)], ""
+    code, out, err = run_cli(monkeypatch, capsys, argv, text)
+    assert (code, out) == (1, "")
+    assert err.startswith("evshape: ") and err.count("\n") == 1
+    assert message in err
+
+
 def test_installed_entry_point():
     proc = subprocess.run(
         [sys.executable, "-m", "evshape.cli", "mode-ci",
@@ -373,3 +424,13 @@ def test_installed_entry_point():
     assert proc.returncode == 0
     assert json.loads(proc.stdout)["interval"] == {"kind": "range",
                                                    "lo": -3, "hi": 5}
+
+
+def test_cli_imports_no_process_pool():
+    code = ("import sys, evshape.cli; print(sorted(m for m in sys.modules if "
+            "m.split('.')[0] == 'multiprocessing' or "
+            "m.startswith('concurrent.futures')))")
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                          text=True, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "[]\n"

@@ -219,6 +219,14 @@ def test_certificate_round_trip():
     assert sup_rho + sup_eta <= 1e-12
 
 
+def test_certificate_caps_sums_as_the_oracle_does():
+    # a relative slack of 5e-10 per entry: inside the oracle's cap
+    # (n + 1)(1 + tol) at every n, but past n + 1 + tol from n = 2 on
+    e = EvalFn(0, (1 + 5e-10,) * 100000, 0.0, 1.0)
+    assert is_in_polar_M(e)
+    assert len(polar_certificate_m(e, 99999).rho) == 100000
+
+
 def test_certificate_validation():
     with pytest.raises(InvalidCertificate):
         PolarCertificate(rho=(2.0, 1.0))  # not non-decreasing

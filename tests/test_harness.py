@@ -2,7 +2,6 @@
 
 import json
 import math
-import os
 
 import numpy as np
 import pytest
@@ -16,9 +15,7 @@ from evshape.harness import (
     ScenarioConfig,
     config_from_json,
     derive_seed,
-    pool_size,
     run_experiment,
-    worker_count,
 )
 from evshape.mode import UnrestrictedTest, mode_estimate
 from evshape.pmf import make_pmf, mode_set, sample
@@ -93,27 +90,6 @@ def test_config_json_rejects_unknown_keys():
     # no scenario reads a peak, so theta is unknown like any other field
     with pytest.raises(ConfigError, match="unknown config fields: theta"):
         config_from_json(dict(config().to_json(), theta=3))
-
-
-def test_worker_count_env(monkeypatch):
-    monkeypatch.delenv("EVSHAPE_WORKERS", raising=False)
-    assert worker_count() == 1
-    monkeypatch.setenv("EVSHAPE_WORKERS", "4")
-    assert worker_count() == 4
-    monkeypatch.setenv("EVSHAPE_WORKERS", "zero")
-    with pytest.raises(ConfigError):
-        worker_count()
-    monkeypatch.setenv("EVSHAPE_WORKERS", "0")
-    with pytest.raises(ConfigError):
-        worker_count()
-
-
-def test_pool_size_is_capped_by_reps_and_cpus():
-    assert pool_size(1, 100, 8) == 1
-    assert pool_size(4, 100, 8) == 4
-    assert pool_size(10_000, 100, 8) == 8
-    assert pool_size(10_000, 3, 8) == 3
-    assert pool_size(6, 100, None) == 1
 
 
 # ------------------------------------------------------------------ reports
@@ -409,22 +385,6 @@ def test_tilt_rows_match_the_family_after_every_step(obs, rows, cuts):
                         assert abs(v - table[s]) <= 1e-12 * max(abs(table[s]), 1.0)
             assert {s: int(c) for s, c in zip(sites, counts[r]) if c} == family.counts
         rise, fall = logs[:, :, -1]
-
-
-def test_worker_count_does_not_change_reports():
-    c = ScenarioConfig("growth", make_pmf(0, [0.25, 0.75]), n=150, reps=4,
-                       alpha=0.05, seed=13)
-    serial = run_experiment(c)
-    saved = os.environ.get("EVSHAPE_WORKERS")
-    os.environ["EVSHAPE_WORKERS"] = "2"
-    try:
-        parallel = run_experiment(c)
-    finally:
-        if saved is None:
-            os.environ.pop("EVSHAPE_WORKERS", None)
-        else:
-            os.environ["EVSHAPE_WORKERS"] = saved
-    assert parallel.to_json() == serial.to_json()
 
 
 def test_scenarios_all_run_small():

@@ -277,7 +277,6 @@ CAPS = [1, 1 << 9, 1 << 20]
                           n=150, reps=6, alpha=0.6, seed=13), cap=1 << 9)
 def test_row_engine_matches_the_per_replication_engine(c, cap):
     with pytest.MonkeyPatch.context() as mp:
-        mp.delenv("EVSHAPE_WORKERS", raising=False)
         mp.setattr(harness, "_BLOCK_CELLS", cap)
         assert list(run_experiment(c).records) == reference_records(c)
 
@@ -296,7 +295,8 @@ def test_many_rows_in_short_blocks_match_the_reference(c, cap):
     # rows that stop are dropped while the others run on
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(harness, "_BLOCK_CELLS", cap)
-        got = CHUNKS[c.scenario](c, range(c.reps), GuideTable(c.distribution))
+        shared = harness._estimate_scans(c.n) if c.scenario == "mode_settlement" else ()
+        got = CHUNKS[c.scenario](c, range(c.reps), GuideTable(c.distribution), *shared)
     assert got == reference_records(c)
 
 
@@ -306,27 +306,6 @@ def test_rows_stop_at_different_steps():
                        n=150, reps=6, alpha=0.6, seed=13)
     times = [rec["reject_n"] for rec in run_experiment(c).records]
     assert times == [None, 73, 107, 95, 137, None]
-
-
-WORKER_CASES = [
-    ScenarioConfig("unrestricted_power", make_pmf(0, [0.4, 0.1, 0.5]), n=400,
-                   reps=7, alpha=0.3, seed=81),
-    ScenarioConfig("mode_settlement", make_pmf(-1, [0.2, 0.5, 0.3]), n=150,
-                   reps=5, alpha=0.05, seed=82),
-    ScenarioConfig("growth", make_pmf(0, [0.1, 0.2, 0.7]), n=90, reps=7,
-                   alpha=0.05, seed=83),
-    ScenarioConfig("numeraire_compare", make_pmf(0, [0.2, 0.3, 0.5]), n=120,
-                   reps=5, alpha=0.05, seed=84),
-]
-
-
-@pytest.mark.parametrize("cap", [1 << 9, 1 << 12])
-def test_two_workers_give_the_reference_records(cap, monkeypatch):
-    # several chunks each, so that both workers get some
-    monkeypatch.setenv("EVSHAPE_WORKERS", "2")
-    monkeypatch.setattr(harness, "_BLOCK_CELLS", cap)
-    for c in WORKER_CASES:
-        assert list(run_experiment(c).records) == reference_records(c)
 
 
 # ---------------------------------------------------------- monotone fold

@@ -504,7 +504,6 @@ def test_each_table_command_fits_its_majorant_once(monkeypatch):
     assert (code, len(lcm_cont_calls)) == (0, 1)
     # numeraire_compare: one fit serves every replication and the report
     del lcm_calls[:]
-    monkeypatch.delenv("EVSHAPE_WORKERS", raising=False)
     run_experiment(ScenarioConfig("numeraire_compare", make_pmf(0, [0.2, 0.3, 0.5]),
                                   n=20, reps=3, alpha=0.05, seed=1))
     assert len(lcm_calls) == 1
