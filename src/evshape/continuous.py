@@ -8,12 +8,15 @@ integral condition ``integral of e over [0, x] <= x`` at breakpoints,
 which suffices because the integral minus ``x`` is piecewise linear for
 step functions and piecewise convex for the ``x * q(x)`` family.
 
-Every table operation is one linear walk.  The polar check carries the
-running integral as Shewchuk partials (the ones ``math.fsum`` keeps) and
-rounds each prefix once, so it returns what summing every prefix afresh
-with ``fsum`` would, bit for bit.  Expectations and e-powers merge the
-two breakpoint grids with two pointers, and the numeraire divides by a
-majorant fitted once per table.
+Every table operation is one linear walk, run at C level where it can
+be.  The polar check carries the running integral as Shewchuk partials
+(the ones ``math.fsum`` keeps) and rounds each prefix once, so it
+returns what summing every prefix afresh with ``fsum`` would, bit for
+bit.  Expectations, e-powers and the numeraire refine two breakpoint
+grids in one array merge (a sort plus ``searchsorted``) and do
+the same float operations on the arrays, one by one, that the scalar
+code did on each piece; logs stay ``math.log``.  The numeraire divides
+by a majorant fitted once per table.
 """
 
 from __future__ import annotations
@@ -21,7 +24,10 @@ from __future__ import annotations
 import math
 from bisect import bisect_left
 from dataclasses import dataclass
-from operator import mul, sub
+from itertools import accumulate, chain, islice
+from operator import lt, mul, sub, truediv
+
+import numpy as np
 
 from .errors import (
     AtomPresent,
@@ -29,11 +35,17 @@ from .errors import (
     MassSumViolation,
     NegativeValue,
     NonzeroTail,
+    ZeroFittedMass,
 )
 from .mode import _check_alpha
 from .numeraire import _upper_hull
-from .pmf import (MASS_TOL, PROB_TOL, SHAPE_TOL, _json_number, _json_numbers,
-                  _json_object)
+from .pmf import (MASS_TOL, PROB_TOL, SHAPE_TOL, _check_nonnegative, _json_number,
+                  _json_numbers, _json_object)
+
+
+def _rights_to(bps: tuple[float, ...], x: float):
+    # right ends of the pieces that start left of x, the last one cut at x
+    return chain(islice(bps, 1, bisect_left(bps, x)), (x,))
 
 
 @dataclass(frozen=True)
@@ -53,23 +65,22 @@ class StepFn:
     tail_level: float = 0.0
 
     def __post_init__(self) -> None:
-        bps = tuple(float(b) for b in self.breakpoints)
-        lvs = tuple(float(v) for v in self.levels)
+        bps = tuple(map(float, self.breakpoints))
+        lvs = tuple(map(float, self.levels))
         object.__setattr__(self, "breakpoints", bps)
         object.__setattr__(self, "levels", lvs)
         object.__setattr__(self, "value_at_0", float(self.value_at_0))
         object.__setattr__(self, "tail_level", float(self.tail_level))
         if not bps or bps[0] != 0.0:
             raise BadInterval("breakpoints must start at 0")
-        if not all(b < c for b, c in zip(bps, bps[1:])) or not math.isfinite(bps[-1]):
+        if not all(map(lt, bps, islice(bps, 1, None))) or not math.isfinite(bps[-1]):
             raise BadInterval("breakpoints must increase strictly and stay finite")
         if len(lvs) != len(bps) - 1:
             raise BadInterval(
                 f"{len(bps)} breakpoints need {len(bps) - 1} levels, got {len(lvs)}"
             )
-        for v in lvs + (self.value_at_0, self.tail_level):
-            if v < 0.0 or math.isnan(v):
-                raise NegativeValue(f"step level {v} is negative")
+        _check_nonnegative(lvs + (self.value_at_0, self.tail_level),
+                           NegativeValue, "step level")
 
     def at(self, x: float) -> float:
         if x < 0.0:
@@ -84,21 +95,14 @@ class StepFn:
         """Lebesgue integral over ``[0, x]`` (the point 0 carries none)."""
         if x <= 0.0:
             return 0.0
-        parts = []
         bps = self.breakpoints
-        for i, lv in enumerate(self.levels):
-            left, right = bps[i], min(bps[i + 1], x)
-            if right <= left:
-                break
-            parts.append(lv * (right - left))
-        if x > bps[-1]:
-            parts.append(self.tail_level * (x - bps[-1]))
-        return math.fsum(parts)
+        tail = (self.tail_level * (x - bps[-1]),) if x > bps[-1] else ()
+        return math.fsum(chain(self._areas(x), tail))
 
-    def _areas(self):
-        # the integral over each piece, as integral_to computes it
+    def _areas(self, x: float = math.inf):
+        # the integral over each piece that starts left of x, cut at x
         bps = self.breakpoints
-        return map(mul, self.levels, map(sub, bps[1:], bps))
+        return map(mul, self.levels, map(sub, _rights_to(bps, x), bps))
 
     def total_integral(self) -> float:
         if self.tail_level > 0.0:
@@ -227,20 +231,13 @@ class XqEvalue:
     def integral_to(self, x: float) -> float:
         if x <= 0.0:
             return 0.0
-        parts = []
-        bps = self.q.fn.breakpoints
-        for i, lv in enumerate(self.q.fn.levels):
-            left, right = bps[i], min(bps[i + 1], x)
-            if right <= left:
-                break
-            parts.append(lv * (right * right - left * left) / 2.0)
-        return math.fsum(parts)
+        return math.fsum(self._areas(x))
 
-    def _areas(self):
-        # the integral over each piece, as integral_to computes it
+    def _areas(self, x: float = math.inf):
+        # the integral over each piece that starts left of x, cut at x
         bps = self.q.fn.breakpoints
         return (lv * (right * right - left * left) / 2.0
-                for lv, left, right in zip(self.q.fn.levels, bps, bps[1:]))
+                for lv, left, right in zip(self.q.fn.levels, bps, _rights_to(bps, x)))
 
 
 def xq_evalue_cont(q: StepDensity) -> XqEvalue:
@@ -313,38 +310,37 @@ def is_in_polar_U(e, require_jump_guard: bool = False, tol: float = PROB_TOL) ->
 # -------------------------------------------------- expectation, e-power
 
 
-def _common_pieces(a: StepFn, b: StepFn):
-    # one merge of two breakpoint grids: (left, right, a level, b level) for
-    # each piece (left, right] of the common refinement, levels as at(right)
-    abps, bbps = a.breakpoints, b.breakpoints
-    na, nb = len(abps), len(bbps)
-    i = j = 1  # the first breakpoint of each grid not left of the cut
-    left = 0.0
-    while i < na or j < nb:
-        ra = abps[i] if i < na else math.inf
-        rb = bbps[j] if j < nb else math.inf
-        right = ra if ra <= rb else rb
-        yield (left, right,
-               a.levels[i - 1] if i < na else a.tail_level,
-               b.levels[j - 1] if j < nb else b.tail_level)
-        i += ra == right
-        j += rb == right
-        left = right
+def _charged_pieces(a: StepFn, b: StepFn):
+    # the common refinement of two breakpoint grids in one array merge: the
+    # pieces (left, right] where b is nonzero, the levels of a and b at right
+    # (tails past the last breakpoint), and the mask of those pieces
+    abps, bbps = np.asarray(a.breakpoints), np.asarray(b.breakpoints)
+    cuts = np.concatenate((abps, bbps))
+    cuts.sort()
+    cuts = cuts[np.append(True, cuts[1:] != cuts[:-1])]  # np.unique loads numpy.ma
+    b_lv = np.append(b.levels, b.tail_level)[np.searchsorted(bbps, cuts[1:]) - 1]
+    charged = b_lv != 0.0
+    right = cuts[1:][charged]
+    return (cuts[:-1][charged], right,
+            np.append(a.levels, a.tail_level)[np.searchsorted(abps, right) - 1],
+            b_lv[charged], charged)
+
+
+def _floats(a: np.ndarray):
+    # the entries of a as Python floats, made a chunk at a time
+    return chain.from_iterable(a[k:k + 4096].tolist() for k in range(0, len(a), 4096))
 
 
 def expectation_cont(e, p: StepDensity) -> float:
     """Exact ``E_p[e(X)]`` for ``e`` a StepFn or XqEvalue."""
-    parts = [p.atom0 * e.value_at_0]
     product_form = isinstance(e, XqEvalue)
-    grid = e.q.fn if product_form else e
-    for left, right, e_lv, p_lv in _common_pieces(grid, p.fn):
-        if p_lv == 0.0:
-            continue
+    left, right, e_lv, p_lv, _ = _charged_pieces(e.q.fn if product_form else e, p.fn)
+    with np.errstate(all="ignore"):  # inf and nan come silently, as in float code
         if product_form:
-            parts.append(p_lv * e_lv * (right * right - left * left) / 2.0)
+            parts = p_lv * e_lv * (right * right - left * left) / 2.0
         else:
-            parts.append(p_lv * e_lv * (right - left))
-    return math.fsum(parts)
+            parts = p_lv * e_lv * (right - left)
+    return math.fsum(chain((p.atom0 * e.value_at_0,), _floats(parts)))
 
 
 def epower_cont(e: StepFn, q: StepDensity) -> float:
@@ -354,14 +350,13 @@ def epower_cont(e: StepFn, q: StepDensity) -> float:
         if e.value_at_0 <= 0.0:
             return -math.inf
         parts.append(q.atom0 * math.log(e.value_at_0))
-    for left, right, e_lv, q_lv in _common_pieces(e, q.fn):
-        if q_lv == 0.0:
-            continue
-        if e_lv <= 0.0:
-            return -math.inf
-        parts.append(q_lv * (right - left) * math.log(e_lv))
+    left, right, e_lv, q_lv, _ = _charged_pieces(e, q.fn)
+    if not (e_lv > 0.0).all():
+        return -math.inf
+    with np.errstate(all="ignore"):
+        weights = _floats(q_lv * (right - left))
     # q has no tail mass, so pieces past its last breakpoint contribute 0
-    return math.fsum(parts)
+    return math.fsum(chain(parts, map(mul, weights, map(math.log, _floats(e_lv)))))
 
 
 # ------------------------------------------------------- p-value and CIs
@@ -451,17 +446,9 @@ def lcm_cont(q: StepDensity) -> StepDensity:
     piecewise-linear CDF is the upper hull of its knots, so the fitted
     density is the hull's slope sequence.
     """
-    bps = q.fn.breakpoints
-    xs, ys = [0.0], [q.atom0]
-    acc = q.atom0
-    for i, lv in enumerate(q.fn.levels):
-        acc += lv * (bps[i + 1] - bps[i])
-        xs.append(bps[i + 1])
-        ys.append(acc)
-    hx, hy = _upper_hull(xs, ys)
-    slopes = tuple(
-        (hy[k + 1] - hy[k]) / (hx[k + 1] - hx[k]) for k in range(len(hx) - 1)
-    )
+    xs = (0.0,) + q.fn.breakpoints[1:]  # the grid may start at -0.0
+    hx, hy = _upper_hull(xs, list(accumulate(q.fn._areas(), initial=q.atom0)))
+    slopes = tuple(map(truediv, map(sub, hy[1:], hy), map(sub, hx[1:], hx)))
     return StepDensity(StepFn(tuple(hx), slopes, 0.0, 0.0), q.atom0, q.is_sub)
 
 
@@ -477,9 +464,13 @@ def numeraire_cont(q: StepDensity) -> StepFn:
 
 def _numeraire_cont(q: StepDensity, fitted: StepDensity) -> StepFn:
     # fitted = lcm_cont(q), whose grid is a subset of q's
-    values = tuple(
-        q_lv / f_lv if q_lv > 0.0 else 0.0
-        for _, _, q_lv, f_lv in _common_pieces(q.fn, fitted.fn)
-    )
+    _, right, f_lv, q_lv, charged = _charged_pieces(fitted.fn, q.fn)
+    if (f_lv == 0.0).any():
+        k = np.argmax(f_lv == 0.0)
+        raise ZeroFittedMass(f"level {q_lv[k].item()!r} up to {right[k].item()!r} is "
+                             "fitted as 0: it is below the rounding of the CDF")
+    values = np.zeros(len(charged))
+    with np.errstate(all="ignore"):
+        values[charged] = q_lv / f_lv
     at0 = 1.0 if q.atom0 > 0.0 else 0.0
-    return StepFn(q.fn.breakpoints, values, at0, 0.0)
+    return StepFn(q.fn.breakpoints, _floats(values), at0, 0.0)

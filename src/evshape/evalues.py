@@ -11,6 +11,8 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from itertools import accumulate, chain, compress, count, islice, repeat
+from operator import gt, mul, sub, truediv
 
 from .errors import (
     InvalidCertificate,
@@ -20,8 +22,8 @@ from .errors import (
     NoViolation,
     NoViolationAt,
 )
-from .pmf import (PROB_TOL, SHAPE_TOL, Pmf, _json_int, _json_number, _json_numbers,
-                  _json_object, is_monotone, is_theta_unimodal)
+from .pmf import (PROB_TOL, SHAPE_TOL, Pmf, _check_nonnegative, _json_int, _json_number,
+                  _json_numbers, _json_object, is_monotone, is_theta_unimodal)
 
 
 @dataclass(frozen=True)
@@ -38,13 +40,12 @@ class EvalFn:
     right_tail: float
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "values", tuple(float(v) for v in self.values))
+        object.__setattr__(self, "values", tuple(map(float, self.values)))
         object.__setattr__(self, "lo", int(self.lo))
         object.__setattr__(self, "left_tail", float(self.left_tail))
         object.__setattr__(self, "right_tail", float(self.right_tail))
-        for v in self.values + (self.left_tail, self.right_tail):
-            if v < 0.0 or math.isnan(v):
-                raise NegativeValue(f"e-value entry {v} is negative")
+        _check_nonnegative(self.values + (self.left_tail, self.right_tail),
+                           NegativeValue, "e-value entry")
 
     @property
     def hi(self) -> int:
@@ -56,6 +57,16 @@ class EvalFn:
         if n > self.hi:
             return self.right_tail
         return self.values[n - self.lo]
+
+    def at_range(self, a: int, b: int, reverse: bool = False):
+        """``self.at(n)`` lazily over ``range(a, b)``, or from ``b - 1`` down."""
+        n, lo = len(self.values), self.lo
+        i, j = min(max(a - lo, 0), n), min(max(b - lo, 0), n)
+        below = repeat(self.left_tail, max(min(b, lo) - a, 0))
+        above = repeat(self.right_tail, max(b - max(a, lo + n), 0))
+        if reverse:
+            return chain(above, islice(reversed(self.values), n - j, n - i), below)
+        return chain(below, islice(self.values, i, j), above)
 
     @classmethod
     def constant(cls, c: float) -> "EvalFn":
@@ -78,10 +89,10 @@ class EvalFn:
                    _json_number(obj["right_tail"], "right_tail"))
 
 
-def _over_block_cap(s: float, n: int, tol: float = PROB_TOL) -> bool:
-    # the running sum through n breaks the uniform blocks' cap n + 1; the
+def _over_block_caps(sums, tol: float = PROB_TOL) -> bool:
+    # some running sum through n breaks the uniform blocks' cap n + 1; the
     # oracle and its certificate share this rule, so their verdicts agree
-    return s > (n + 1.0) * (1.0 + tol)
+    return any(map(gt, sums, map(mul, map(float, count(1)), repeat(1.0 + tol))))
 
 
 @dataclass(frozen=True)
@@ -105,7 +116,7 @@ class PolarCertificate:
             if any(b < a - SHAPE_TOL for a, b in zip(seq, seq[1:])):
                 raise InvalidCertificate("certificate sums must be non-decreasing")
         if self.eta is None:
-            if any(_over_block_cap(r, n) for n, r in enumerate(self.rho)):
+            if _over_block_caps(self.rho):
                 raise InvalidCertificate("monotone certificate exceeds its cap")
         else:
             if not self.rho or not self.eta:
@@ -145,20 +156,16 @@ def wavelet_evalue(q: Pmf, m: int) -> EvalFn:
 
 def expectation(e: EvalFn, p: Pmf) -> float:
     """Exact expectation of ``e`` under a finite-window ``p``."""
-    return math.fsum(mass * e.at(n) for n, mass in p.items())
+    return math.fsum(map(mul, p.masses, e.at_range(p.lo, p.hi + 1)))
 
 
 def epower(e: EvalFn, q: Pmf) -> float:
     """Expected log of ``e`` under ``q``; ``-inf`` when ``e`` vanishes on mass."""
-    terms = []
-    for n, mass in q.items():
-        if mass <= 0.0:
-            continue
-        v = e.at(n)
-        if v <= 0.0:
-            return float("-inf")
-        terms.append(mass * math.log(v))
-    return math.fsum(terms)
+    charged = list(map((0.0).__lt__, q.masses))
+    values = list(compress(e.at_range(q.lo, q.hi + 1), charged))
+    if not all(map((0.0).__lt__, values)):
+        return float("-inf")
+    return math.fsum(map(mul, compress(q.masses, charged), map(math.log, values)))
 
 
 def _rise_bound(a: float, b: float) -> float:
@@ -195,12 +202,7 @@ def is_in_polar_M(e: EvalFn, tol: float = PROB_TOL) -> bool:
     """
     if e.right_tail > 1.0 + tol:
         return False
-    s = 0.0
-    for n in range(0, max(e.hi, 0) + 1):
-        s += e.at(n)
-        if _over_block_cap(s, n, tol):
-            return False
-    return True
+    return not _over_block_caps(accumulate(e.at_range(0, max(e.hi, 0) + 1)), tol)
 
 
 def is_in_polar_D(e: EvalFn, theta: int, tol: float = PROB_TOL) -> bool:
@@ -217,37 +219,28 @@ def is_in_polar_D(e: EvalFn, theta: int, tol: float = PROB_TOL) -> bool:
     if e.right_tail > 1.0 + tol or e.left_tail > 1.0 + tol:
         return False
     start = (1.0 + e.at(theta)) / 2.0
+    # one index past the table is enough: increments are constant after
+    span = max(e.hi - theta, theta - e.lo, 0) + 2
 
-    def side_sup(step: int) -> float:
-        # one index past the table is enough: increments are constant after
-        span = max(e.hi - theta, theta - e.lo, 0) + 2
-        best = start - 1.0
-        r = start
-        for k in range(1, span + 1):
-            r += e.at(theta + step * k)
-            best = max(best, r - (k + 1.0))
-        return best
+    def side_sup(side) -> float:
+        # max over k of rho_k - (k + 1), rho_k summed in order from start
+        return max(map(sub, accumulate(side, initial=start), map(float, count(1))))
 
-    return side_sup(+1) + side_sup(-1) <= tol
+    return (side_sup(e.at_range(theta + 1, theta + span + 1))
+            + side_sup(e.at_range(theta - span, theta, reverse=True))) <= tol
 
 
 def polar_certificate_m(e: EvalFn, upto: int) -> PolarCertificate:
     """Running sums of ``e`` through ``upto``; raises if the cap breaks."""
-    sums, s = [], 0.0
-    for n in range(0, upto + 1):
-        s += e.at(n)
-        sums.append(s)
-    return PolarCertificate(tuple(sums))
+    return PolarCertificate(tuple(accumulate(e.at_range(0, upto + 1), initial=0.0))[1:])
 
 
 def polar_certificate_d(e: EvalFn, theta: int, upto: int) -> PolarCertificate:
     """Two-sided running sums around ``theta`` through depth ``upto``."""
     start = (1.0 + e.at(theta)) / 2.0
-    rho, eta = [start], [start]
-    for k in range(1, upto + 1):
-        rho.append(rho[-1] + e.at(theta + k))
-        eta.append(eta[-1] + e.at(theta - k))
-    return PolarCertificate(tuple(rho), tuple(eta))
+    return PolarCertificate(
+        tuple(accumulate(e.at_range(theta + 1, theta + upto + 1), initial=start)),
+        tuple(accumulate(e.at_range(theta - upto, theta, reverse=True), initial=start)))
 
 
 # -------------------------------------------------------- product forms
@@ -273,7 +266,7 @@ def is_xq_form(e: EvalFn, tol: float = PROB_TOL) -> bool:
         raise NegativeSupport("product form needs nonnegative support")
     if e.right_tail != 0.0:
         raise NonzeroTail("product form requires a zero right tail")
-    s = math.fsum(e.at(n) / (n + 1.0) for n in range(0, max(e.hi, 0) + 1))
+    s = math.fsum(map(truediv, e.at_range(0, max(e.hi, 0) + 1), map(float, count(1))))
     return s <= 1.0 + tol
 
 

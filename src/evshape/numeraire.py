@@ -10,7 +10,8 @@ projection is the log-optimal e-value against the monotone null.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import accumulate
+from itertools import accumulate, chain, islice, repeat
+from operator import sub
 
 from .errors import NegativeSupport, SubprobabilityInput, ZeroFittedMass
 from .evalues import EvalFn, epower
@@ -45,10 +46,8 @@ class LcmResult:
 
     def fitted_masses(self) -> list[float]:
         """Fitted mass at every index ``0 .. hi``."""
-        out = []
-        for k, slope in enumerate(self.slopes):
-            out.extend([slope] * (self.contacts[k + 1] - self.contacts[k]))
-        return out
+        runs = map(sub, self.contacts[1:], self.contacts)
+        return list(chain.from_iterable(map(repeat, self.slopes, runs)))
 
     def cdf_value(self, n: int) -> float:
         """Majorant evaluated at the integer ``n``."""
@@ -63,17 +62,21 @@ class LcmResult:
 
 
 def _upper_hull(xs: list[int], ys: list[float]) -> tuple[list[int], list[float]]:
-    # monotone chain for the upper concave hull; collinear middles are popped
-    hx: list[int] = []
-    hy: list[float] = []
-    for x, y in zip(xs, ys):
-        while len(hx) >= 2:
-            cross = (hx[-1] - hx[-2]) * (y - hy[-2]) - (hy[-1] - hy[-2]) * (x - hx[-2])
-            if cross >= 0.0:
-                hx.pop()
-                hy.pop()
-            else:
+    # monotone chain for the upper concave hull; collinear middles are popped.
+    # The top two points are also held in locals, (ax, ay) under (bx, by)
+    hx, hy = list(xs[:2]), list(ys[:2])
+    if len(hx) < 2:
+        return hx, hy
+    (ax, bx), (ay, by) = hx, hy
+    for x, y in zip(islice(xs, 2, None), islice(ys, 2, None)):
+        while (bx - ax) * (y - ay) - (by - ay) * (x - ax) >= 0.0:
+            hx.pop()
+            hy.pop()
+            bx, by = ax, ay
+            if len(hx) == 1:
                 break
+            ax, ay = hx[-2], hy[-2]
+        ax, ay, bx, by = bx, by, x, y
         hx.append(x)
         hy.append(y)
     return hx, hy

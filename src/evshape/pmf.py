@@ -12,6 +12,7 @@ import json
 import math
 import numbers
 from dataclasses import dataclass
+from operator import itemgetter
 
 import numpy as np
 
@@ -120,11 +121,9 @@ class Pmf:
     is_sub: bool = False
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "masses", tuple(float(m) for m in self.masses))
+        object.__setattr__(self, "masses", tuple(map(float, self.masses)))
         object.__setattr__(self, "lo", int(self.lo))
-        for m in self.masses:
-            if m < 0.0 or math.isnan(m):
-                raise NegativeMass(f"mass {m} is negative")
+        _check_nonnegative(self.masses, NegativeMass, "mass")
         if math.inf in self.masses:
             raise NonFiniteInput("a mass is infinite")
 
@@ -164,6 +163,12 @@ class Pmf:
         return {"lo": self.lo, "masses": list(self.masses), "is_sub": self.is_sub}
 
 
+def _check_nonnegative(xs, error, what: str) -> None:
+    # one C-level pass (false on NaN too); the offender is sought only on failure
+    if not all(map((0.0).__le__, xs)):
+        raise error(f"{what} {next(x for x in xs if not 0.0 <= x)} is negative")
+
+
 def _trimmed(lo: int, masses: list[float]) -> tuple[int, list[float]]:
     # strip exact zeros from both ends; canonical empty window is (0, [])
     a, b = 0, len(masses)
@@ -184,10 +189,8 @@ def make_pmf(lo: int, masses, is_sub: bool = False) -> Pmf:
     :class:`MassSumViolation` when the total is above ``1 + 1e-12``, or
     when a full probability is not within ``1e-9`` of one.
     """
-    ms = [float(m) for m in masses]
-    for m in ms:
-        if m < 0.0 or math.isnan(m):
-            raise NegativeMass(f"mass {m} is negative")
+    ms = list(map(float, masses))
+    _check_nonnegative(ms, NegativeMass, "mass")
     total = math.fsum(ms)
     if total > 1.0 + MASS_TOL:
         raise MassSumViolation(f"total mass {total} exceeds 1")
@@ -216,17 +219,24 @@ def _json_int(value, name: str) -> int:
 def _json_number(value, name: str) -> float:
     if isinstance(value, bool) or not isinstance(value, numbers.Real):
         raise NonNumericInput(f"{name} {value!r} is not a number")
-    return float(value)
+    try:
+        return float(value)
+    except OverflowError:  # a JSON integer past the float range
+        raise NonFiniteInput(f"{name} is too large for a float") from None
 
 
 def _json_numbers(values, name: str) -> list:
     if not isinstance(values, (list, tuple)):
         raise MalformedJson(f"{name} must be a list, got {type(values).__name__}")
-    for t in set(map(type, values)):  # one check per type, not per entry
+    types = set(map(type, values))
+    for t in types:  # one check per type, not per entry
         if issubclass(t, bool) or not issubclass(t, numbers.Real):
             bad = next(v for v in values if type(v) is t)
             raise NonNumericInput(f"{name} entry {bad!r} is not a number")
-    return values
+    try:  # an integer past the float range is a typed error here, not in float()
+        return values if types <= {float} else list(map(float, values))
+    except OverflowError:
+        raise NonFiniteInput(f"{name} entry is too large for a float") from None
 
 
 def pmf_from_json(obj: dict | str) -> Pmf:
@@ -236,13 +246,36 @@ def pmf_from_json(obj: dict | str) -> Pmf:
                     bool(obj.get("is_sub", False)))
 
 
+def _contiguous_rows(lines: list[str]) -> tuple[int, list[float]] | None:
+    # the common text, one "index mass" row per index from lo up, converted
+    # at C level chunk by chunk, so no per-row list outlives its chunk; None
+    # for anything else: comments, blanks, gaps, other field counts
+    try:
+        lo, masses = int(lines[0].split()[0]), []
+        for k in range(0, len(lines), 4096):
+            fields = list(map(str.split, lines[k:k + 4096]))
+            if set(map(len, fields)) != {2}:
+                return None
+            index = list(map(int, map(itemgetter(0), fields)))
+            if index != list(range(lo + k, lo + k + len(index))):
+                return None
+            masses += map(float, map(itemgetter(1), fields))
+    except (IndexError, ValueError):  # no rows, or a field int or float does not read
+        return None
+    return lo, masses
+
+
 def pmf_from_text(text: str, is_sub: bool = False) -> Pmf:
     """Parse ``index mass`` lines (or a JSON object) into a Pmf."""
     stripped = text.strip()
     if stripped.startswith("{"):
         return pmf_from_json(stripped)
+    lines = stripped.splitlines()
+    rows = _contiguous_rows(lines)
+    if rows is not None:
+        return make_pmf(*rows, is_sub)
     entries: dict[int, float] = {}
-    for line in stripped.splitlines():
+    for line in lines:
         line = line.strip()
         if not line or line.startswith("#"):
             continue

@@ -213,6 +213,16 @@ def test_numeraire_with_a_mass_below_the_cdf_rounding_is_a_typed_error(
                    "it is below the rounding of the CDF\n")
 
 
+def test_cont_numeraire_with_a_level_below_the_cdf_rounding_is_a_typed_error(
+        monkeypatch, capsys):
+    # 1 + 1e-300 == 1, so the majorant fits level 0 on (1, 2]
+    code, out, err = run_cli(monkeypatch, capsys, ["cont-numeraire"],
+                             '{"breakpoints": [0, 1, 2], "levels": [1, 1e-300]}')
+    assert (code, out) == (1, "")
+    assert err == ("evshape: level 1e-300 up to 2.0 is fitted as 0: "
+                   "it is below the rounding of the CDF\n")
+
+
 def test_cont_ci(monkeypatch, capsys):
     code, out, _ = run_cli(monkeypatch, capsys,
                            ["cont-ci", "--alpha", "0.1", "--phi", "0"],
@@ -255,6 +265,23 @@ def test_cont_ci_rejects_non_finite(monkeypatch, capsys, value):
     assert code == 1
     assert out == ""
     assert "not finite" in err
+
+
+_HUGE = "1" + "0" * 400  # a JSON integer past the float range
+
+
+@pytest.mark.parametrize("argv, text", [
+    (["numeraire"], '{"lo": 0, "masses": [0.5, %s]}' % _HUGE),
+    (["check-evalue"], '{"lo": 0, "values": [%s], "left_tail": 0, "right_tail": 0}' % _HUGE),
+    (["cont-numeraire"], '{"breakpoints": [0, %s], "levels": [1]}' % _HUGE),
+    (["cont-pvalue", "--a", "0"], '{"x": %s}\n' % _HUGE),
+    (["cont-ci", "--alpha", "0.1", "--phi", "0"], '{"x": %s}\n' % _HUGE),
+], ids=["numeraire", "check-evalue", "cont-numeraire", "cont-pvalue", "cont-ci"])
+def test_integers_too_large_for_a_float_are_typed_errors(monkeypatch, capsys, argv, text):
+    code, out, err = run_cli(monkeypatch, capsys, argv, text)
+    assert (code, out) == (1, "")
+    assert err.startswith("evshape: ") and err.count("\n") == 1
+    assert "too large for a float" in err
 
 
 def test_integer_streams_reject_non_finite_json(monkeypatch, capsys):
