@@ -3,15 +3,21 @@
 Streams arrive as one value per line, or JSONL objects carrying ``x``.
 Results go to stdout as JSON; sequential test subcommands signal a
 rejected null with exit code 2, everything else exits 0 on success and
-1 on error.
+1 on error.  ``numeraire`` writes ``slopes`` and ``ripr.masses`` once
+per run of equal entries (the fit's pieces, cut where the table has no
+mass) and repeats the text, byte for byte what ``json.dumps`` writes
+for the full arrays.  The parser is built once per process.
 """
 
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
+import operator
 import sys
+from itertools import compress, count, islice, repeat
 
 from .continuous import (
     _numeraire_cont,
@@ -48,8 +54,67 @@ class _Parser(argparse.ArgumentParser):
         return 1
 
 
-def _emit(obj) -> None:
-    print(json.dumps(obj, sort_keys=True, allow_nan=False), flush=True)
+class _Runs:
+    """A float array as runs of one value (lengths positive), for :func:`_emit`."""
+
+    __slots__ = ("values", "lengths")
+
+    def __init__(self, values, lengths) -> None:
+        self.values, self.lengths = values, lengths
+
+    def pieces(self) -> list[str]:
+        # the array's inner text: json writes each run's value once (and
+        # refuses a non-finite one as in the full list), then the value and
+        # its separator are repeated over the run, the last value bare
+        if not self.values:
+            return []
+        cells = json.dumps(self.values, allow_nan=False)[1:-1].split(", ")
+        *head, last = map(operator.add, cells, repeat(", "))
+        return [*map(operator.mul, head, self.lengths), last * (self.lengths[-1] - 1), cells[-1]]
+
+
+def _run_length(xs):
+    """``xs`` as :class:`_Runs`, or ``xs`` itself where its runs are too many.
+
+    Equal neighbours share a run, so ``xs`` holds no ``-0.0`` beside a
+    ``0.0``.  Under two entries a run on average, json writes the plain
+    list faster than the runs, so the scan for run starts stops there.
+    """
+    half = len(xs) // 2
+    starts = list(islice(compress(count(1), map(operator.ne, islice(xs, 1, None), xs)), half))
+    if len(starts) == half:
+        return xs
+    return _Runs([xs[0], *map(xs.__getitem__, starts)],
+                 list(map(operator.sub, [*starts, len(xs)], [0, *starts])))
+
+
+_MARK = "\0"  # a _Runs is first written as [_MARK], then its text is spliced in
+_MARK_TEXT = json.dumps(_MARK)
+
+
+def _emit(obj, runs: bool = False) -> None:
+    """Print ``obj`` as one JSON line: keys sorted, NaN and infinities refused.
+
+    With ``runs``, ``obj`` may hold :class:`_Runs` arrays (and no string
+    equal to ``_MARK``).  Each run's text is written once and repeated,
+    and the arrays are spliced into the rest with one join: the same
+    bytes as ``json.dumps`` of the written-out lists.
+    """
+    if not runs:
+        print(json.dumps(obj, sort_keys=True, allow_nan=False), flush=True)
+        return
+    parked = []
+
+    def park(array: _Runs) -> list[str]:
+        parked.append(array)
+        return [_MARK]
+
+    parts = json.dumps(obj, sort_keys=True, allow_nan=False, default=park).split(_MARK_TEXT)
+    out = [parts[0]]
+    for array, part in zip(parked, parts[1:]):
+        out += array.pieces()
+        out.append(part)
+    print("".join(out), flush=True)
 
 
 def _finite_float(text: str) -> float:
@@ -165,13 +230,14 @@ def _cmd_numeraire(args) -> int:
     res = lcm(q)  # the one fit every output below reads
     fitted = res.fitted_masses()
     e, power = _numeraire_with_epower(q, fitted)
+    ripr = _ripr(q, fitted)
     _emit({
         "contacts": list(res.contacts),
-        "slopes": fitted,
-        "ripr": _ripr(q, fitted).to_json(),
+        "slopes": _run_length(fitted),
+        "ripr": {"lo": ripr.lo, "masses": _run_length(ripr.masses), "is_sub": ripr.is_sub},
         "numeraire": e.to_json(),
         "max_epower": power,
-    })
+    }, runs=True)
     return 0
 
 
@@ -217,6 +283,7 @@ def _cmd_simulate(args) -> int:
     return 0
 
 
+@functools.lru_cache(maxsize=1)
 def _build_parser() -> _Parser:
     parser = _Parser(prog="evshape")
     sub = parser.add_subparsers(dest="command", required=True)

@@ -12,6 +12,7 @@ import sys
 
 import pytest
 
+from evshape import cli
 from evshape.cli import main
 from evshape.continuous import make_step_density
 from evshape.pmf import make_pmf, sample
@@ -390,6 +391,35 @@ def test_usage_errors_exit_one(monkeypatch, capsys):
     assert run_cli(monkeypatch, capsys, ["test-monotone"])[0] == 1
     assert run_cli(monkeypatch, capsys,
                    ["test-monotone", "--alpha", "oops"])[0] == 1
+
+
+ONE_PROCESS_CALLS = [
+    (["numeraire"], "0 0.1\n1 0.9\n"),
+    (["test-monotone", "--alpha", "oops"], ""),
+    (["check-evalue", "--theta", "3"],
+     '{"lo": 0, "values": [0.5, 2.0], "left_tail": 1.0, "right_tail": 1.0}'),
+    (["check-evalue"],
+     '{"lo": 0, "values": [0.5, 2.0], "left_tail": 1.0, "right_tail": 1.0}'),
+    (["test-unimodal", "--alpha", "0.05", "--theta", "1"], "1\n2\n0\n1\n"),
+]
+
+
+def test_the_parser_is_built_once_and_reused_unchanged(monkeypatch, capsys):
+    # every call in one process against the same call on a fresh parser:
+    # no default (check-evalue's --theta) and no state leaks between calls
+    cli._build_parser.cache_clear()
+    reused = [run_cli(monkeypatch, capsys, argv, text)
+              for argv, text in ONE_PROCESS_CALLS]
+    assert cli._build_parser.cache_info().misses == 1
+    fresh = []
+    for argv, text in ONE_PROCESS_CALLS:
+        cli._build_parser.cache_clear()
+        fresh.append(run_cli(monkeypatch, capsys, argv, text))
+    assert reused == fresh
+    assert [code for code, _, _ in reused] == [0, 1, 0, 0, 0]
+    assert reused[1][2].startswith("usage: evshape test-monotone")
+    assert list(json.loads(reused[2][1])) == ["polar_D_3", "polar_M"]
+    assert list(json.loads(reused[3][1])) == ["polar_D_0", "polar_M"]
 
 
 GROWTH_CONFIG = {"scenario": "growth",

@@ -24,6 +24,7 @@ import random
 import sys
 import warnings
 from fractions import Fraction
+from itertools import accumulate
 
 import numpy as np
 import pytest
@@ -31,7 +32,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import evshape
-from evshape.cli import main
+from evshape.cli import _emit, _run_length, _Runs, main
 from evshape.continuous import (
     StepDensity,
     StepFn,
@@ -653,19 +654,79 @@ _masses = st.lists(st.one_of(st.sampled_from([0.0, 1.0, 2.0, 3.0]), st.floats(0.
                    min_size=1, max_size=25)
 
 
+# masses written as they are, not normalized: subnormal, so below any
+# rounding of the total
+_SUBNORMAL = (5e-324, 2.0**-1060, 1e-310)
+
+# blocks of one mass: zeros alone, in runs, inside a piece and at either end;
+# runs past the 4,096-row chunk of the text parser; a block 2**-40 below the
+# one before it, whose slopes the fit merges under its 1e-12 rule
+_blocks = st.lists(st.tuples(
+    st.one_of(st.sampled_from([0.0, 0.0, 1.0, 2.0, 3.0, *_SUBNORMAL]),
+              st.floats(0.0, 1.0)),
+    st.sampled_from([1, 1, 1, 1, 2, 3, 4097]),
+    st.booleans(),
+), min_size=1, max_size=8)
+
+
 @st.composite
 def pmf_texts(draw):
-    raw = draw(_masses)
-    total = math.fsum(raw)
+    if draw(st.booleans()):
+        raw = draw(_masses)
+    else:
+        raw = []
+        for mass, count, nudged in draw(_blocks):
+            if nudged and raw:
+                mass = raw[-1] * (1.0 - 2.0**-40)
+            raw += [mass] * count
+    total = math.fsum(m for m in raw if m not in _SUBNORMAL)
     if total == 0.0:
         raw, total = [1.0], 1.0
     lo = draw(st.integers(-2, 5))
-    return "".join(f"{lo + i} {m / total!r}\n" for i, m in enumerate(raw))
+    return "".join(f"{lo + i} {m if m in _SUBNORMAL else m / total!r}\n"
+                   for i, m in enumerate(raw))
 
 
-@settings(max_examples=100, deadline=None, database=None)
+def _merges_slopes(text: str) -> bool:
+    # the fit merged two hull pieces under its 1e-12 slope rule
+    q = pmf_from_text(text)
+    hull = _upper_hull(list(range(-1, q.hi + 1)),
+                       list(accumulate([0.0] * q.lo + list(q.masses), initial=0.0)))
+    return len(hull[0]) > len(lcm(q).contacts)
+
+
+_NUMERAIRE_EXAMPLES = [
+    "0 1.0\n1 1e-165\n",  # a fitted mass of 0 under a positive one
+    "3 1.0\n",  # one entry
+    "0 0.25\n1 0.0\n2 0.5\n3 0.25\n",  # a zero alone, inside a piece
+    "0 0.0\n1 0.5\n2 0.0\n3 0.0\n4 0.5\n5 0.0\n",  # zeros at both ends
+    "".join(f"{i} {1 / 5000!r}\n" for i in range(5000)),  # one run of 5,000
+    # merged slopes: 0.3, then 2**-40 and 2**-39 below it, then the rest
+    "0 0.3\n1 0.29999999999972715\n2 0.2999999999994543\n3 0.10000000000081855\n",
+    "0 0.5\n1 5e-324\n2 0.5\n3 1e-310\n",  # subnormal masses
+]
+
+
+def test_the_numeraire_examples_reach_the_cases_they_name():
+    _, one_entry, zero_alone, zero_ends, long_run, merged, subnormal = _NUMERAIRE_EXAMPLES
+    assert len(pmf_from_text(one_entry).masses) == 1
+    assert pmf_from_text(zero_alone).masses[1] == 0.0
+    assert lcm(pmf_from_text(zero_alone)).contacts == (-1, 3)
+    assert pmf_from_text(zero_ends).lo == 1
+    assert lcm(pmf_from_text(long_run)).contacts == (-1, 4999)
+    assert _merges_slopes(merged)
+    assert min(pmf_from_text(subnormal).masses) == 5e-324
+
+
+def _with_examples(test):
+    for text in _NUMERAIRE_EXAMPLES:
+        test = example(text=text)(test)
+    return test
+
+
+@settings(max_examples=200, deadline=None, database=None)
 @given(text=pmf_texts())
-@example(text="0 1.0\n1 1e-165\n")  # a fitted mass of 0 under a positive one
+@_with_examples
 def test_numeraire_payload_matches_the_four_fit_composition(text):
     want = ref_cli_outcome(ref_numeraire_stdout, text)
     if want == "raises ZeroDivisionError":
@@ -676,6 +737,64 @@ def test_numeraire_payload_matches_the_four_fit_composition(text):
                     (ripr, ref_ripr), (max_epower, ref_max_epower)):
         want = outcome(ref, q)
         assert outcome(fn, q) == _TYPED.get(want, want)
+
+
+def _emitted(obj, runs: bool) -> str:
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        _emit(obj, runs=runs)
+    return out.getvalue()
+
+
+def _written_out(arr: _Runs) -> list[float]:
+    return [v for v, n in zip(arr.values, arr.lengths) for _ in range(n)]
+
+
+_run_arrays = st.lists(st.tuples(
+    st.one_of(st.sampled_from([0.0, -0.0, 0.5, 5e-324, 1e-310, 1e308]),
+              st.floats(allow_nan=False, allow_infinity=False)),
+    st.sampled_from([1, 1, 2, 3, 4097]),
+), max_size=5).map(lambda runs: _Runs(tuple(v for v, _ in runs), [n for _, n in runs]))
+
+
+@settings(max_examples=100, deadline=None, database=None)
+@given(a=_run_arrays, b=_run_arrays, c=_run_arrays)
+def test_emit_writes_runs_as_json_writes_the_written_out_lists(a, b, c):
+    # several run arrays, nested and top level, empty or not, among plain values
+    obj = {"z": a, "m": {"y": b, "x": [1, 2.5]}, "a": c, "b": True}
+    plain = {"z": _written_out(a), "m": {"y": _written_out(b), "x": [1, 2.5]},
+             "a": _written_out(c), "b": True}
+    assert _emitted(obj, runs=True) == _emitted(plain, runs=False) == (
+        json.dumps(plain, sort_keys=True, allow_nan=False) + "\n")
+
+
+@settings(max_examples=100, deadline=None, database=None)
+@given(blocks=st.lists(st.tuples(
+    # + 0.0 turns -0.0 into 0.0: equal neighbours share one run's text
+    st.one_of(st.sampled_from([0.0, 0.5, 5e-324]),
+              st.floats(allow_nan=False, allow_infinity=False).map(lambda v: v + 0.0)),
+    st.sampled_from([1, 1, 2, 3, 4097]),
+), max_size=6))
+def test_run_length_keeps_the_array_and_takes_runs_only_when_they_pay(blocks):
+    xs = tuple(v for v, n in blocks for _ in range(n))
+    got = _run_length(xs)
+    starts = sum(a != b for a, b in zip(xs[1:], xs))
+    if starts >= len(xs) // 2:  # under two entries a run: the plain array
+        assert got is xs
+    else:
+        assert _written_out(got) == list(xs)
+        assert min(got.lengths) > 0
+        assert all(a != b for a, b in zip(got.values[1:], got.values))
+    assert _emitted({"a": got}, runs=True) == json.dumps({"a": xs}, allow_nan=False) + "\n"
+
+
+@pytest.mark.parametrize("bad", [math.inf, -math.inf, math.nan])
+def test_a_non_finite_run_raises_what_json_raises(bad):
+    with pytest.raises(ValueError) as want:
+        json.dumps({"s": [0.5, bad, bad]}, sort_keys=True, allow_nan=False)
+    with pytest.raises(type(want.value)) as got:
+        _emitted({"s": _Runs((0.5, bad), [1, 2])}, runs=True)
+    assert str(got.value) == str(want.value)
 
 
 @st.composite
