@@ -130,7 +130,7 @@ def _stream_values(fh, as_int: bool):
         if not line:
             continue
         if line.startswith("{"):
-            raw = json.loads(line)["x"]
+            raw = _json_object(line)["x"]
             # JSON admits Infinity and NaN, which int() would not report
             if isinstance(raw, float) and not math.isfinite(raw):
                 raise NonFiniteInput(f"observation {raw!r} is not finite")
@@ -355,7 +355,7 @@ def main(argv=None) -> int:
         return int(exc.code or 0)
     try:
         return args.fn(args)
-    except (EvshapeError, ValueError, KeyError, OSError) as exc:
+    except (EvshapeError, ValueError, OSError) as exc:
         print(f"evshape: {exc}", file=sys.stderr)
         return 1
 

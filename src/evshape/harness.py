@@ -8,18 +8,17 @@ reduces records in replication order.
 The ``type1`` scenario runs all replications side by side as numpy
 rows, maintaining the mixture sum incrementally (two touched locations
 per observation) with an exact resync every ``_RESYNC_EVERY`` steps.
-Draws are streamed in blocks of that many columns: each replication's
-generator fills its row of a ``(reps, _RESYNC_EVERY)`` block of
-uniforms, so memory is bounded by ``reps * (support + _RESYNC_EVERY)``
-rather than ``reps * n``.  PCG64 ``random()`` yields the same stream
-whatever the block size, so the draws, and with them every report
-digest, equal those of :func:`sample`.
+It takes its draws from :class:`_Rows`, one ``(reps, _RESYNC_EVERY)``
+block at a time, so memory is bounded by ``reps * (support +
+_RESYNC_EVERY)`` rather than ``reps * n``.
 
-The other four scenarios run replications as rows too.
-:func:`_map_reps` runs the replications in chunks, one after another,
-and each chunk draws one row per replication from that replication's own
-generator, through a ``pmf.GuideTable`` built once per scenario.  A
-chunk holds as many whole replications as fit one block of
+Every sampling scenario draws through :class:`_Rows`: each replication
+draws its row of a block from its own generator, through a
+``pmf.GuideTable`` built once per scenario.  PCG64 ``random()`` yields
+the same stream whatever the block size, so the draws, and with them
+every report digest, equal those of :func:`sample`.  The other four
+sampling scenarios run in chunks, one after another (:func:`_map_reps`):
+a chunk holds as many whole replications as fit one block of
 ``_BLOCK_CELLS`` cells, or else one replication in blocks of steps; a
 record depends on its replication alone, whatever the chunking.
 
@@ -28,12 +27,15 @@ record depends on its replication alone, whatever the chunking.
 every step of the block as ``(side, row, step, site)`` arrays, and each
 scenario evaluates its per-step query on whole blocks with the evaluator
 of ``UnimodalFamily.values_range`` (``eprocess.peak_weights``,
-``peak_values``) and the rules of ``mode.first_window`` and
-``mode.estimate_scan``.  Rows of the free test that reject are dropped,
-and a chunk ends when none is left.  These tables differ from the
-trackers' in the last place (``numpy.log`` against ``math.log``); the
-records, booleans and integers, are those of ``UnrestrictedTest`` and of
-``mode_estimate`` on a ``UnimodalFamily``.
+``peak_values``), the rules of ``mode.first_window`` and the thresholds
+of ``mode.estimate_scan``.  Settlement tests every clip peak against
+``log(n**2)`` directly: ``mode_estimate``'s scan window only certifies
+that the peaks outside it stay below ``1 + (n**2 - 1) / 4``, so cutting
+a finite clip to it changes nothing.  Rows of the free test that reject
+are dropped, and a chunk ends when none is left.  These tables differ
+from the trackers' in the last place (``numpy.log`` against
+``math.log``); the records, booleans and integers, are those of
+``UnrestrictedTest`` and of ``mode_estimate`` on a ``UnimodalFamily``.
 
 ``growth`` and ``numeraire_compare`` report float logs, pinned to
 ``math.log`` and to the trackers' order of additions.
@@ -187,7 +189,7 @@ def config_from_json(obj: dict | str) -> ScenarioConfig:
                 raise ConfigError(f"config is missing required field {key!r}")
         try:
             dist = pmf_from_json(obj["distribution"])
-        except (EvshapeError, KeyError, TypeError, ValueError) as exc:
+        except (EvshapeError, TypeError, ValueError) as exc:
             raise ConfigError(f"bad distribution: {exc}") from exc
         clip = obj.get("clip")
         if clip is not None and len(_json_numbers(clip, "clip")) != 2:
@@ -253,8 +255,7 @@ def _run_type1(c: ScenarioConfig) -> tuple[list[dict], dict]:
     reps, n = c.reps, c.n
     threshold = 1.0 / c.alpha
     hi = p.hi
-    rngs = [np.random.default_rng(derive_seed(c.seed, r)) for r in range(reps)]
-    draw = GuideTable(p)
+    rows = _Rows(c, range(reps), GuideTable(p))
 
     # Flat state, one row of ``width`` cells per replication; cell k of a
     # row stands for location k - 1.  Location -1 carries weight zero, so
@@ -276,7 +277,6 @@ def _run_type1(c: ScenarioConfig) -> tuple[list[dict], dict]:
     offsets = np.arange(reps) * width + np.array([[1], [0]])
     # tilt at location x uses factor 1 - lam, at location x - 1 factor 1 + lam
     sign = np.array([[-1.0], [1.0]])
-    u = np.empty((reps, _RESYNC_EVERY))
     # mixture sum after each step of a block; crossings are read off it
     trail = np.empty((_RESYNC_EVERY, reps))
 
@@ -286,9 +286,7 @@ def _run_type1(c: ScenarioConfig) -> tuple[list[dict], dict]:
 
     for start in range(0, n, _RESYNC_EVERY):
         m = min(_RESYNC_EVERY, n - start)
-        for r, rng in enumerate(rngs):
-            rng.random(out=u[r, :m])
-        xs = np.ascontiguousarray(draw(u[:, :m]).T)
+        xs = np.ascontiguousarray(rows.take(m).T)
         for k in range(m):
             cell = xs[k] + offsets
             c_lo = counts[cell]
@@ -346,18 +344,17 @@ class _Rows:
 
     Each row draws from its own ``default_rng(derive_seed(seed, rep))``;
     PCG64 ``random()`` gives the same stream in any block size, so a
-    row's draws are those of :func:`sample`.  :meth:`takes` yields them
-    block by block, and :meth:`blocks` also folds them into the row's own
-    dense family over the sites of :func:`_sites`.  Rows whose
-    replication has stopped can be dropped between blocks.
+    row's draws are those of :func:`sample`.  :meth:`take` and
+    :meth:`takes` yield them block by block, and :meth:`blocks` also
+    folds them into the row's own dense family over the sites of
+    :func:`_sites`, allocated when it starts: rows that only draw hold no
+    family tables.  Rows whose replication has stopped can be dropped
+    between the blocks of :meth:`blocks`.
     """
 
     def __init__(self, c: ScenarioConfig, reps: range, draw: GuideTable) -> None:
-        sites = _sites(c.distribution)
-        self.n, self.draw, self.offset = c.n, draw, int(sites[0])
+        self.n, self.draw, self.sites = c.n, draw, _sites(c.distribution)
         self.rngs = [np.random.default_rng(derive_seed(c.seed, r)) for r in reps]
-        self.counts = np.zeros((len(reps), sites.size))
-        self.tables = np.zeros((2,) + self.counts.shape)
 
     def take(self, m: int) -> np.ndarray:
         """The next ``m`` draws of every row, ``(row, m)``."""
@@ -377,11 +374,14 @@ class _Rows:
             start += xs.shape[1]
 
     def blocks(self, start: int, cells_per_step: int):
-        """:meth:`takes`, folded into the families: ``(start, xs, logs)``
-        with the log tables after every step (see ``eprocess._tilt_rows``)."""
+        """:meth:`takes`, folded into families that start empty: ``(start,
+        xs, logs)`` with the log tables after every step (see
+        ``eprocess._tilt_rows``)."""
+        self.counts = np.zeros((len(self.rngs), self.sites.size))
+        self.tables = np.zeros((2,) + self.counts.shape)
         for start, xs in self.takes(start, cells_per_step):
             self.counts, logs = _tilt_rows(self.counts, *self.tables,
-                                           xs - self.offset)
+                                           xs - self.sites[0])
             self.tables = logs[:, :, -1].copy()
             yield start, xs, logs
 
@@ -425,14 +425,6 @@ def _chunk_numeraire(c: ScenarioConfig, reps: range, draw: GuideTable,
     ]
 
 
-def _estimate_scans(n: int) -> tuple[np.ndarray, np.ndarray]:
-    """``mode.estimate_scan`` at steps 1..n as arrays; a margin of ``None``
-    becomes ``-inf``, a window holding no peak."""
-    margin, log_tau = zip(*(estimate_scan(k) for k in range(1, n + 1)))
-    margin = np.array([-math.inf if m is None else m for m in margin])
-    return margin, np.array(log_tau)
-
-
 def _family_cells(c: ScenarioConfig, peaks: int) -> int:
     """Cells per row and step of a family block evaluated at ``peaks``
     peaks, in its two largest arrays: the log tables, one cell per (side,
@@ -448,25 +440,18 @@ def _clip_peaks(c: ScenarioConfig) -> np.ndarray:
 
 
 def _chunk_settlement(c: ScenarioConfig, reps: range, draw: GuideTable,
-                      margin: np.ndarray, log_tau: np.ndarray) -> list[dict]:
+                      log_tau: np.ndarray) -> list[dict]:
     p = c.distribution
     peaks = _clip_peaks(c)
     weights = peak_weights(_sites(p), peaks)
     # ``current == ()`` before the first step: every peak counts as rejected
     rejected = np.ones((len(reps), len(peaks)), dtype=bool)
     last_change = np.zeros(len(reps), dtype=np.int64)
-    lo, hi = np.full((len(reps), 1), math.inf), np.full((len(reps), 1), -math.inf)
     rows = _Rows(c, reps, draw)
     for start, xs, logs in rows.blocks(0, _family_cells(c, len(peaks))):
-        # mode_estimate at each step of the block, cut to the clip
-        values = peak_values(logs, weights)
-        run_lo = np.minimum(np.minimum.accumulate(xs, axis=1), lo)
-        run_hi = np.maximum(np.maximum.accumulate(xs, axis=1), hi)
-        lo, hi = run_lo[:, -1:], run_hi[:, -1:]
-        at = slice(start, start + xs.shape[1])
-        by_step = ((peaks >= (run_lo - margin[at])[..., None])
-                   & (peaks <= (run_hi + margin[at])[..., None])
-                   & (values > log_tau[at, None]))
+        # mode_estimate at each step of the block, cut to the clip; its
+        # scan window only certifies peaks that this test never rejects
+        by_step = peak_values(logs, weights) > log_tau[start:start + xs.shape[1], None]
         before = np.concatenate([rejected[:, None], by_step[:, :-1]], axis=1)
         changed = (by_step != before).any(axis=2)
         moved = changed.any(axis=1)
@@ -549,7 +534,8 @@ def _run_growth(c: ScenarioConfig) -> tuple[list[dict], dict]:
 
 def _run_settlement(c: ScenarioConfig) -> tuple[list[dict], dict]:
     cells = _family_cells(c, len(_clip_peaks(c))) * c.n
-    records = _map_reps(c, _chunk_settlement, cells, *_estimate_scans(c.n))
+    log_tau = np.array([estimate_scan(k)[1] for k in range(1, c.n + 1)])
+    records = _map_reps(c, _chunk_settlement, cells, log_tau)
     return records, {
         "all_match_target": all(rec["matches_target"] for rec in records),
         "max_last_change_n": max(rec["last_change_n"] for rec in records),

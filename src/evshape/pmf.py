@@ -200,14 +200,20 @@ def make_pmf(lo: int, masses, is_sub: bool = False) -> Pmf:
     return Pmf(lo2, tuple(ms2), is_sub)
 
 
-# JSON readers: a value of the wrong type is a typed error, not a TypeError
-# in a constructor, and int() never truncates 0.5 or reads true as 1
+# JSON readers: a value of the wrong type or a missing field is a typed
+# error, not a TypeError in a constructor or a bare KeyError, and int()
+# never truncates 0.5 or reads true as 1
+
+class _JsonObject(dict):
+    def __missing__(self, key):
+        raise MalformedJson(f"JSON object has no field {key!r}")
+
 
 def _json_object(obj: dict | str) -> dict:
     obj = json.loads(obj) if isinstance(obj, str) else obj
     if not isinstance(obj, dict):
         raise MalformedJson(f"expected a JSON object, got {type(obj).__name__}")
-    return obj
+    return _JsonObject(obj)
 
 
 def _json_int(value, name: str) -> int:

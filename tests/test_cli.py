@@ -457,6 +457,24 @@ MALFORMED = [
                  "expected a JSON object", id="config-not-an-object"),
     pytest.param(["simulate", "--seed", "5"], "[1]",
                  "expected a JSON object", id="config-not-an-object-seeded"),
+    # a missing field is named, not echoed as a bare KeyError
+    pytest.param(["check-evalue"], '{"values":[1],"left_tail":0,"right_tail":0}',
+                 "JSON object has no field 'lo'", id="evalue-missing-lo"),
+    pytest.param(["check-evalue"], '{"lo":0,"values":[1],"left_tail":0}',
+                 "JSON object has no field 'right_tail'", id="evalue-missing-tail"),
+    pytest.param(["numeraire"], '{"lo":0}',
+                 "JSON object has no field 'masses'", id="pmf-missing-masses"),
+    pytest.param(["cont-numeraire"], '{"levels":[1]}',
+                 "JSON object has no field 'breakpoints'",
+                 id="density-missing-breakpoints"),
+    pytest.param(["test-monotone", "--alpha", "0.05"], '0\n{"y": 1}\n',
+                 "JSON object has no field 'x'", id="stream-missing-x"),
+    pytest.param(["mode-track", "--alpha", "0.05"], '{"y": 1}\n',
+                 "JSON object has no field 'x'", id="track-missing-x"),
+    pytest.param(["simulate"],
+                 json.dumps(dict(GROWTH_CONFIG, distribution={"lo": 0})),
+                 "bad distribution: JSON object has no field 'masses'",
+                 id="config-distribution-missing-masses"),
 ]
 
 

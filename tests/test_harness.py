@@ -248,8 +248,10 @@ def sequential_configs(draw, scenario):
     else:
         alpha = 0.05
         if draw(st.booleans()):
-            a = draw(st.integers(-8, 4))
-            extra["clip"] = (a, a + draw(st.integers(0, 12)))
+            # clips reach past the data and past the scan margin of
+            # mode_estimate's early steps
+            a = draw(st.integers(-40, 30))
+            extra["clip"] = (a, a + draw(st.integers(0, 40)))
     return ScenarioConfig(
         scenario,
         make_pmf(draw(st.integers(-4, 3)), [w / sum(weights) for w in weights]),
@@ -321,9 +323,35 @@ def test_unrestricted_engine_rejects_where_the_scalar_test_does(c, reject_n):
     (ScenarioConfig("mode_settlement", make_pmf(0, [0.3, 0.1, 0.3, 0.3]),
                     n=400, reps=2, alpha=0.05, seed=53, clip=(-4, 6)),
      "b4e6927adebf1d54c8a628949012500b8e4c1762b82c95cc9ac3a6ffd4d57b79"),
+    # clips far from the data on support 0..3: past the scan margin of the
+    # early steps, and rejected from a later step on, at steps where a
+    # threshold one step off would move the last change
+    (ScenarioConfig("mode_settlement", make_pmf(0, [0.4, 0.3, 0.2, 0.1]),
+                    n=300, reps=2, alpha=0.05, seed=54, clip=(-60, -40)),
+     "abeb6845190613f841ca4ed0e79e9c8efeca88fba9b3ba0c250ceddca1fbbe8b"),
+    (ScenarioConfig("mode_settlement", make_pmf(0, [0.1, 0.2, 0.3, 0.4]),
+                    n=300, reps=2, alpha=0.05, seed=54, clip=(30, 50)),
+     "12d9091c2ee58f743b0f01bf6c56a986e062711f06b890ab2af908ec4d30f52c"),
+    # n = 1, 2 and 3: no margin, then tiny ones
+    (ScenarioConfig("mode_settlement", make_pmf(0, [0.3, 0.4, 0.3]),
+                    n=1, reps=4, alpha=0.05, seed=56, clip=(-6, 8)),
+     "80069044740ac9a7124c876cc1e50231f8ec324a0d723dbbaa2573fb7d8f3634"),
+    (ScenarioConfig("mode_settlement", make_pmf(0, [0.3, 0.4, 0.3]),
+                    n=2, reps=4, alpha=0.05, seed=57, clip=(-6, 8)),
+     "cd818d5c7272fa2108322fe2b8ecca532ee7a2edba7593d51a595f2a9618d11b"),
+    (ScenarioConfig("mode_settlement", make_pmf(0, [0.3, 0.4, 0.3]),
+                    n=3, reps=4, alpha=0.05, seed=58, clip=(-6, 8)),
+     "f85032af700ac5ad848e136fdb1c389363faf5bb15cb879abad4b054c32035f6"),
+    # a negative support and clip
+    (ScenarioConfig("mode_settlement",
+                    make_pmf(-6, [0.1, 0.15, 0.5, 0.15, 0.1]),
+                    n=400, reps=3, alpha=0.05, seed=59, clip=(-14, -1)),
+     "bc455d773d51abcfa0139f5934166a3897dcbe389d0fc31d60e67620ac913bb7"),
 ])
 def test_sequential_digests_are_pinned(c, digest):
-    # recorded with the scalar replications the time-blocked engine replaced
+    # recorded with the scalar replications the time-blocked engine
+    # replaced; the last six with the engine that still cut each step's
+    # peaks to the data range widened by mode_estimate's scan margin
     assert run_experiment(c).digest() == digest
 
 
