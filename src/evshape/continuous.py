@@ -39,8 +39,8 @@ from .errors import (
 )
 from .mode import _check_alpha
 from .numeraire import _upper_hull
-from .pmf import (MASS_TOL, PROB_TOL, SHAPE_TOL, _check_nonnegative, _json_number,
-                  _json_numbers, _json_object)
+from .pmf import (MASS_TOL, PROB_TOL, SHAPE_TOL, _check_nonnegative, _json_bool,
+                  _json_number, _json_numbers, _json_object)
 
 
 def _rights_to(bps: tuple[float, ...], x: float):
@@ -185,7 +185,7 @@ def step_density_from_json(obj: dict | str) -> StepDensity:
         _json_numbers(obj["breakpoints"], "breakpoints"),
         _json_numbers(obj["levels"], "levels"),
         _json_number(obj.get("atom0", 0.0), "atom0"),
-        bool(obj.get("is_sub", False)),
+        _json_bool(obj.get("is_sub", False), "is_sub"),
     )
 
 

@@ -55,9 +55,9 @@ def _tilt(logs: dict, counts: dict, x: int, step: int, keep: int) -> None:
 
 def _lambdas(c_m: np.ndarray, c_m1: np.ndarray) -> np.ndarray:
     """:func:`wavelet_lambda` of count arrays, elementwise and bit for bit."""
-    # counts are whole numbers, so 2 * (c_m + c_m1) is 0 or >= 2
+    # whole counts: 2 * (c_m + c_m1) is 0 or >= 2, and lam is at most 1/2
     lam = (c_m1 - c_m) / np.maximum(2.0 * (c_m + c_m1), 1.0)
-    return np.minimum(np.maximum(lam, 0.0), 0.5)
+    return np.maximum(lam, 0.0)
 
 
 # The four tilts of one family update, in its order: rise sites x - 1 and

@@ -573,25 +573,20 @@ def _run_numeraire_compare(c: ScenarioConfig) -> tuple[list[dict], dict]:
 
 
 def _run_ci_coverage(c: ScenarioConfig) -> tuple[list[dict], dict]:
-    p = c.distribution
-    phi = c.resolved_phi
-    modes = mode_set(p)
-    mode_members = (
-        [t for t in range(p.lo - 1, p.hi + 2) if modes.contains(t)]
-        if not modes.is_all
-        else []
-    )
+    def members(m):  # the config holds a nonempty table, so m is never "all"
+        return range(m.lo, m.hi + 1) if m.kind == "range" else ()
+
+    modes = mode_set(c.distribution)
     simultaneous = []
-    per_theta = {t: [] for t in mode_members}
-    for x, mass in p.items():
+    per_theta = {t: [] for t in members(modes)}
+    for x, mass in c.distribution.items():
         if mass == 0.0:
             continue
-        ci = one_obs_ci(x, c.alpha, phi)
-        if all(ci.contains(t) for t in mode_members):
+        covered = one_obs_ci(x, c.alpha, c.resolved_phi).intersect(modes)
+        if covered == modes:
             simultaneous.append(mass)
-        for t in mode_members:
-            if ci.contains(t):
-                per_theta[t].append(mass)
+        for t in members(covered):
+            per_theta[t].append(mass)
     coverage = math.fsum(simultaneous)
     theta_cov = {t: math.fsum(ms) for t, ms in per_theta.items()}
     records = [

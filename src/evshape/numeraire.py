@@ -9,6 +9,7 @@ projection is the log-optimal e-value against the monotone null.
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from dataclasses import dataclass
 from itertools import accumulate, chain, islice, repeat
 from operator import sub
@@ -55,10 +56,8 @@ class LcmResult:
             return 0.0
         if n >= self.hi:
             return self.heights[-1]
-        for k in range(len(self.slopes)):
-            if n <= self.contacts[k + 1]:
-                return self.heights[k] + self.slopes[k] * (n - self.contacts[k])
-        raise AssertionError("unreachable")
+        k = bisect_left(self.contacts, n, 1) - 1  # the segment ending at or past n
+        return self.heights[k] + self.slopes[k] * (n - self.contacts[k])
 
 
 def _upper_hull(xs: list[int], ys: list[float]) -> tuple[list[int], list[float]]:

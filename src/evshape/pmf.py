@@ -12,7 +12,8 @@ import json
 import math
 import numbers
 from dataclasses import dataclass
-from operator import itemgetter
+from itertools import chain, compress, count, repeat
+from operator import add, gt, itemgetter
 
 import numpy as np
 
@@ -74,10 +75,6 @@ class ModeInterval:
     @property
     def is_empty(self) -> bool:
         return self.kind == "empty"
-
-    @property
-    def is_all(self) -> bool:
-        return self.kind == "all"
 
     def contains(self, theta: int) -> bool:
         if self.kind == "all":
@@ -222,6 +219,12 @@ def _json_int(value, name: str) -> int:
     return int(value)
 
 
+def _json_bool(value, name: str) -> bool:
+    if not isinstance(value, bool):
+        raise MalformedJson(f"{name} {value!r} is not a JSON boolean")
+    return value
+
+
 def _json_number(value, name: str) -> float:
     if isinstance(value, bool) or not isinstance(value, numbers.Real):
         raise NonNumericInput(f"{name} {value!r} is not a number")
@@ -249,7 +252,7 @@ def pmf_from_json(obj: dict | str) -> Pmf:
     obj = _json_object(obj)
     return make_pmf(_json_int(obj["lo"], "lo"),
                     _json_numbers(obj["masses"], "masses"),
-                    bool(obj.get("is_sub", False)))
+                    _json_bool(obj.get("is_sub", False), "is_sub"))
 
 
 def _contiguous_rows(lines: list[str]) -> tuple[int, list[float]] | None:
@@ -315,39 +318,40 @@ def is_monotone(p: Pmf, tol: float = SHAPE_TOL) -> bool:
     return all(p.masses[k] >= p.masses[k + 1] - tol for k in range(len(p.masses) - 1))
 
 
+def _last_rise_first_drop(p: Pmf, tol: float) -> tuple[int, int]:
+    # the last n with f(n + 1) > f(n) + tol and the first n with
+    # f(n - 1) > f(n) + tol, on the masses padded by a zero at each end; each
+    # C-level scan stops at its first hit, or ends on its pad without one
+    m, pad = p.masses, (0.0,)
+
+    def first_fall(xs, ys, start: int, step: int) -> int:
+        falls = map(gt, chain(pad, xs), map(add, chain(ys, pad), repeat(tol)))
+        return next(compress(count(start, step), falls), start + step * len(m))
+
+    return first_fall(reversed(m), reversed(m), p.hi, -1), first_fall(m, m, p.lo, 1)
+
+
 def is_theta_unimodal(p: Pmf, theta: int, tol: float = SHAPE_TOL) -> bool:
-    """True iff the mass rises up to ``theta`` and falls after it."""
-    if p.is_empty:
-        return True
-    if theta < p.lo or theta > p.hi:
-        # mass strictly outside [lo, hi] is zero, so some positive mass
-        # sits on the wrong side of a zero
-        return False
-    for n in range(p.lo, theta + 1):
-        if p.f(n - 1) > p.f(n) + tol:
-            return False
-    for n in range(theta, p.hi + 1):
-        if p.f(n + 1) > p.f(n) + tol:
-            return False
-    return True
+    """True iff the mass rises up to ``theta`` and falls after it.
+
+    In closed form: ``theta`` comes after the last rise ``f(n + 1) > f(n) +
+    tol`` and before the first drop ``f(n - 1) > f(n) + tol``.  The pads are
+    the zeros ``f`` reads off the window, so every ``tol`` (NaN finds no
+    rise or drop) gives the boolean of a scan, and they keep both ends in
+    ``[lo - 1, hi + 1]``, so a ``theta`` off the window fails.
+    """
+    rise, drop = _last_rise_first_drop(p, tol)
+    return p.is_empty or rise < theta < drop
 
 
 def mode_set(p: Pmf) -> ModeInterval:
-    """The set of admissible peak locations, as an interval.
-
-    Scans one index past the window on both sides; outside that range
-    the predicate is constantly false for nonempty tables.  A table with
-    no mass at all is degenerate and every integer works.
-    """
+    """The admissible peaks: the interval strictly between the last rise
+    and the first drop of :func:`is_theta_unimodal`, empty when they cross.
+    A table with no mass at all is degenerate and every integer works."""
     if p.is_empty:
         return ModeInterval.all_integers()
-    hits = [t for t in range(p.lo - 1, p.hi + 2) if is_theta_unimodal(p, t)]
-    if not hits:
-        return ModeInterval.empty()
-    lo, hi = hits[0], hits[-1]
-    if hits != list(range(lo, hi + 1)):  # pragma: no cover - provably contiguous
-        raise AssertionError("mode set is not contiguous")
-    return ModeInterval.bounded(lo, hi)
+    rise, drop = _last_rise_first_drop(p, SHAPE_TOL)
+    return ModeInterval.bounded(rise + 1, drop - 1) if drop - rise > 1 else ModeInterval.empty()
 
 
 def satisfies_basic_inequality(p: Pmf, tol: float = PROB_TOL) -> bool:

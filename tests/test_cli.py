@@ -475,6 +475,19 @@ MALFORMED = [
                  json.dumps(dict(GROWTH_CONFIG, distribution={"lo": 0})),
                  "bad distribution: JSON object has no field 'masses'",
                  id="config-distribution-missing-masses"),
+    # is_sub is a JSON boolean or absent, never read by truthiness
+    *(pytest.param([cmd], f'{{{fields},"is_sub":{value}}}',
+                   f"is_sub {shown} is not a JSON boolean", id=f"{what}-is-sub-{name}")
+      for cmd, what, fields in [("numeraire", "pmf", '"lo":0,"masses":[0.5,0.5]'),
+                                ("cont-numeraire", "density",
+                                 '"breakpoints":[0,1],"levels":[1.0]')]
+      for value, shown, name in [('"false"', "'false'", "string"),
+                                 ("null", "None", "null"), ("0", "0", "zero"),
+                                 ("1", "1", "one")]),
+    pytest.param(["simulate"], json.dumps(dict(
+        GROWTH_CONFIG, distribution={"lo": 0, "masses": [1.0], "is_sub": "false"})),
+                 "bad distribution: is_sub 'false' is not a JSON boolean",
+                 id="config-distribution-string-is-sub"),
 ]
 
 

@@ -13,11 +13,13 @@ from evshape.eprocess import (
     MonotoneTracker,
     UnimodalFamily,
     UnimodalTracker,
+    _lambdas,
     numeraire_eprocess,
     peak_values,
     peak_weights,
 )
 from evshape.errors import InvalidSnapshot, NegativeObservation
+from evshape.evalues import wavelet_lambda
 from evshape.mode import UnrestrictedTest
 from evshape.pmf import make_pmf, sample
 
@@ -324,6 +326,20 @@ def test_snapshot_json_round_trip_continues_bit_for_bit(obs, split, theta):
             resumed.update(x)
         assert json.dumps(resumed.to_snapshot()) == json.dumps(whole.to_snapshot())
         assert value(resumed) == value(whole)
+
+
+_counts = st.one_of(st.integers(0, 2**40), st.integers(0, 3))
+
+
+@settings(max_examples=300, deadline=None, database=None)
+@given(pairs=st.lists(st.tuples(_counts, _counts), min_size=1, max_size=20))
+@example(pairs=[(0, 0)])  # 0/0 is no tilt
+@example(pairs=[(0, 1), (0, 2**40), (2**40, 2**40 - 1), (2**40, 0)])  # 1/2 and 0
+def test_lambdas_match_wavelet_lambda_bit_for_bit(pairs):
+    # for nonnegative counts lam never exceeds 1/2, so only the clip at 0 is kept
+    c_m, c_m1 = (np.array(side, dtype=float) for side in zip(*pairs))
+    got = [float.hex(lam) for lam in _lambdas(c_m, c_m1).tolist()]
+    assert got == [float.hex(wavelet_lambda(float(a), float(b))) for a, b in pairs]
 
 
 # ------------------------------------------- reference: the per-tracker loops

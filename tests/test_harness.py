@@ -435,6 +435,34 @@ def test_scenarios_all_run_small():
         assert report.aggregates
 
 
+def _ci(p, alpha=0.05, phi=None):
+    return ScenarioConfig("ci_coverage", p, n=1, reps=1, alpha=alpha, seed=0, phi=phi)
+
+
+@pytest.mark.parametrize("c, digest", [
+    (_ci(make_pmf(0, [0.02] * 50)),
+     "3ad8c215daef4095a76356304ddcabe8144029696b6953a0374338662c4b358d"),
+    # bimodal: the mode set is empty, so every mass covers it simultaneously
+    (_ci(make_pmf(0, [0.4, 0.1, 0.5]), alpha=0.1),
+     "ebd994b4b8561803afd2b09217f17a3b1feb6b75138674787ce98415dd0debf3"),
+    (_ci(make_pmf(3, [1.0])),
+     "2a292241d7e6450287ee4530443d1e33f836cdef9e515ffc736ae2d326da4640"),
+    # phi on the support: the draw at phi gives all the integers
+    (_ci(make_pmf(0, [0.1, 0.2, 0.4, 0.2, 0.1]), phi=2),
+     "f48d178e3089cf01071ec0edfdbe24b9887cb605072f8cd3aa2dc255b1d5346f"),
+    (_ci(make_pmf(-7, [0.1, 0.3, 0.3, 0.2, 0.1])),
+     "a83a43039ab1981c1aa97c16c4bdf50f53f936afef0eb69898d7a7c7d0ff9fb6"),
+    (_ci(make_pmf(2, [0.05, 0.15, 0.3, 0.3, 0.15, 0.05]), alpha=0.9, phi=1),
+     "2bca20e3f1b225d72dda532c20a1ac79f426df2b26ce52814a37da7be8380f7c"),
+    # a plateau whose neighbours differ by less than the shape tolerance
+    (_ci(make_pmf(-2, [0.25, 0.25 + 5e-13, 0.25 - 5e-13, 0.25]), alpha=0.2, phi=-1),
+     "5b321d691ea376c729d76ed046e6ecb18f21641641291e21a9865fe72f8ef5d0"),
+])
+def test_ci_coverage_digests_are_pinned(c, digest):
+    # recorded with the mode members scanned one candidate peak at a time
+    assert run_experiment(c).digest() == digest
+
+
 def test_ci_coverage_exact_sums():
     c = ScenarioConfig("ci_coverage", make_pmf(0, [0.1, 0.2, 0.4, 0.2, 0.1]),
                        n=1, reps=1, alpha=0.25, seed=0)

@@ -1,5 +1,6 @@
 """Shape predicates, envelopes, and the sampling front door."""
 
+import json
 import math
 import random
 
@@ -85,6 +86,9 @@ def test_f_and_cdf():
 def test_json_and_text_round_trips():
     p = make_pmf(-1, [0.2, 0.3, 0.5])
     assert pmf_from_json(p.to_json()) == p
+    assert pmf_from_json('{"lo": -1, "masses": [0.2, 0.3, 0.5]}') == p  # no is_sub
+    sub = make_pmf(0, [0.3, 0.2], is_sub=True)
+    assert pmf_from_json(json.dumps(sub.to_json())) == sub  # "is_sub": true
     text = "\n".join(f"{x} {mass}" for x, mass in p.items())
     assert pmf_from_text(text) == p
 

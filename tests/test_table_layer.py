@@ -14,6 +14,11 @@ they replaced: the text parser, the table validation, ``epower``, the
 polar walks and certificates, the monotone chain, ``integral_to``,
 ``lcm_cont`` and the two-pointer grid merge.  There floats are compared
 by ``float.hex`` and exceptions by type and message.
+
+The closed forms are compared with the scans they replaced: the mode
+set and the peak predicate from the last rise and the first drop against
+the predicate run at every candidate peak, and the majorant's value by
+bisection against the walk over its segments.
 """
 
 import contextlib
@@ -84,10 +89,12 @@ from evshape.numeraire import (
 from evshape.pmf import (
     PROB_TOL,
     SHAPE_TOL,
+    ModeInterval,
     Pmf,
     is_monotone,
     is_theta_unimodal,
     make_pmf,
+    mode_set,
     pmf_from_text,
 )
 
@@ -239,6 +246,43 @@ def ref_witness(q: Pmf, theta: int | None = None) -> EvalFn:
     if best is None:
         raise NoViolation("no adjacent-pair violation found")
     return best[1]
+
+
+def ref_is_theta_unimodal(p: Pmf, theta: int, tol: float = SHAPE_TOL) -> bool:
+    if p.is_empty:
+        return True
+    if theta < p.lo or theta > p.hi:
+        return False
+    for n in range(p.lo, theta + 1):
+        if p.f(n - 1) > p.f(n) + tol:
+            return False
+    for n in range(theta, p.hi + 1):
+        if p.f(n + 1) > p.f(n) + tol:
+            return False
+    return True
+
+
+def ref_mode_set(p: Pmf) -> ModeInterval:
+    if p.is_empty:
+        return ModeInterval.all_integers()
+    hits = [t for t in range(p.lo - 1, p.hi + 2) if ref_is_theta_unimodal(p, t)]
+    if not hits:
+        return ModeInterval.empty()
+    lo, hi = hits[0], hits[-1]
+    if hits != list(range(lo, hi + 1)):
+        raise AssertionError("mode set is not contiguous")
+    return ModeInterval.bounded(lo, hi)
+
+
+def ref_cdf_value(res: LcmResult, n: int) -> float:
+    if n <= -1:
+        return 0.0
+    if n >= res.hi:
+        return res.heights[-1]
+    for k in range(len(res.slopes)):
+        if n <= res.contacts[k + 1]:
+            return res.heights[k] + res.slopes[k] * (n - res.contacts[k])
+    raise AssertionError("unreachable")
 
 
 def _emit_line(obj) -> str:
@@ -881,6 +925,54 @@ def test_witness_matches_the_tilt_per_pair_scan(case):
 def test_pmf_rejects_infinite_masses():
     with pytest.raises(NonFiniteInput):
         Pmf(0, (0.5, math.inf))
+
+
+# ------------------------------------------------------ closed-form shapes
+
+# a step to a neighbour within, at, or just past SHAPE_TOL, either way
+_NEAR = [d * s for d in (0.5e-12, SHAPE_TOL, math.nextafter(SHAPE_TOL, 1.0),
+                         1.5e-12, 2e-12) for s in (1.0, -1.0)]
+
+
+@st.composite
+def shape_tables(draw):
+    # 0-12 entries; zeros (and -0.0) inside and at the ends, and runs of
+    # neighbours that differ by about the shape tolerance
+    masses: list[float] = []
+    for _ in range(draw(st.integers(0, 12))):
+        if masses and draw(st.booleans()):
+            masses.append(max(masses[-1] + draw(st.sampled_from(_NEAR)), 0.0))
+        else:
+            masses.append(draw(st.one_of(st.sampled_from([0.0, -0.0, 0.1, 0.25, 5e-13]),
+                                         st.floats(0.0, 1.0))))
+    return Pmf(draw(st.integers(-5, 5)), tuple(masses))
+
+
+@settings(max_examples=500, deadline=None, database=None)
+@given(p=shape_tables(), tol=st.sampled_from([SHAPE_TOL, 0.0, -0.05, -SHAPE_TOL,
+                                             0.15, math.nan]))
+@example(p=Pmf(0, ()), tol=SHAPE_TOL)  # every peak works
+@example(p=Pmf(-1, (-0.0, 0.3, -0.0)), tol=0.0)  # signed zeros at the ends
+@example(p=Pmf(2, (0.3, 0.2, 0.3)), tol=SHAPE_TOL)  # no peak works
+@example(p=Pmf(0, (0.04, 0.5, 0.03)), tol=-0.05)  # the pads rise and drop
+@example(p=Pmf(0, (0.2, 0.2 + 1e-12, 0.2)), tol=SHAPE_TOL)  # a plateau within tol
+def test_mode_set_and_peaks_match_the_per_peak_scan(p, tol):
+    for theta in range(p.lo - 2, p.hi + 3):
+        assert is_theta_unimodal(p, theta, tol) == ref_is_theta_unimodal(p, theta, tol)
+    assert outcome(mode_set, p) == outcome(ref_mode_set, p)
+
+
+@settings(max_examples=300, deadline=None, database=None)
+@given(lo=st.integers(0, 4), weights=st.lists(
+    st.one_of(st.floats(0.0, 1.0), st.sampled_from([0.0, 0.25, 5e-324])),
+    min_size=1, max_size=12).filter(lambda ws: math.fsum(ws) > 0.0))
+@example(lo=0, weights=[1.0])  # one segment
+@example(lo=3, weights=[0.25, 0.25, 0.25, 0.25])  # one segment from the zeros
+def test_cdf_value_by_bisection_matches_the_segment_walk(lo, weights):
+    total = math.fsum(weights)
+    res = lcm(make_pmf(lo, [w / total for w in weights]))
+    for n in range(-2, res.hi + 3):
+        assert exact(res.cdf_value, n) == exact(ref_cdf_value, res, n)
 
 
 # ------------------------------------------------------- C-level kernels
