@@ -47,11 +47,7 @@ class _Parser(argparse.ArgumentParser):
     # argparse exits 2 on usage errors; 2 is taken by the rejection signal
     def error(self, message):
         self.print_usage(sys.stderr)
-        raise SystemExit(self._usage_exit(message))
-
-    def _usage_exit(self, message) -> int:
-        print(f"{self.prog}: error: {message}", file=sys.stderr)
-        return 1
+        self.exit(1, f"{self.prog}: error: {message}\n")
 
 
 class _Runs:
@@ -92,29 +88,29 @@ _MARK = "\0"  # a _Runs is first written as [_MARK], then its text is spliced in
 _MARK_TEXT = json.dumps(_MARK)
 
 
-def _emit(obj, runs: bool = False) -> None:
+def _emit(obj) -> None:
     """Print ``obj`` as one JSON line: keys sorted, NaN and infinities refused.
 
-    With ``runs``, ``obj`` may hold :class:`_Runs` arrays (and no string
-    equal to ``_MARK``).  Each run's text is written once and repeated,
-    and the arrays are spliced into the rest with one join: the same
-    bytes as ``json.dumps`` of the written-out lists.
+    ``obj`` may hold :class:`_Runs` arrays (and then no string equal to
+    ``_MARK``), which json hands to its ``default`` hook.  Each run's text
+    is written once and repeated, and the arrays are spliced into the rest
+    with one join: the same bytes as ``json.dumps`` of the written-out lists.
     """
-    if not runs:
-        print(json.dumps(obj, sort_keys=True, allow_nan=False), flush=True)
-        return
     parked = []
 
     def park(array: _Runs) -> list[str]:
         parked.append(array)
         return [_MARK]
 
-    parts = json.dumps(obj, sort_keys=True, allow_nan=False, default=park).split(_MARK_TEXT)
-    out = [parts[0]]
-    for array, part in zip(parked, parts[1:]):
-        out += array.pieces()
-        out.append(part)
-    print("".join(out), flush=True)
+    text = json.dumps(obj, sort_keys=True, allow_nan=False, default=park)
+    if parked:
+        parts = text.split(_MARK_TEXT)
+        out = [parts[0]]
+        for array, part in zip(parked, parts[1:]):
+            out += array.pieces()
+            out.append(part)
+        text = "".join(out)
+    print(text, flush=True)
 
 
 def _finite_float(text: str) -> float:
@@ -237,7 +233,7 @@ def _cmd_numeraire(args) -> int:
         "ripr": {"lo": ripr.lo, "masses": _run_length(ripr.masses), "is_sub": ripr.is_sub},
         "numeraire": e.to_json(),
         "max_epower": power,
-    }, runs=True)
+    })
     return 0
 
 
@@ -355,8 +351,9 @@ def main(argv=None) -> int:
         return int(exc.code or 0)
     try:
         return args.fn(args)
-    except (EvshapeError, ValueError, OSError) as exc:
-        print(f"evshape: {exc}", file=sys.stderr)
+    except (EvshapeError, ValueError, OSError, MemoryError) as exc:
+        # a MemoryError comes from a dense peak scan over far-spread data
+        print(f"evshape: {str(exc) or 'out of memory'}", file=sys.stderr)
         return 1
 
 

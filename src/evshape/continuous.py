@@ -32,14 +32,13 @@ import numpy as np
 from .errors import (
     AtomPresent,
     BadInterval,
-    MassSumViolation,
     NegativeValue,
     NonzeroTail,
     ZeroFittedMass,
 )
 from .mode import _check_alpha
 from .numeraire import _upper_hull
-from .pmf import (MASS_TOL, PROB_TOL, SHAPE_TOL, _check_nonnegative, _json_bool,
+from .pmf import (PROB_TOL, SHAPE_TOL, _check_nonnegative, _check_total, _json_bool,
                   _json_number, _json_numbers, _json_object)
 
 
@@ -171,11 +170,7 @@ def make_step_density(
     """Validate a density spec; total mass must behave like a (sub)probability."""
     fn = StepFn(tuple(breakpoints), tuple(levels), 0.0, 0.0)
     d = StepDensity(fn, atom0, is_sub)
-    total = d.total
-    if total > 1.0 + MASS_TOL:
-        raise MassSumViolation(f"total mass {total} exceeds 1")
-    if not is_sub and abs(total - 1.0) > PROB_TOL:
-        raise MassSumViolation(f"total mass {total} is not 1 within {PROB_TOL}")
+    _check_total(d.total, is_sub)
     return d
 
 

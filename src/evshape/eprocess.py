@@ -27,7 +27,7 @@ import numpy as np
 from .errors import InvalidSnapshot, NegativeObservation
 from .evalues import wavelet_lambda
 from .numeraire import _numeraire_evalue, lcm
-from .pmf import Pmf, _json_object
+from .pmf import Pmf, _json_int, _json_number, _json_object
 
 _LN2 = math.log(2.0)
 
@@ -190,20 +190,34 @@ def _snapshot_fields(snap: dict | str, keys) -> dict:
     return snap
 
 
+def _snapshot_table(snap: dict, key: str, read) -> dict:
+    """Table ``key`` of a snapshot: integer keys, each value through ``read``."""
+    table = snap[key]
+    if not isinstance(table, dict):
+        raise InvalidSnapshot(f"snapshot {key} is not a JSON object")
+    try:  # through str, so int() neither truncates 1.5 nor reads true as 1
+        return {int(str(k)): read(v, f"snapshot {key} entry") for k, v in table.items()}
+    except ValueError:
+        raise InvalidSnapshot(f"snapshot {key} has a key that is not an integer") from None
+
+
 def _load_snapshot(
     snap: dict | str, log_keys: tuple[str, ...], nonneg: tuple[str, ...] = ()
 ):
     """Parse a tracker snapshot; returns it with ``n``, counts and log tables.
 
     Raises :class:`InvalidSnapshot` unless ``n``, the counts and every
-    table in ``log_keys`` are present, every count is nonnegative,
+    table in ``log_keys`` are present, every table is a JSON object with
+    integer keys, every count is nonnegative,
     ``n`` is their total, every log factor is finite, and the tables
     named in ``nonneg`` (component indices, or the counts of a stream
-    on the nonnegative integers) have no negative key.
+    on the nonnegative integers) have no negative key.  ``n`` and the
+    counts must be JSON integers and the log factors JSON numbers, or the
+    ``pmf`` readers raise their typed errors.
     """
     snap = _snapshot_fields(snap, ("n", "counts") + log_keys)
-    n = int(snap["n"])
-    counts = {int(k): int(v) for k, v in snap["counts"].items()}
+    n = _json_int(snap["n"], "snapshot n")
+    counts = _snapshot_table(snap, "counts", _json_int)
     if any(v < 0 for v in counts.values()):
         raise InvalidSnapshot("snapshot has a negative count")
     total = sum(counts.values())
@@ -211,7 +225,7 @@ def _load_snapshot(
         raise InvalidSnapshot(f"snapshot n={n} but its counts total {total}")
     tables = []
     for key in log_keys:
-        table = {int(k): float(v) for k, v in snap[key].items()}
+        table = _snapshot_table(snap, key, _json_number)
         if not all(math.isfinite(v) for v in table.values()):
             raise InvalidSnapshot(f"snapshot {key} has a non-finite value")
         tables.append(table)
@@ -316,10 +330,6 @@ class MonotoneTracker:
         self.counts[x] = self.counts.get(x, 0) + 1
         self.n += 1
 
-    def component_value(self, m: int) -> float:
-        """Log of the product at location ``m`` (zero if untouched)."""
-        return self.log_factors.get(m, 0.0)
-
     def mixture_value(self) -> float:
         """Log of the dyadic mixture over all locations."""
         return _log_mixture((self.log_factors, -1, -1))
@@ -390,7 +400,7 @@ class UnimodalTracker:
         keys = ("log_factors_plus", "log_factors_minus")
         snap = _snapshot_fields(snap, ("theta",))
         snap, n, counts, (plus, minus) = _load_snapshot(snap, keys, nonneg=keys)
-        t = cls(int(snap["theta"]))
+        t = cls(_json_int(snap["theta"], "snapshot theta"))
         t.n, t.counts = n, counts
         t.log_rise = {t.theta + m: lf for m, lf in plus.items()}
         t.log_fall = {t.theta - m: lf for m, lf in minus.items()}

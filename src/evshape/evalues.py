@@ -95,6 +95,12 @@ def _over_block_caps(sums, tol: float = PROB_TOL) -> bool:
     return any(map(gt, sums, map(mul, map(float, count(1)), repeat(1.0 + tol))))
 
 
+def _block_excess(sums) -> float:
+    # max over n of rho_n - (n + 1): a side's excess over the uniform blocks'
+    # caps, which the D oracle and its certificate share as they share caps
+    return max(map(sub, sums, map(float, count(1))))
+
+
 @dataclass(frozen=True)
 class PolarCertificate:
     """Running-sum certificate of polar membership.
@@ -125,9 +131,7 @@ class PolarCertificate:
                 raise InvalidCertificate("sides must share the starting value")
             if not 0.5 - SHAPE_TOL <= self.rho[0] <= 1.0 + PROB_TOL:
                 raise InvalidCertificate("starting value outside [1/2, 1]")
-            sup_r = max(r - (n + 1) for n, r in enumerate(self.rho))
-            sup_e = max(r - (n + 1) for n, r in enumerate(self.eta))
-            if sup_r + sup_e > PROB_TOL:
+            if _block_excess(self.rho) + _block_excess(self.eta) > PROB_TOL:
                 raise InvalidCertificate("certificate sums exceed the joint cap")
 
 
@@ -221,13 +225,9 @@ def is_in_polar_D(e: EvalFn, theta: int, tol: float = PROB_TOL) -> bool:
     start = (1.0 + e.at(theta)) / 2.0
     # one index past the table is enough: increments are constant after
     span = max(e.hi - theta, theta - e.lo, 0) + 2
-
-    def side_sup(side) -> float:
-        # max over k of rho_k - (k + 1), rho_k summed in order from start
-        return max(map(sub, accumulate(side, initial=start), map(float, count(1))))
-
-    return (side_sup(e.at_range(theta + 1, theta + span + 1))
-            + side_sup(e.at_range(theta - span, theta, reverse=True))) <= tol
+    rho = accumulate(e.at_range(theta + 1, theta + span + 1), initial=start)
+    eta = accumulate(e.at_range(theta - span, theta, reverse=True), initial=start)
+    return _block_excess(rho) + _block_excess(eta) <= tol
 
 
 def polar_certificate_m(e: EvalFn, upto: int) -> PolarCertificate:

@@ -23,7 +23,7 @@ from fractions import Fraction
 
 from .errors import AlreadyRejected, BadAlpha, InvalidSnapshot, ZeroPhi
 from .eprocess import UnimodalFamily, _peak_value, _snapshot_fields
-from .pmf import ModeInterval
+from .pmf import ModeInterval, _json_int, _json_number
 
 _LOG2_3HALF = math.log2(1.5)
 _LN_3HALF = math.log(1.5)
@@ -47,14 +47,6 @@ class IntSet:
 
     def contains(self, n: int) -> bool:
         return (n in self.members) != self.complement
-
-    @property
-    def is_finite(self) -> bool:
-        return not self.complement
-
-    def intersect_range(self, lo: int, hi: int) -> tuple[int, ...]:
-        """Sorted members of the set inside ``[lo, hi]``."""
-        return tuple(n for n in range(lo, hi + 1) if self.contains(n))
 
     def invert(self) -> "IntSet":
         return IntSet(self.members, not self.complement)
@@ -128,8 +120,6 @@ class ConfidenceSetResult:
 
     rejected: IntSet
     window: tuple[int, int] | None
-    threshold: float
-    n: int
 
     @property
     def weak_set(self) -> IntSet:
@@ -146,19 +136,14 @@ def estimate_scan(n: int) -> tuple[int | None, float]:
     return scan_halfwidth(n, tau), math.log(tau)
 
 
-def _scan(family: UnimodalFamily, margin: int | None, log_tau: float,
-          clip: tuple[int, int] | None = None):
+def _scan(family: UnimodalFamily, margin: int | None, log_tau: float):
     """Scanned window and the peaks in it whose log mixture value exceeds
-    ``log_tau``: the data range widened by ``margin`` and cut to ``clip``,
-    ``None`` with no peaks when the margin is ``None`` or it is empty."""
+    ``log_tau``: the data range widened by ``margin``, ``None`` with no
+    peaks when the margin is ``None``."""
     rng = family.data_range()
     if rng is None or margin is None:
         return None, []
     lo, hi = rng[0] - margin, rng[1] + margin
-    if clip is not None:
-        lo, hi = max(lo, clip[0]), min(hi, clip[1])
-        if lo > hi:
-            return None, []
     vals = family.values_range(lo, hi)
     return (lo, hi), [lo + k for k, v in enumerate(vals) if v > log_tau]
 
@@ -168,19 +153,15 @@ def confidence_set(family: UnimodalFamily, alpha: float) -> ConfidenceSetResult:
     _check_alpha(alpha)
     tau = 1.0 / alpha
     window, rejected = _scan(family, scan_halfwidth(family.n, tau), math.log(tau))
-    return ConfidenceSetResult(IntSet.finite(rejected), window, tau, family.n)
+    return ConfidenceSetResult(IntSet.finite(rejected), window)
 
 
-def mode_estimate(
-    family: UnimodalFamily, clip: tuple[int, int] | None = None
-) -> IntSet:
+def mode_estimate(family: UnimodalFamily) -> IntSet:
     """Set-valued mode estimate: peaks with mixture value at most ``n**2``.
 
     The result is cofinite (every peak far from the data is accepted).
-    With ``clip = (lo, hi)`` only peaks inside the clip window are
-    examined, which is exact for queries restricted to that window.
     """
-    _, rejected = _scan(family, *estimate_scan(family.n), clip)
+    _, rejected = _scan(family, *estimate_scan(family.n))
     return IntSet.cofinite(rejected)
 
 
@@ -272,11 +253,14 @@ class UnrestrictedTest:
         :meth:`to_snapshot` writes is present, the phase is known, ``n``
         counts the first observation plus the family's, the window is the
         first observation's, the tracked peak lies in it, and
-        ``rejected_at`` is ``n`` exactly when the test has rejected.
+        ``rejected_at`` is ``n`` exactly when the test has rejected.  Its
+        integers must be JSON integers and ``alpha`` a JSON number, or the
+        ``pmf`` readers raise their typed errors.
         """
         snap = _snapshot_fields(snap, cls._SNAPSHOT_KEYS)
-        test = cls(float(snap["alpha"]), int(snap["phi"]))
-        phase, n = snap["phase"], int(snap["n"])
+        test = cls(_json_number(snap["alpha"], "snapshot alpha"),
+                   _json_int(snap["phi"], "snapshot phi"))
+        phase, n = snap["phase"], _json_int(snap["n"], "snapshot n")
         if phase == "awaiting_first":
             if n != 0 or snap["first"] is not None or snap["family"] is not None:
                 raise InvalidSnapshot("a test awaiting data cannot hold any")
@@ -286,12 +270,12 @@ class UnrestrictedTest:
         family = UnimodalFamily.from_snapshot(snap["family"])
         if n != family.n + 1:
             raise InvalidSnapshot(f"snapshot n={n} but its family holds {family.n}")
-        first = int(snap["first"])
+        first = _json_int(snap["first"], "snapshot first")
         (lo, hi), _ = first_window(first, test.alpha, test.phi)
         if [int(v) for v in snap["theta_window"]] != [lo, hi]:
             raise InvalidSnapshot(f"window {snap['theta_window']} is not "
                                   f"({lo}, {hi}), the one {first} gives")
-        theta0 = int(snap["theta0"])
+        theta0 = _json_int(snap["theta0"], "snapshot theta0")
         if not lo <= theta0 <= hi:
             raise InvalidSnapshot(f"tracked peak {theta0} outside ({lo}, {hi})")
         rejected_at = snap["rejected_at"]

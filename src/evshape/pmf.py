@@ -178,6 +178,14 @@ def _trimmed(lo: int, masses: list[float]) -> tuple[int, list[float]]:
     return lo + a, masses[a:b]
 
 
+def _check_total(total: float, is_sub: bool) -> None:
+    # the total-mass rule of make_pmf, shared with the step densities
+    if total > 1.0 + MASS_TOL:
+        raise MassSumViolation(f"total mass {total} exceeds 1")
+    if not is_sub and abs(total - 1.0) > PROB_TOL:
+        raise MassSumViolation(f"total mass {total} is not 1 within {PROB_TOL}")
+
+
 def make_pmf(lo: int, masses, is_sub: bool = False) -> Pmf:
     """Validate and normalize a mass table.
 
@@ -188,11 +196,7 @@ def make_pmf(lo: int, masses, is_sub: bool = False) -> Pmf:
     """
     ms = list(map(float, masses))
     _check_nonnegative(ms, NegativeMass, "mass")
-    total = math.fsum(ms)
-    if total > 1.0 + MASS_TOL:
-        raise MassSumViolation(f"total mass {total} exceeds 1")
-    if not is_sub and abs(total - 1.0) > PROB_TOL:
-        raise MassSumViolation(f"total mass {total} is not 1 within {PROB_TOL}")
+    _check_total(math.fsum(ms), is_sub)
     lo2, ms2 = _trimmed(int(lo), ms)
     return Pmf(lo2, tuple(ms2), is_sub)
 

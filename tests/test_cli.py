@@ -171,6 +171,17 @@ def test_mode_track_is_shift_invariant_past_float_precision(monkeypatch, capsys,
     assert moved == base
 
 
+def test_mode_track_reports_far_data_as_one_line(monkeypatch, capsys):
+    # a peak scan as wide as data 2**60 apart cannot be allocated: the line
+    # before it stands, then one typed error line and exit 1, no traceback
+    code, out, err = run_cli(monkeypatch, capsys, ["mode-track", "--alpha", "0.05"],
+                             f"0\n{2**60}\n")
+    assert code == 1
+    assert [json.loads(line)["n"] for line in out.splitlines()] == [1]
+    assert err.startswith("evshape: ") and err.count("\n") == 1
+    assert "Traceback" not in err
+
+
 def test_check_evalue_constant_one(monkeypatch, capsys):
     e_json = json.dumps({"lo": 0, "values": [1.0, 1.0],
                          "left_tail": 1.0, "right_tail": 1.0})

@@ -18,8 +18,13 @@ from evshape.eprocess import (
     peak_values,
     peak_weights,
 )
-from evshape.errors import InvalidSnapshot, NegativeObservation
-from evshape.evalues import wavelet_lambda
+from evshape.errors import (
+    InvalidSnapshot,
+    NegativeObservation,
+    NonIntegerInput,
+    NonNumericInput,
+)
+from evshape.evalues import EvalFn, is_in_polar_D, is_in_polar_M, wavelet_lambda
 from evshape.mode import UnrestrictedTest
 from evshape.pmf import make_pmf, sample
 
@@ -45,7 +50,7 @@ def test_fresh_tracker():
     t = MonotoneTracker()
     assert t.mixture_value() == 0.0
     for m in (0, 7, 100):
-        assert t.component_value(m) == 0.0
+        assert t.log_factors.get(m, 0.0) == 0.0
     snap = t.to_snapshot()
     assert snap == {"n": 0, "counts": {}, "log_factors": {}}
 
@@ -58,15 +63,15 @@ def test_first_observation_is_neutral():
 
 def test_hand_replay_two_ones():
     t = replay_monotone([1, 1])
-    assert t.component_value(0) == pytest.approx(math.log(1.5), abs=1e-15)
-    assert t.component_value(1) == 0.0
+    assert t.log_factors.get(0, 0.0) == pytest.approx(math.log(1.5), abs=1e-15)
+    assert t.log_factors.get(1, 0.0) == 0.0
     assert t.mixture_value() == pytest.approx(math.log(1.25), abs=1e-12)
 
 
 def test_hand_replay_then_drop():
     t = replay_monotone([1, 1, 0])
     # third step sees the empirical of [1, 1]: lambda at the (0, 1) pair is 1/2
-    assert t.component_value(0) == pytest.approx(math.log(0.75), abs=1e-15)
+    assert t.log_factors.get(0, 0.0) == pytest.approx(math.log(0.75), abs=1e-15)
 
 
 def test_mixture_formula_from_forced_state():
@@ -90,8 +95,8 @@ def test_monotone_replay_equivalence():
         assert incremental.mixture_value() == \
             pytest.approx(fresh.mixture_value(), abs=1e-12)
         for m in range(8):
-            assert incremental.component_value(m) == \
-                pytest.approx(fresh.component_value(m), abs=1e-12)
+            assert incremental.log_factors.get(m, 0.0) == \
+                pytest.approx(fresh.log_factors.get(m, 0.0), abs=1e-12)
 
 
 def test_one_step_supermartingale_under_uniform_nulls():
@@ -103,13 +108,13 @@ def test_one_step_supermartingale_under_uniform_nulls():
     for prefix in prefixes:
         base = replay_monotone(prefix)
         base_mix = base.mixture_value()
-        base_comp = {m: base.component_value(m) for m in range(5)}
+        base_comp = {m: base.log_factors.get(m, 0.0) for m in range(5)}
         ratios = {}
         for x in range(7):
             nxt = replay_monotone(prefix + [x])
             ratios[x] = math.exp(nxt.mixture_value() - base_mix)
             for m in range(5):
-                factor = math.exp(nxt.component_value(m) - base_comp[m])
+                factor = math.exp(nxt.log_factors.get(m, 0.0) - base_comp[m])
                 assert factor >= 0.0
         for n in range(6):
             p = make_pmf(0, [1.0 / (n + 1)] * (n + 1))
@@ -208,6 +213,11 @@ def _broken_snapshots(snap, log_keys, nonneg):
     for key in log_keys:
         for bad in (float("nan"), float("inf"), float("-inf")):
             yield dict(snap, **{key: {"0": bad}}), "non-finite"
+    # every table is a JSON object keyed by integers
+    for key in ["counts", *log_keys]:
+        yield dict(snap, **{key: [1]}), "not a JSON object"
+        for bad in ("1.5", "true"):
+            yield dict(snap, **{key: {bad: 1}}), "not an integer"
     # a negative component index would carry evidence no data produced
     for key in nonneg:
         if key == "counts":
@@ -237,6 +247,22 @@ def test_snapshots_reject_inconsistent_state():
     with pytest.raises(InvalidSnapshot):
         MonotoneTracker.from_snapshot(
             '{"n": 5, "counts": {"0": -3}, "log_factors": {"0": NaN}}')
+    # n and counts are JSON integers, log factors JSON numbers: int() would
+    # read 1.7 and true as 1
+    typed = [
+        ({"n": 1.7, "counts": {"0": 1.7}, "log_factors": {}}, NonIntegerInput),
+        ({"n": True, "counts": {"0": 1}, "log_factors": {}}, NonIntegerInput),
+        ({"n": 1, "counts": {"0": 1.0}, "log_factors": {}}, NonIntegerInput),
+        ({"n": 1, "counts": {"0": True}, "log_factors": {}}, NonIntegerInput),
+        ({"n": 1, "counts": {"0": 1}, "log_factors": {"0": "0.5"}}, NonNumericInput),
+        ({"n": 1, "counts": {"0": 1}, "log_factors": {"0": None}}, NonNumericInput),
+    ]
+    for bad, error in typed:
+        for form in (bad, json.dumps(bad)):
+            with pytest.raises(error):
+                MonotoneTracker.from_snapshot(form)
+    with pytest.raises(NonIntegerInput):
+        UnimodalTracker.from_snapshot(dict(uni.to_snapshot(), theta=1.5))
 
 
 
@@ -271,6 +297,46 @@ def test_snapshot_missing_a_key_is_invalid(cls, snap, key):
     for form in (snap, json.dumps(snap)):
         with pytest.raises(InvalidSnapshot, match=f"has no '{key}'"):
             cls.from_snapshot(form)
+
+# ------------------------------------- step factors in the polar sets
+#
+# A process is a test supermartingale iff each step's factor
+# x -> M_{t+1}(x) / M_t is a one-observation e-value for the null, and the
+# polar checks decide that exactly: each tracker state must pass them.
+
+
+def step_factor(cls, snap, value, lo: int, hi: int) -> EvalFn:
+    """``x -> exp(value after x - value now)`` of the state ``snap`` on
+    ``lo..hi``, with tails 1 (an untouched pair tilts by nothing)."""
+    now = value(cls.from_snapshot(snap))
+
+    def after(x):
+        t = cls.from_snapshot(snap)
+        t.update(x)
+        return value(t)
+
+    return EvalFn(lo, [math.exp(after(x) - now) for x in range(lo, hi + 1)], 1.0, 1.0)
+
+
+@settings(max_examples=300, deadline=None, database=None)
+@given(obs=st.lists(st.integers(0, 7), max_size=40))
+def test_monotone_step_factor_is_in_polar_m(obs):
+    t = replay_monotone(obs)
+    e = step_factor(MonotoneTracker, t.to_snapshot(), MonotoneTracker.mixture_value,
+                    0, max(obs, default=0) + 3)
+    assert is_in_polar_M(e)
+
+
+@settings(max_examples=300, deadline=None, database=None)
+@given(theta=st.integers(-3, 8), obs=st.lists(st.integers(-3, 8), max_size=40))
+def test_unimodal_step_factor_is_in_polar_d(theta, obs):
+    t = UnimodalTracker(theta)
+    for x in obs:
+        t.update(x)
+    e = step_factor(UnimodalTracker, t.to_snapshot(), UnimodalTracker.unimodal_value,
+                    min(obs + [theta]) - 3, max(obs + [theta]) + 3)
+    assert is_in_polar_D(e, theta)
+
 
 # ---------------------------------------------------------- UnimodalFamily
 

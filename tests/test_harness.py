@@ -217,7 +217,8 @@ def reference_settlement(c, rep):
     current, last_change = (), 0
     for t, x in enumerate(sample(c.distribution, derive_seed(c.seed, rep), c.n)):
         family.update(x)
-        got = mode_estimate(family, clip).intersect_range(*clip)
+        estimate = mode_estimate(family)
+        got = tuple(t for t in range(clip[0], clip[1] + 1) if estimate.contains(t))
         if got != current:
             current, last_change = got, t + 1
     modes = mode_set(c.distribution)

@@ -11,7 +11,14 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from evshape.eprocess import UnimodalFamily, UnimodalTracker, _peak_value
-from evshape.errors import AlreadyRejected, BadAlpha, InvalidSnapshot, ZeroPhi
+from evshape.errors import (
+    AlreadyRejected,
+    BadAlpha,
+    InvalidSnapshot,
+    NonIntegerInput,
+    NonNumericInput,
+    ZeroPhi,
+)
 from evshape.mode import (
     IntSet,
     UnrestrictedTest,
@@ -85,15 +92,12 @@ def test_one_obs_ci_finite_always_bounded():
 
 def test_intset_basics():
     s = IntSet.finite((1, 5, 5))
-    assert s.is_finite
+    assert not s.complement and s.members == {1, 5}
     assert s.contains(5) and not s.contains(2)
-    assert s.intersect_range(0, 10) == (1, 5)
-    assert s.intersect_range(2, 3) == ()
 
     c = IntSet.cofinite((0,))
-    assert not c.is_finite
-    assert c.contains(99) and not c.contains(0)
-    assert c.intersect_range(-1, 1) == (-1, 1)
+    assert c.complement
+    assert c.contains(99) and not c.contains(0) and c.contains(-1)
     assert c.invert() == IntSet.finite((0,))
     assert IntSet.finite((0,)).invert() == c
 
@@ -230,18 +234,8 @@ def test_mode_estimate_first_step_accepts_everything():
 
 def test_mode_estimate_tracks_empirical_mode():
     obs = sample(make_pmf(0, [0.1, 0.7, 0.2]), 6, 2500)
-    est = mode_estimate(fed_family(obs), clip=(-20, 20))
-    assert est.intersect_range(-20, 20) == (1,)
-
-
-def test_mode_estimate_clip_is_transparent():
-    # clip trims the scan, never the answer inside the clipped box
-    rng = random.Random(15)
-    obs = [0 if rng.random() < 0.5 else 10 for _ in range(800)]
-    family = fed_family(obs)
-    clipped = mode_estimate(family, clip=(-5, 5))
-    full = mode_estimate(family)
-    assert clipped.intersect_range(-5, 5) == full.intersect_range(-5, 5)
+    est = mode_estimate(fed_family(obs))
+    assert [t for t in range(-20, 21) if est.contains(t)] == [1]
 
 
 # -------------------------------------------------------------- strong hull
@@ -434,10 +428,30 @@ def test_unrestricted_snapshots_reject_inconsistent_state():
         (dict(snap, phase="rejected"), "rejected_at"),
         (dict(fresh, n=1), "awaiting"),
         (dict(snap, family=dict(snap["family"], n=99)), "counts total"),
+        (dict(snap, family=dict(snap["family"], counts=[1])), "not a JSON object"),
+        (dict(snap, family=dict(snap["family"], log_rise={"1.5": 0.0})),
+         "not an integer"),
     ]
     for bad, message in broken:
         with pytest.raises(InvalidSnapshot, match=message):
             UnrestrictedTest.from_snapshot(bad)
+    # integers are JSON integers and alpha a JSON number: int() would read
+    # 1.7 and true as 1
+    typed = [
+        (dict(snap, n=float(snap["n"])), NonIntegerInput),
+        (dict(snap, n=True), NonIntegerInput),
+        (dict(snap, phi=1.0), NonIntegerInput),
+        (dict(snap, first=float(snap["first"])), NonIntegerInput),
+        (dict(snap, theta0=snap["theta0"] + 0.5), NonIntegerInput),
+        (dict(snap, alpha="0.3"), NonNumericInput),
+        (dict(snap, alpha=True), NonNumericInput),
+        (dict(snap, family=dict(snap["family"], n=1.7)), NonIntegerInput),
+        (dict(snap, family=dict(snap["family"], log_fall={"0": "x"})), NonNumericInput),
+    ]
+    for bad, error in typed:
+        for form in (bad, json.dumps(bad)):
+            with pytest.raises(error):
+                UnrestrictedTest.from_snapshot(form)
     stopped = UnrestrictedTest(0.6, 1)
     assert run_free(stopped, [0, 4] * 60)[-1] == "reject"
     resumed = UnrestrictedTest.from_snapshot(json.dumps(stopped.to_snapshot()))

@@ -783,10 +783,10 @@ def test_numeraire_payload_matches_the_four_fit_composition(text):
         assert outcome(fn, q) == _TYPED.get(want, want)
 
 
-def _emitted(obj, runs: bool) -> str:
+def _emitted(obj) -> str:
     out = io.StringIO()
     with contextlib.redirect_stdout(out):
-        _emit(obj, runs=runs)
+        _emit(obj)
     return out.getvalue()
 
 
@@ -808,7 +808,7 @@ def test_emit_writes_runs_as_json_writes_the_written_out_lists(a, b, c):
     obj = {"z": a, "m": {"y": b, "x": [1, 2.5]}, "a": c, "b": True}
     plain = {"z": _written_out(a), "m": {"y": _written_out(b), "x": [1, 2.5]},
              "a": _written_out(c), "b": True}
-    assert _emitted(obj, runs=True) == _emitted(plain, runs=False) == (
+    assert _emitted(obj) == _emitted(plain) == (
         json.dumps(plain, sort_keys=True, allow_nan=False) + "\n")
 
 
@@ -829,7 +829,7 @@ def test_run_length_keeps_the_array_and_takes_runs_only_when_they_pay(blocks):
         assert _written_out(got) == list(xs)
         assert min(got.lengths) > 0
         assert all(a != b for a, b in zip(got.values[1:], got.values))
-    assert _emitted({"a": got}, runs=True) == json.dumps({"a": xs}, allow_nan=False) + "\n"
+    assert _emitted({"a": got}) == json.dumps({"a": xs}, allow_nan=False) + "\n"
 
 
 @pytest.mark.parametrize("bad", [math.inf, -math.inf, math.nan])
@@ -837,7 +837,7 @@ def test_a_non_finite_run_raises_what_json_raises(bad):
     with pytest.raises(ValueError) as want:
         json.dumps({"s": [0.5, bad, bad]}, sort_keys=True, allow_nan=False)
     with pytest.raises(type(want.value)) as got:
-        _emitted({"s": _Runs((0.5, bad), [1, 2])}, runs=True)
+        _emitted({"s": _Runs((0.5, bad), [1, 2])})
     assert str(got.value) == str(want.value)
 
 
