@@ -201,38 +201,38 @@ def _snapshot_table(snap: dict, key: str, read) -> dict:
         raise InvalidSnapshot(f"snapshot {key} has a key that is not an integer") from None
 
 
-def _load_snapshot(
-    snap: dict | str, log_keys: tuple[str, ...], nonneg: tuple[str, ...] = ()
-):
-    """Parse a tracker snapshot; returns it with ``n``, counts and log tables.
+def _load_snapshot(snap: dict | str, log_keys: tuple[str, ...], sides: tuple = ()):
+    """Parse a tracker snapshot; returns ``n``, the counts and the log tables.
 
-    Raises :class:`InvalidSnapshot` unless ``n``, the counts and every
-    table in ``log_keys`` are present, every table is a JSON object with
-    integer keys, every count is nonnegative,
-    ``n`` is their total, every log factor is finite, and the tables
-    named in ``nonneg`` (component indices, or the counts of a stream
-    on the nonnegative integers) have no negative key.  ``n`` and the
-    counts must be JSON integers and the log factors JSON numbers, or the
-    ``pmf`` readers raise their typed errors.
+    ``n`` is not stored: it is the total of the counts.  Raises
+    :class:`InvalidSnapshot` unless the counts and every table in
+    ``log_keys`` are present, every table is a JSON object with integer
+    keys, every count is nonnegative, every log factor is finite, and
+    every table named in ``sides``, as ``(key, step, keep)``, holds no
+    site before ``keep`` in the direction of ``step``, the sites
+    :func:`_tilt` keeps.  The counts must be JSON integers and the log
+    factors JSON numbers, or the ``pmf`` readers raise their typed errors.
     """
-    snap = _snapshot_fields(snap, ("n", "counts") + log_keys)
-    n = _json_int(snap["n"], "snapshot n")
+    snap = _snapshot_fields(snap, ("counts",) + log_keys)
     counts = _snapshot_table(snap, "counts", _json_int)
     if any(v < 0 for v in counts.values()):
         raise InvalidSnapshot("snapshot has a negative count")
-    total = sum(counts.values())
-    if n != total:
-        raise InvalidSnapshot(f"snapshot n={n} but its counts total {total}")
-    tables = []
+    tables = {"counts": counts}
     for key in log_keys:
-        table = _snapshot_table(snap, key, _json_number)
-        if not all(math.isfinite(v) for v in table.values()):
+        tables[key] = _snapshot_table(snap, key, _json_number)
+        if not all(math.isfinite(v) for v in tables[key].values()):
             raise InvalidSnapshot(f"snapshot {key} has a non-finite value")
-        tables.append(table)
-    for key, table in zip(("counts",) + log_keys, [counts] + tables):
-        if key in nonneg and min(table, default=0) < 0:
-            raise InvalidSnapshot(f"snapshot {key} has a negative key")
-    return snap, n, counts, tables
+    for key, step, keep in sides:
+        if any((s - keep) * step < 0 for s in tables[key]):
+            side = "below" if step > 0 else "above"
+            raise InvalidSnapshot(f"snapshot {key} has a site {side} {keep}")
+    return sum(counts.values()), counts, [tables[key] for key in log_keys]
+
+
+def _write_snapshot(counts: dict, **logs: dict) -> dict:
+    """JSON-ready snapshot: the counts and each log table, in site order."""
+    return {key: {str(s): v for s, v in sorted(table.items())}
+            for key, table in (("counts", counts), *logs.items())}
 
 
 def _check_obs(x) -> int:
@@ -335,20 +335,14 @@ class MonotoneTracker:
         return _log_mixture((self.log_factors, -1, -1))
 
     def to_snapshot(self) -> dict:
-        """JSON-ready state: ``n``, counts, and per-location log factors."""
-        return {
-            "n": self.n,
-            "counts": {str(k): v for k, v in sorted(self.counts.items())},
-            "log_factors": {str(m): v for m, v in sorted(self.log_factors.items())},
-        }
+        """JSON-ready state: counts and per-site log factors."""
+        return _write_snapshot(self.counts, log_factors=self.log_factors)
 
     @classmethod
     def from_snapshot(cls, snap: dict | str) -> "MonotoneTracker":
-        _, n, counts, (log_factors,) = _load_snapshot(
-            snap, ("log_factors",), nonneg=("counts", "log_factors")
-        )
         t = cls()
-        t.n, t.counts, t.log_factors = n, counts, log_factors
+        t.n, t.counts, (t.log_factors,) = _load_snapshot(
+            snap, ("log_factors",), (("counts", 1, 0), ("log_factors", 1, 0)))
         return t
 
 
@@ -359,7 +353,8 @@ class UnimodalTracker:
     products at sites ``i <= theta``.  The component index of a site is
     its distance ``m = |site - theta|`` from the peak, and each side
     weights component ``m`` by ``2**-(m+2)``, so the two sides together
-    carry total weight one.  Snapshots are keyed by ``m``.
+    carry total weight one.  Snapshots are keyed by site, as the
+    family's are.
     """
 
     def __init__(self, theta: int) -> None:
@@ -381,29 +376,16 @@ class UnimodalTracker:
         return _peak_value(self.log_rise, self.log_fall, self.theta)
 
     def to_snapshot(self) -> dict:
-        th = self.theta
-        return {
-            "theta": th,
-            "n": self.n,
-            "counts": {str(k): v for k, v in sorted(self.counts.items())},
-            "log_factors_plus": {
-                str(j - th): v for j, v in sorted(self.log_rise.items())
-            },
-            "log_factors_minus": {
-                str(th - i): v
-                for i, v in sorted(self.log_fall.items(), reverse=True)
-            },
-        }
+        return {"theta": self.theta, **_write_snapshot(
+            self.counts, log_rise=self.log_rise, log_fall=self.log_fall)}
 
     @classmethod
     def from_snapshot(cls, snap: dict | str) -> "UnimodalTracker":
-        keys = ("log_factors_plus", "log_factors_minus")
         snap = _snapshot_fields(snap, ("theta",))
-        snap, n, counts, (plus, minus) = _load_snapshot(snap, keys, nonneg=keys)
         t = cls(_json_int(snap["theta"], "snapshot theta"))
-        t.n, t.counts = n, counts
-        t.log_rise = {t.theta + m: lf for m, lf in plus.items()}
-        t.log_fall = {t.theta - m: lf for m, lf in minus.items()}
+        sides = (("log_rise", 1, t.theta), ("log_fall", -1, t.theta))
+        t.n, t.counts, (t.log_rise, t.log_fall) = _load_snapshot(
+            snap, ("log_rise", "log_fall"), sides)
         return t
 
 
@@ -455,23 +437,16 @@ class UnimodalFamily:
         weights = peak_weights([s - lo for s in sites], range(hi - lo + 1))
         return peak_values(logs, weights)
 
-    def value(self, theta: int) -> float:
-        """Log mixture value for one peak location."""
-        return float(self.values_range(theta, theta)[0])
-
     def to_snapshot(self) -> dict:
-        return {
-            "n": self.n,
-            "counts": {str(k): v for k, v in sorted(self.counts.items())},
-            "log_rise": {str(k): v for k, v in sorted(self.log_rise.items())},
-            "log_fall": {str(k): v for k, v in sorted(self.log_fall.items())},
-        }
+        """JSON-ready state: counts and the rise and fall logs by site."""
+        return _write_snapshot(self.counts, log_rise=self.log_rise,
+                               log_fall=self.log_fall)
 
     @classmethod
     def from_snapshot(cls, snap: dict | str) -> "UnimodalFamily":
-        _, n, counts, (rise, fall) = _load_snapshot(snap, ("log_rise", "log_fall"))
         f = cls()
-        f.n, f.counts, f.log_rise, f.log_fall = n, counts, rise, fall
+        f.n, f.counts, (f.log_rise, f.log_fall) = _load_snapshot(
+            snap, ("log_rise", "log_fall"))
         return f
 
 

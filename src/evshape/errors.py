@@ -68,8 +68,8 @@ class AlreadyRejected(EvshapeError):
 
 
 class InvalidSnapshot(EvshapeError):
-    """A snapshot has a negative count, an ``n`` that is not the total of
-    its counts, a non-finite log factor, or a state no run reaches."""
+    """A snapshot misses a key, or has a negative count, a non-finite log
+    factor, or a state no run reaches."""
 
 
 # ------------------------------------------------- mode inference / CIs

@@ -68,10 +68,6 @@ class EvalFn:
             return chain(above, islice(reversed(self.values), n - j, n - i), below)
         return chain(below, islice(self.values, i, j), above)
 
-    @classmethod
-    def constant(cls, c: float) -> "EvalFn":
-        return cls(0, (float(c),), float(c), float(c))
-
     def to_json(self) -> dict:
         return {
             "lo": self.lo,

@@ -23,7 +23,7 @@ from fractions import Fraction
 
 from .errors import AlreadyRejected, BadAlpha, InvalidSnapshot, ZeroPhi
 from .eprocess import UnimodalFamily, _peak_value, _snapshot_fields
-from .pmf import ModeInterval, _json_int, _json_number
+from .pmf import ModeInterval, _json_bool, _json_int, _json_number
 
 _LOG2_3HALF = math.log2(1.5)
 _LN_3HALF = math.log(1.5)
@@ -123,6 +123,7 @@ class ConfidenceSetResult:
 
     @property
     def weak_set(self) -> IntSet:
+        """The weak mode confidence set: every peak not rejected."""
         return self.rejected.invert()
 
 
@@ -210,8 +211,7 @@ class UnrestrictedTest:
     the snapshot: a restored test evaluates at its next observation.
     """
 
-    _SNAPSHOT_KEYS = ("alpha", "phi", "phase", "n", "first", "theta_window",
-                      "theta0", "rejected_at", "family")
+    _SNAPSHOT_KEYS = ("alpha", "phi", "first", "theta0", "rejected", "family")
 
     def __init__(self, alpha: float, phi: int) -> None:
         _check_alpha(alpha)
@@ -219,29 +219,40 @@ class UnrestrictedTest:
             raise ZeroPhi("the anchor must be nonzero")
         self.alpha = float(alpha)
         self.phi = int(phi)
-        self.phase = "awaiting_first"
-        self.n = 0
         self.first: int | None = None
-        self.theta_window: tuple[int, int] | None = None
         self.family: UnimodalFamily | None = None
-        self.rejected_at: int | None = None
+        self.rejected = False
         self._log_threshold, self._log_cut = free_levels(alpha)
         self._theta0: int | None = None
         self._skip = 0  # coming observations that cannot reach the cut
 
+    @property
+    def n(self) -> int:
+        """Observations seen: the first one and the family's."""
+        return 0 if self.family is None else self.family.n + 1
+
+    @property
+    def theta_window(self) -> tuple[int, int] | None:
+        """The peak window of the first observation (:func:`first_window`)."""
+        if self.first is None:
+            return None
+        return first_window(self.first, self.alpha, self.phi)[0]
+
+    @property
+    def rejected_at(self) -> int | None:
+        """The observation at which the test rejected, if it has."""
+        return self.n if self.rejected else None
+
     def to_snapshot(self) -> dict:
-        """JSON-ready state: level, anchor, phase, first observation, window,
-        tracked peak and family snapshot (``None`` before the first step)."""
+        """JSON-ready state: level, anchor, first observation, tracked peak,
+        whether the test has rejected, and the family snapshot (``None``
+        before the first step)."""
         return {
             "alpha": self.alpha,
             "phi": self.phi,
-            "phase": self.phase,
-            "n": self.n,
             "first": self.first,
-            "theta_window": None if self.theta_window is None
-            else list(self.theta_window),
             "theta0": self._theta0,
-            "rejected_at": self.rejected_at,
+            "rejected": self.rejected,
             "family": None if self.family is None else self.family.to_snapshot(),
         }
 
@@ -249,58 +260,45 @@ class UnrestrictedTest:
     def from_snapshot(cls, snap: dict | str) -> "UnrestrictedTest":
         """Restore a test; the family goes through its own validation.
 
-        Raises :class:`InvalidSnapshot` unless every key that
-        :meth:`to_snapshot` writes is present, the phase is known, ``n``
-        counts the first observation plus the family's, the window is the
-        first observation's, the tracked peak lies in it, and
-        ``rejected_at`` is ``n`` exactly when the test has rejected.  Its
-        integers must be JSON integers and ``alpha`` a JSON number, or the
+        ``n``, the window and the stop step are recomputed from the first
+        observation, the family and ``rejected``.  Raises
+        :class:`InvalidSnapshot` unless every key that :meth:`to_snapshot`
+        writes is present, a test without a first observation holds no
+        family, tracked peak or rejection, and the tracked peak lies in the
+        first observation's window.  Its integers must be JSON integers,
+        ``alpha`` a JSON number and ``rejected`` a JSON boolean, or the
         ``pmf`` readers raise their typed errors.
         """
         snap = _snapshot_fields(snap, cls._SNAPSHOT_KEYS)
         test = cls(_json_number(snap["alpha"], "snapshot alpha"),
                    _json_int(snap["phi"], "snapshot phi"))
-        phase, n = snap["phase"], _json_int(snap["n"], "snapshot n")
-        if phase == "awaiting_first":
-            if n != 0 or snap["first"] is not None or snap["family"] is not None:
+        rejected = _json_bool(snap["rejected"], "snapshot rejected")
+        if snap["first"] is None:
+            if snap["family"] is not None or snap["theta0"] is not None or rejected:
                 raise InvalidSnapshot("a test awaiting data cannot hold any")
             return test
-        if phase not in ("running", "rejected"):
-            raise InvalidSnapshot(f"unknown phase {phase!r}")
-        family = UnimodalFamily.from_snapshot(snap["family"])
-        if n != family.n + 1:
-            raise InvalidSnapshot(f"snapshot n={n} but its family holds {family.n}")
         first = _json_int(snap["first"], "snapshot first")
+        family = UnimodalFamily.from_snapshot(snap["family"])
         (lo, hi), _ = first_window(first, test.alpha, test.phi)
-        if [int(v) for v in snap["theta_window"]] != [lo, hi]:
-            raise InvalidSnapshot(f"window {snap['theta_window']} is not "
-                                  f"({lo}, {hi}), the one {first} gives")
         theta0 = _json_int(snap["theta0"], "snapshot theta0")
         if not lo <= theta0 <= hi:
             raise InvalidSnapshot(f"tracked peak {theta0} outside ({lo}, {hi})")
-        rejected_at = snap["rejected_at"]
-        if rejected_at != (n if phase == "rejected" else None):
-            raise InvalidSnapshot(f"rejected_at={rejected_at!r} in phase {phase!r}")
-        test.phase, test.n, test.rejected_at = phase, n, rejected_at
-        test.first, test.theta_window, test.family = first, (lo, hi), family
+        test.first, test.family, test.rejected = first, family, rejected
         test._theta0 = theta0
         return test
 
     def step(self, x: int) -> str:
         """Feed one observation; returns ``"continue"`` or ``"reject"``."""
-        if self.phase == "rejected":
+        if self.rejected:
             raise AlreadyRejected(f"test stopped at observation {self.rejected_at}")
         x = int(x)
-        if self.phase == "awaiting_first":
+        if self.family is None:
             self.first = x
-            self.theta_window, self._theta0 = first_window(x, self.alpha, self.phi)
+            _, self._theta0 = first_window(x, self.alpha, self.phi)
             self.family = UnimodalFamily()
-            self.n = 1
-            self.phase = "running"
             return "continue"
         fam = self.family
         fam.update(x)
-        self.n += 1
         if self._skip:
             self._skip -= 1
             return "continue"
@@ -315,8 +313,7 @@ class UnrestrictedTest:
         vals = fam.values_range(lo, hi)
         k = int(vals.argmin())
         if float(vals[k]) >= self._log_threshold:
-            self.phase = "rejected"
-            self.rejected_at = self.n
+            self.rejected = True
             return "reject"
         self._theta0 = lo + k
         return "continue"

@@ -51,7 +51,8 @@ class LcmResult:
         return list(chain.from_iterable(map(repeat, self.slopes, runs)))
 
     def cdf_value(self, n: int) -> float:
-        """Majorant evaluated at the integer ``n``."""
+        """The least concave majorant of the CDF at the integer ``n``: 0 at
+        and left of the anchor ``-1``, the total mass from ``hi`` on."""
         if n <= -1:
             return 0.0
         if n >= self.hi:

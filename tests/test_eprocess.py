@@ -14,6 +14,7 @@ from evshape.eprocess import (
     UnimodalFamily,
     UnimodalTracker,
     _lambdas,
+    _numeraire_logs,
     numeraire_eprocess,
     peak_values,
     peak_weights,
@@ -26,7 +27,9 @@ from evshape.errors import (
 )
 from evshape.evalues import EvalFn, is_in_polar_D, is_in_polar_M, wavelet_lambda
 from evshape.mode import UnrestrictedTest
+from evshape.numeraire import lcm
 from evshape.pmf import make_pmf, sample
+from test_row_engine import fold_in_blocks
 
 
 def replay_monotone(obs) -> MonotoneTracker:
@@ -52,7 +55,7 @@ def test_fresh_tracker():
     for m in (0, 7, 100):
         assert t.log_factors.get(m, 0.0) == 0.0
     snap = t.to_snapshot()
-    assert snap == {"n": 0, "counts": {}, "log_factors": {}}
+    assert snap == {"counts": {}, "log_factors": {}}
 
 
 def test_first_observation_is_neutral():
@@ -185,9 +188,11 @@ def test_unimodal_snapshot_shape():
     t.update(1)
     snap = t.to_snapshot()
     assert snap["theta"] == 0
-    assert snap["n"] == 2
     assert snap["counts"] == {"1": 2}
-    assert "log_factors_plus" in snap and "log_factors_minus" in snap
+    # keyed by site, as the family's snapshot is
+    assert set(snap) == {"theta", "counts", "log_rise", "log_fall"}
+    assert set(snap["log_rise"]) == {"0", "1"} and set(snap["log_fall"]) == set()
+    assert UnimodalTracker.from_snapshot(snap).n == 2
 
 
 def test_snapshot_resume_equals_uninterrupted_run():
@@ -207,9 +212,8 @@ def test_snapshot_resume_equals_uninterrupted_run():
         assert getattr(resumed, value)() == getattr(whole, value)()
 
 
-def _broken_snapshots(snap, log_keys, nonneg):
-    yield dict(snap, counts={"0": -3}, n=-3), "negative count"
-    yield dict(snap, n=snap["n"] + 1), "counts total"
+def _broken_snapshots(snap, log_keys, sides):
+    yield dict(snap, counts={"0": -3}), "negative count"
     for key in log_keys:
         for bad in (float("nan"), float("inf"), float("-inf")):
             yield dict(snap, **{key: {"0": bad}}), "non-finite"
@@ -218,12 +222,9 @@ def _broken_snapshots(snap, log_keys, nonneg):
         yield dict(snap, **{key: [1]}), "not a JSON object"
         for bad in ("1.5", "true"):
             yield dict(snap, **{key: {bad: 1}}), "not an integer"
-    # a negative component index would carry evidence no data produced
-    for key in nonneg:
-        if key == "counts":
-            yield dict(snap, counts={"-1": 1}, n=1), "negative key"
-        else:
-            yield dict(snap, **{key: {"-1": 3.0}}), "negative key"
+    # a site outside the tracker's side would carry evidence no data produced
+    for key, site, message in sides:
+        yield dict(snap, **{key: {str(site): 3 if key == "counts" else 3.0}}), message
 
 
 def test_snapshots_reject_inconsistent_state():
@@ -233,29 +234,32 @@ def test_snapshots_reject_inconsistent_state():
         uni.update(x)
     cases = [
         (MonotoneTracker, mono.to_snapshot(), ["log_factors"],
-         ["counts", "log_factors"]),
-        (UnimodalTracker, uni.to_snapshot(),
-         ["log_factors_plus", "log_factors_minus"],
-         ["log_factors_plus", "log_factors_minus"]),
+         [("counts", -1, "counts has a site below 0"),
+          ("log_factors", -1, "log_factors has a site below 0")]),
+        (UnimodalTracker, uni.to_snapshot(), ["log_rise", "log_fall"],
+         [("log_rise", 0, "log_rise has a site below 1"),
+          ("log_fall", 2, "log_fall has a site above 1")]),
         (UnimodalFamily, replay_family([0, 1, 2, 1]).to_snapshot(),
          ["log_rise", "log_fall"], []),
     ]
-    for cls, snap, log_keys, nonneg in cases:
-        for broken, message in _broken_snapshots(snap, log_keys, nonneg):
+    for cls, snap, log_keys, sides in cases:
+        for broken, message in _broken_snapshots(snap, log_keys, sides):
             with pytest.raises(InvalidSnapshot, match=message):
                 cls.from_snapshot(broken)
+    # the family keeps every site on both sides
+    family = replay_family([0, 1, 2, 1]).to_snapshot()
+    wide = dict(family, log_rise={"-9": 0.5}, log_fall={"9": 0.5})
+    assert UnimodalFamily.from_snapshot(wide).log_rise == {-9: 0.5}
     with pytest.raises(InvalidSnapshot):
-        MonotoneTracker.from_snapshot(
-            '{"n": 5, "counts": {"0": -3}, "log_factors": {"0": NaN}}')
-    # n and counts are JSON integers, log factors JSON numbers: int() would
-    # read 1.7 and true as 1
+        MonotoneTracker.from_snapshot('{"counts": {"0": -3}, "log_factors": {"0": NaN}}')
+    # counts are JSON integers, log factors JSON numbers: int() would read
+    # 1.7 and true as 1
     typed = [
-        ({"n": 1.7, "counts": {"0": 1.7}, "log_factors": {}}, NonIntegerInput),
-        ({"n": True, "counts": {"0": 1}, "log_factors": {}}, NonIntegerInput),
-        ({"n": 1, "counts": {"0": 1.0}, "log_factors": {}}, NonIntegerInput),
-        ({"n": 1, "counts": {"0": True}, "log_factors": {}}, NonIntegerInput),
-        ({"n": 1, "counts": {"0": 1}, "log_factors": {"0": "0.5"}}, NonNumericInput),
-        ({"n": 1, "counts": {"0": 1}, "log_factors": {"0": None}}, NonNumericInput),
+        ({"counts": {"0": 1.7}, "log_factors": {}}, NonIntegerInput),
+        ({"counts": {"0": 1.0}, "log_factors": {}}, NonIntegerInput),
+        ({"counts": {"0": True}, "log_factors": {}}, NonIntegerInput),
+        ({"counts": {"0": 1}, "log_factors": {"0": "0.5"}}, NonNumericInput),
+        ({"counts": {"0": 1}, "log_factors": {"0": None}}, NonNumericInput),
     ]
     for bad, error in typed:
         for form in (bad, json.dumps(bad)):
@@ -298,6 +302,40 @@ def test_snapshot_missing_a_key_is_invalid(cls, snap, key):
         with pytest.raises(InvalidSnapshot, match=f"has no '{key}'"):
             cls.from_snapshot(form)
 
+
+# Snapshots of the streams above as written when they stored n, the peak
+# tracker keyed its tables by distance from the peak, and the free test
+# stored its phase, window and stop step
+_TABLES_V1 = ('"log_rise": {"-1": 0.0, "0": 0.0, "1": 0.0, "2": 0.0}, "log_fall": '
+              '{"0": 0.0, "1": -0.6931471805599453, "2": -0.6931471805599453, "3": 0.0}')
+_SNAPSHOTS_V1 = [
+    (MonotoneTracker, '{"n": 4, "counts": {"0": 2, "1": 1, "2": 1}, '
+     '"log_factors": {"0": 0.0, "1": 0.0, "2": 0.0}}', None),
+    (UnimodalTracker, '{"theta": 1, "n": 4, "counts": {"0": 1, "1": 2, "2": 1}, '
+     '"log_factors_plus": {"0": 0.0, "1": 0.0}, '
+     '"log_factors_minus": {"0": -0.6931471805599453, "1": 0.0}}', "log_rise"),
+    (UnimodalFamily, '{"n": 4, "counts": {"0": 1, "1": 2, "2": 1}, ' + _TABLES_V1 + '}',
+     None),
+    (UnrestrictedTest, '{"alpha": 0.3, "phi": 1, "phase": "running", "n": 4, '
+     '"first": 3, "theta_window": [-39, 45], "theta0": 3, "rejected_at": null, '
+     '"family": {"n": 3, "counts": {"0": 1, "1": 1, "2": 1}, ' + _TABLES_V1 + '}}',
+     "rejected"),
+]
+
+
+@pytest.mark.parametrize("cls, text, missing", _SNAPSHOTS_V1,
+                         ids=[cls.__name__ for cls, _, _ in _SNAPSHOTS_V1])
+def test_snapshot_with_stored_n_loads_only_if_no_key_is_missing(cls, text, missing):
+    if missing is not None:
+        with pytest.raises(InvalidSnapshot, match=f"has no '{missing}'"):
+            cls.from_snapshot(text)
+        return
+    old = json.loads(text)
+    restored = cls.from_snapshot(old)
+    assert restored.n == old.pop("n")
+    assert restored.to_snapshot() == old
+
+
 # ------------------------------------- step factors in the polar sets
 #
 # A process is a test supermartingale iff each step's factor
@@ -338,6 +376,42 @@ def test_unimodal_step_factor_is_in_polar_d(theta, obs):
     assert is_in_polar_D(e, theta)
 
 
+@settings(max_examples=150, deadline=None, database=None)
+@given(rows=st.integers(1, 30).flatmap(lambda n: st.lists(
+           st.lists(st.integers(0, 7), min_size=n, max_size=n), min_size=1, max_size=3)),
+       cuts=st.lists(st.integers(1, 29), max_size=4))
+def test_monotone_rows_step_factor_is_in_polar_m(rows, cuts):
+    for row, tracker in zip(rows, fold_in_blocks(rows, cuts)):
+        e = step_factor(MonotoneTracker, tracker.to_snapshot(),
+                        MonotoneTracker.mixture_value, 0, max(row) + 3)
+        assert is_in_polar_M(e)
+
+
+@settings(max_examples=300, deadline=None, database=None)
+@given(masses=st.lists(st.one_of(st.just(0.0), st.floats(1e-3, 1.0)),
+                       min_size=1, max_size=13).filter(any))
+def test_numeraire_step_factor_is_in_polar_m(masses):
+    total = math.fsum(masses)
+    q = make_pmf(0, [m / total for m in masses])
+    # one observation's factor; past q.hi the product drops to zero
+    logs = _numeraire_logs(q, lcm(q).fitted_masses())[:q.hi + 1]
+    assert is_in_polar_M(EvalFn(0, [math.exp(v) for v in logs], 0.0, 0.0))
+
+
+@settings(max_examples=100, deadline=None, database=None)
+@given(obs=st.lists(st.integers(-3, 6), max_size=30))
+def test_family_peak_step_factors_are_in_polar_d_and_at_most_3_halves(obs):
+    # each peak alone, through values_range(theta, theta); the 3/2 bound is
+    # what UnrestrictedTest's skip rule rests on
+    snap = replay_family(obs).to_snapshot()
+    lo, hi = min(obs, default=0) - 3, max(obs, default=0) + 3
+    for theta in range(lo, hi + 1):
+        e = step_factor(UnimodalFamily, snap,
+                        lambda f: float(f.values_range(theta, theta)[0]), lo, hi)
+        assert is_in_polar_D(e, theta)
+        assert max(e.values) <= 1.5
+
+
 # ---------------------------------------------------------- UnimodalFamily
 
 
@@ -350,8 +424,8 @@ def test_family_matches_standalone_trackers():
         for x in obs:
             t.update(x)
         # same per-site logs; the mixture reductions round differently
-        assert family.value(theta) == pytest.approx(t.unimodal_value(),
-                                                    abs=1e-12)
+        assert family.values_range(theta, theta)[0] == \
+            pytest.approx(t.unimodal_value(), abs=1e-12)
 
 
 def test_family_values_range_consistent():
@@ -359,16 +433,17 @@ def test_family_values_range_consistent():
     family = replay_family(rng.randint(0, 4) for _ in range(150))
     grid = family.values_range(-6, 10)
     for offset, theta in enumerate(range(-6, 11)):
-        assert grid[offset] == family.value(theta)
+        assert grid[offset] == family.values_range(theta, theta)[0]
 
 
 def test_family_data_range_and_snapshot():
     family = replay_family([4, -1, 2])
     assert family.data_range() == (-1, 4)
     snap = family.to_snapshot()
-    assert snap["n"] == 3
     assert snap["counts"] == {"-1": 1, "2": 1, "4": 1}
-    assert set(snap) == {"n", "counts", "log_rise", "log_fall"}
+    assert set(snap) == {"counts", "log_rise", "log_fall"}
+    # n is the total of the counts
+    assert UnimodalFamily.from_snapshot(snap).n == 3
 
 
 @settings(max_examples=60, deadline=None, database=None)

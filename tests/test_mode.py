@@ -15,6 +15,7 @@ from evshape.errors import (
     AlreadyRejected,
     BadAlpha,
     InvalidSnapshot,
+    MalformedJson,
     NonIntegerInput,
     NonNumericInput,
     ZeroPhi,
@@ -414,20 +415,13 @@ def test_unrestricted_snapshots_reject_inconsistent_state():
     snap = test.to_snapshot()
     assert UnrestrictedTest.from_snapshot(snap).to_snapshot() == snap
     fresh = UnrestrictedTest(0.3, 1).to_snapshot()
-    lo, hi = snap["theta_window"]
+    assert set(snap) == {"alpha", "phi", "first", "theta0", "rejected", "family"}
+    hi = test.theta_window[1]
     broken = [
-        (dict(snap, phase="done"), "phase"),
-        (dict(snap, n=snap["n"] + 1), "family holds"),
-        # a hand-widened window would test at a level other than alpha
-        (dict(snap, theta_window=[lo - 1, hi]), "window"),
-        (dict(snap, theta_window=[lo, hi + 5]), "window"),
-        (dict(snap, first=snap["first"] + 1), "window"),
-        (dict(fresh, first=0), "awaiting"),
-        (dict(snap, theta0=snap["theta_window"][1] + 1), "outside"),
-        (dict(snap, rejected_at=snap["n"]), "rejected_at"),
-        (dict(snap, phase="rejected"), "rejected_at"),
-        (dict(fresh, n=1), "awaiting"),
-        (dict(snap, family=dict(snap["family"], n=99)), "counts total"),
+        (dict(fresh, family=snap["family"]), "awaiting"),
+        (dict(fresh, theta0=0), "awaiting"),
+        (dict(fresh, rejected=True), "awaiting"),
+        (dict(snap, theta0=hi + 1), "outside"),
         (dict(snap, family=dict(snap["family"], counts=[1])), "not a JSON object"),
         (dict(snap, family=dict(snap["family"], log_rise={"1.5": 0.0})),
          "not an integer"),
@@ -435,17 +429,18 @@ def test_unrestricted_snapshots_reject_inconsistent_state():
     for bad, message in broken:
         with pytest.raises(InvalidSnapshot, match=message):
             UnrestrictedTest.from_snapshot(bad)
-    # integers are JSON integers and alpha a JSON number: int() would read
-    # 1.7 and true as 1
+    # integers are JSON integers, alpha a JSON number and rejected a JSON
+    # boolean: int() would read 1.7 and true as 1
     typed = [
-        (dict(snap, n=float(snap["n"])), NonIntegerInput),
-        (dict(snap, n=True), NonIntegerInput),
         (dict(snap, phi=1.0), NonIntegerInput),
         (dict(snap, first=float(snap["first"])), NonIntegerInput),
         (dict(snap, theta0=snap["theta0"] + 0.5), NonIntegerInput),
         (dict(snap, alpha="0.3"), NonNumericInput),
         (dict(snap, alpha=True), NonNumericInput),
-        (dict(snap, family=dict(snap["family"], n=1.7)), NonIntegerInput),
+        (dict(snap, rejected=0), MalformedJson),
+        (dict(snap, rejected="false"), MalformedJson),
+        (dict(fresh, rejected=None), MalformedJson),
+        (dict(snap, family=dict(snap["family"], counts={"0": 1.7})), NonIntegerInput),
         (dict(snap, family=dict(snap["family"], log_fall={"0": "x"})), NonNumericInput),
     ]
     for bad, error in typed:
@@ -455,7 +450,8 @@ def test_unrestricted_snapshots_reject_inconsistent_state():
     stopped = UnrestrictedTest(0.6, 1)
     assert run_free(stopped, [0, 4] * 60)[-1] == "reject"
     resumed = UnrestrictedTest.from_snapshot(json.dumps(stopped.to_snapshot()))
-    assert resumed.rejected_at == stopped.rejected_at
+    assert resumed.rejected_at == stopped.rejected_at == 51
+    assert resumed.theta_window == (-11, 11)
     with pytest.raises(AlreadyRejected):
         resumed.step(0)
     with pytest.raises(BadAlpha):
