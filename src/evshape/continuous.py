@@ -33,6 +33,7 @@ from .errors import (
     AtomPresent,
     BadInterval,
     NegativeValue,
+    NonFiniteInput,
     NonzeroTail,
     ZeroFittedMass,
 )
@@ -414,8 +415,7 @@ def edelman_ci(x: float, alpha: float, phi: float) -> RealInterval:
     _check_alpha(alpha)
     if x == phi:
         return RealInterval.singleton(x)
-    radius = (2.0 / alpha - 1.0) * abs(x - phi)
-    return RealInterval.open(x - radius, x + radius)
+    return _open_around(x, 2.0 / alpha - 1.0, phi)
 
 
 def cont_mode_ci(x: float, alpha: float, phi: float) -> RealInterval:
@@ -427,8 +427,18 @@ def cont_mode_ci(x: float, alpha: float, phi: float) -> RealInterval:
     _check_alpha(alpha)
     if x == phi:
         return RealInterval.all_reals()
-    radius = (2.0 / alpha + 1.0) * abs(x - phi)
-    return RealInterval.open(x - radius, x + radius)
+    return _open_around(x, 2.0 / alpha + 1.0, phi)
+
+
+def _open_around(x: float, factor: float, phi: float) -> RealInterval:
+    """The open interval ``x -+ factor |x - phi|``; :class:`NonFiniteInput`
+    names it where an end overflows a float."""
+    radius = factor * abs(x - phi)
+    lo, hi = x - radius, x + radius
+    if not (math.isfinite(lo) and math.isfinite(hi)):
+        raise NonFiniteInput(f"interval {x!r} -+ {factor!r} * |{x!r} - {phi!r}| "
+                             "overflows a float")
+    return RealInterval.open(lo, hi)
 
 
 # ------------------------------------------------------ concave majorant

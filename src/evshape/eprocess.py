@@ -53,6 +53,45 @@ def _tilt(logs: dict, counts: dict, x: int, step: int, keep: int) -> None:
     logs[x] = logs.get(x, 0.0) + math.log(1.0 - lam)
 
 
+# Every amplitude lies in [0, 1/2], so one observation multiplies each
+# site's product, and with them every peak's mixture value, by a factor in
+# [1/2, 3/2]: a log mixture value rises by at most _LN_RISE and falls by at
+# most _LN_FALL per observation.
+_LN_RISE = math.log(1.5)
+_LN_FALL = _LN2
+
+
+def _drift_margin(value, n, cells):
+    """Rounding margin of the one-step bound, as ``(fixed, per_step)``: the
+    computed log mixture ``value`` and the value computed ``steps``
+    observations later, each a log-sum-exp of ``cells`` terms over tables
+    of at most ``n`` observations, obey the bound up to ``fixed + steps *
+    per_step``.
+
+    Amplitudes are computed in ``[0, 1/2]`` exactly and the logs of ``1 +-
+    lam`` to a few ulps, so an entry's increment lies in ``[-log 2, log
+    1.5]`` up to ``2**-52 (n + 1)``: the log's rounding plus the addition's,
+    to an entry of size at most ``n log 2`` (the tables are running sums,
+    ``numpy.cumsum`` in the engine).  A log-sum-exp with the same weights at
+    every step is monotone and 1-Lipschitz in the entries, so the bound
+    moves the exact value of the rounded tables by ``steps`` such
+    increments.  Evaluating it (:func:`peak_values`, :func:`_log_mixture`)
+    errs by at most ``2**-51 (|top| + |value| + cells + 2)``, each term's
+    error weighed by its share (``top`` its largest term, within ``log
+    cells`` of the value), and ``|value| <= n log 2`` as every product lies
+    in ``[2**-n, 1.5**n]``.  Two evaluations and the drift stay below
+    ``2**-48 (steps + cells) (n + cells)``; the margin is ``2**-40 (steps +
+    cells) (n + cells)``, 2**8 times that, which also covers the rounding of
+    the closed forms that solve for ``steps``.  The trackers keep an untouched
+    site's weight in their leftover term until the site is touched, and the
+    leftover is rounded to ``2**-53`` absolute, which moves a log value by up
+    to ``2**-53 exp(-value)``: ``fixed`` adds ``2**-51 exp(-value)``, which
+    covers both values where the later one is the higher, the only case in
+    which the trackers use the bound (they certify staying below)."""
+    per_step = 2.0 ** -40 * (n + cells)
+    return per_step * cells + 2.0 ** -51 * np.exp(np.minimum(-value, 700.0)), per_step
+
+
 def _lambdas(c_m: np.ndarray, c_m1: np.ndarray) -> np.ndarray:
     """:func:`wavelet_lambda` of count arrays, elementwise and bit for bit."""
     # whole counts: 2 * (c_m + c_m1) is 0 or >= 2, and lam is at most 1/2

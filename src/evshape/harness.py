@@ -25,17 +25,38 @@ record depends on its replication alone, whatever the chunking.
 ``unrestricted_power`` and ``mode_settlement`` fold the rows in blocks:
 ``eprocess._tilt_rows`` returns every row's dense family log tables after
 every step of the block as ``(side, row, step, site)`` arrays, and each
-scenario evaluates its per-step query on whole blocks with the evaluator
-of ``UnimodalFamily.values_range`` (``eprocess.peak_weights``,
-``peak_values``), the rules of ``mode.first_window`` and the thresholds
-of ``mode.estimate_scan``.  Settlement tests every clip peak against
-``log(n**2)`` directly: ``mode_estimate``'s scan window only certifies
-that the peaks outside it stay below ``1 + (n**2 - 1) / 4``, so cutting
-a finite clip to it changes nothing.  Rows of the free test that reject
-are dropped, and a chunk ends when none is left.  These tables differ
-from the trackers' in the last place (``numpy.log`` against
-``math.log``); the records, booleans and integers, are those of
-``UnrestrictedTest`` and of ``mode_estimate`` on a ``UnimodalFamily``.
+scenario decides its per-step query, a peak's log mixture value against
+a level, with the evaluator of ``UnimodalFamily.values_range``
+(``eprocess.peak_weights``, ``peak_values``), the rules of
+``mode.first_window`` and the thresholds of ``mode.estimate_level``.
+Settlement tests every clip peak against ``log(n**2)`` directly:
+``mode_estimate``'s scan window only certifies that the peaks outside it
+stay below ``1 + (n**2 - 1) / 4``, so cutting a finite clip to it changes
+nothing.  Rows of the free test that reject are dropped, and a chunk
+ends when none is left.  These tables differ from the trackers' in the
+last place (``numpy.log`` against ``math.log``); the records, booleans
+and integers, are those of ``UnrestrictedTest`` and of ``mode_estimate``
+on a ``UnimodalFamily``.
+
+Both evaluate peaks only where a bound cannot decide (:func:`_exceeding`).
+Every amplitude is at most 1/2, so one observation moves a log mixture
+value up by at most ``log 1.5`` and down by at most ``log 2``.  Each row
+evaluates its peaks at anchor steps, every ``stride`` steps and at the
+block's last step.  A value below the block's least level by more than
+``j log 1.5`` plus a rounding margin stays below it for ``j`` steps, and
+one above the greatest level by more than ``j log 2`` plus the margin
+stays above; read backwards from the next anchor, the two rates swap.  A
+step between two anchors that either certifies for every peak of its row
+takes that anchor's decisions, and the steps that neither certifies are
+evaluated.  The margin (``eprocess._drift_margin``) covers the rounding of
+the ``cumsum`` tables and of ``peak_values``, so a certified decision is
+the one the evaluation would make.  The stride of a row's next block is
+seven tenths of what its last anchor certifies on both sides.  Where the
+level leaves no room, or the anchors and open steps would be many, a first
+slice of the block is evaluated at every step and the rest decided afresh
+from its last step.  So a block holds the tables and the terms of a third
+of its steps (``_family_cells``), and an evaluation at every step goes in
+slices of at most ``_BLOCK_CELLS`` terms.
 
 ``growth`` and ``numeraire_compare`` report float logs, pinned to
 ``math.log`` and to the trackers' order of additions.
@@ -48,6 +69,7 @@ tracker's bit for bit; the numeraire e-process adds up a table of
 from __future__ import annotations
 
 import csv
+import functools
 import hashlib
 import io
 import json
@@ -57,6 +79,9 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .eprocess import (
+    _LN_FALL,
+    _LN_RISE,
+    _drift_margin,
     _lambdas,
     _MonotoneRows,
     _numeraire_logs,
@@ -67,7 +92,7 @@ from .eprocess import (
 )
 from .errors import (ConfigError, EvshapeError, MalformedJson, NonIntegerInput,
                      NonNumericInput)
-from .mode import estimate_scan, first_window, free_levels, one_obs_ci
+from .mode import estimate_level, first_window, free_levels, one_obs_ci
 from .numeraire import _numeraire_with_epower, lcm
 from .pmf import (GuideTable, Pmf, _json_int, _json_number, _json_numbers,
                   _json_object, mode_set, pmf_from_json)
@@ -425,13 +450,22 @@ def _chunk_numeraire(c: ScenarioConfig, reps: range, draw: GuideTable,
     ]
 
 
+# Anchored evaluation costs some hundred small numpy calls a block, and a
+# gathered step costs more than one of a slice: it is tried only where the
+# anchors are at most a sixth of a block's steps, and kept only where they
+# and the steps left open are at most a third.
+_TRY, _GO = 6, 3
+
+
 def _family_cells(c: ScenarioConfig, peaks: int) -> int:
-    """Cells per row and step of a family block evaluated at ``peaks``
-    peaks, in its two largest arrays: the log tables, one cell per (side,
-    site), and the terms of ``eprocess.peak_values``, one per (side, site,
-    peak) and one per peak for the leftover weight."""
+    """Cells per row and step of a family block decided at ``peaks`` peaks,
+    in its two largest arrays: the log tables, one cell per (side, site),
+    and the terms of ``eprocess.peak_values`` at the steps that
+    :func:`_exceeding` evaluates at once, at most a third of them, each
+    with one term per (side, site, peak) and one per peak for the leftover
+    weight.  A block evaluated at every step goes in slices."""
     sides = 2 * _sites(c.distribution).size
-    return sides + (sides + 1) * peaks
+    return sides + math.ceil((sides + 1) * peaks / _GO)
 
 
 def _clip_peaks(c: ScenarioConfig) -> np.ndarray:
@@ -439,19 +473,133 @@ def _clip_peaks(c: ScenarioConfig) -> np.ndarray:
     return np.arange(clip[0], clip[1] + 1)
 
 
+# how fast a value may near a level per step: rows after and before it,
+# columns from below the level and from above it
+_TOWARD = np.array([[_LN_RISE, _LN_FALL], [_LN_FALL, _LN_RISE]])
+
+
+def _reach(values, least, most, n: int, cells: int):
+    """How far the one-step bound keeps log values ``(..., peak)``, each a
+    log-sum-exp of ``cells`` terms over tables of at most ``n``
+    observations, on their side of the levels: the steps after and before
+    over which all the peaks of each stay below ``least`` or above
+    ``most``, from 0 to ``n``, and the side each peak is on (True above).
+    A value stays below for ``j`` steps after where ``value + j log 1.5 +
+    margin(j) < least``, and above where ``value - j log 2 - margin(j) >
+    most``, with the margin of ``eprocess._drift_margin``; looking back,
+    the two rates swap."""
+    fixed, per_step = _drift_margin(values, n, cells)
+    under, over = least - values - fixed, values - fixed - most
+    toward = (_TOWARD + per_step).reshape((2, 2) + (1,) * under.ndim)
+    reach = np.maximum(under / toward[:, 0], over / toward[:, 1]).min(axis=-1)
+    after, before = np.minimum(np.maximum(np.ceil(reach) - 1, 0), n).astype(np.int64)
+    return after, before, over > under
+
+
+def _stride(after, before, steps: int):
+    """The anchor stride from the reach (:func:`_reach`) of an anchor's
+    values: seven tenths of the steps that two anchors of those values
+    would certify between them, which leaves room for the values to move,
+    at most ``steps``; 1, every step, where the level leaves no room."""
+    return 1 + np.minimum((after + before) * 7 // 10, steps - 1)
+
+
+@functools.lru_cache(maxsize=64)
+def _first_stride(least: float, most: float, n: int, cells: int, peaks: int) -> int:
+    """The first block's stride: a family that starts empty values every
+    peak at one, log 0."""
+    after, before, _ = _reach(np.zeros(peaks), least, most, n, cells)
+    return int(_stride(after, before, n))
+
+
+def _values_at(logs: np.ndarray, weights, rows, steps) -> np.ndarray:
+    """``peak_values`` at the ``(row, step)`` pairs of tables ``(side, row,
+    step, site)``, as ``(pair, peak)``; peaks ``(row, peak)`` go with their
+    rows."""
+    log_w, rest = weights
+    if rest.ndim > 1:
+        weights = log_w[:, :, rows], rest[rows]
+    return peak_values(logs[:, rows, steps], weights)
+
+
+def _exceeding(logs: np.ndarray, weights, level: np.ndarray, n: int,
+               stride: np.ndarray):
+    """``peak_values(logs, weights) > level[:, None]`` for tables ``(side,
+    row, step, site)`` after at most ``n`` observations and a level per
+    step, as ``(row, step, peak)`` booleans, evaluating peaks only where the
+    one-step bound cannot decide; also each row's stride for the next block.
+
+    Row ``r`` evaluates every ``stride[r]``-th step and its last step, its
+    anchors.  The steps between two anchors take the sides of the later one
+    for as many steps as it certifies all its peaks before it against the
+    block's least and greatest level (:func:`_reach`), and the sides of the
+    earlier one for as many steps after it; the steps that neither covers
+    are evaluated.  Where that would evaluate over a third of the steps, or
+    the anchors alone over a sixth, a first slice of the block is evaluated
+    at every step and the rest is decided afresh, with strides from the
+    slice's last step.  The decisions are those of the whole evaluation: a
+    certified value lies beyond the level by more than its rounding.
+    """
+    rows, steps = logs.shape[1:3]
+    cells = weights[0].shape[0] * weights[0].shape[1] + 1
+    least, most = level.min(), level.max()
+    count = (steps - 2) // stride + 2  # anchors of each row
+    if _TRY * count.sum() <= rows * steps:
+        ends = np.cumsum(count)
+        r = np.repeat(np.arange(rows), count)
+        k = (np.arange(ends[-1]) - np.repeat(ends - count, count)) * stride[r]
+        k[ends - 1] = steps - 1
+        vals = _values_at(logs, weights, r, k)
+        after, before, side = _reach(vals, least, most, n, cells)
+        # the steps up to the next anchor: the next one covers the last
+        # ``back`` of them, this one the first ``after`` of the ``rest``
+        rest = np.zeros_like(k)
+        rest[:-1] = k[1:] - k[:-1] - 1
+        np.maximum(rest, 0, out=rest)
+        back = np.zeros_like(k)
+        back[1:] = np.minimum(before[1:], rest[:-1])
+        rest[:-1] -= back[1:]
+        gap = rest - np.minimum(after, rest)
+        if _GO * (len(k) + gap.sum()) <= rows * steps:
+            out = np.repeat(side, back + 1 + rest, axis=0)
+            at = r * steps + k
+            out[at] = vals > level[k, None]
+            if gap.any():
+                total = np.cumsum(gap)
+                at = np.repeat(at + 1 + rest - total, gap) + np.arange(total[-1])
+                s = at % steps
+                out[at] = _values_at(logs, weights, at // steps, s) > level[s, None]
+            return (out.reshape(rows, steps, -1),
+                    _stride(after[ends - 1], before[ends - 1], steps))
+    # every step of a first slice of at most _BLOCK_CELLS terms, then the
+    # rest afresh, with strides from the gaps to the level at its last step
+    size = min(steps, max(1, _BLOCK_CELLS // (rows * cells * weights[1].shape[-1])))
+    values = peak_values(logs[:, :, :size], weights)
+    after, before, _ = _reach(values[:, -1], level[size - 1], level[size - 1], n, cells)
+    head, stride = values > level[:size, None], _stride(after, before, steps)
+    if size == steps:
+        return head, stride
+    tail, stride = _exceeding(logs[:, :, size:], weights, level[size:], n, stride)
+    return np.concatenate([head, tail], axis=1), stride
+
+
 def _chunk_settlement(c: ScenarioConfig, reps: range, draw: GuideTable,
                       log_tau: np.ndarray) -> list[dict]:
     p = c.distribution
-    peaks = _clip_peaks(c)
-    weights = peak_weights(_sites(p), peaks)
+    peaks, sites = _clip_peaks(c), _sites(p)
+    weights = peak_weights(sites, peaks)
     # ``current == ()`` before the first step: every peak counts as rejected
     rejected = np.ones((len(reps), len(peaks)), dtype=bool)
     last_change = np.zeros(len(reps), dtype=np.int64)
     rows = _Rows(c, reps, draw)
+    stride = np.full(len(reps), _first_stride(log_tau.min(), log_tau.max(), c.n,
+                                              2 * sites.size + 1, len(peaks)))
     for start, xs, logs in rows.blocks(0, _family_cells(c, len(peaks))):
+        m = xs.shape[1]
         # mode_estimate at each step of the block, cut to the clip; its
         # scan window only certifies peaks that this test never rejects
-        by_step = peak_values(logs, weights) > log_tau[start:start + xs.shape[1], None]
+        by_step, stride = _exceeding(logs, weights, log_tau[start:start + m],
+                                     start + m, stride)
         before = np.concatenate([rejected[:, None], by_step[:, :-1]], axis=1)
         changed = (by_step != before).any(axis=2)
         moved = changed.any(axis=1)
@@ -474,8 +622,10 @@ def _chunk_settlement(c: ScenarioConfig, reps: range, draw: GuideTable,
 
 
 def _chunk_unrestricted(c: ScenarioConfig, reps: range, draw: GuideTable) -> list[dict]:
-    # UnrestrictedTest's rejection level and its cut at the tracked peak
+    # UnrestrictedTest's rejection level and its cut at the tracked peak;
+    # ``value >= log_cut`` is ``value > below_cut``
     log_threshold, log_cut = free_levels(c.alpha)
+    below_cut = np.nextafter(log_cut, -math.inf)
     sites = _sites(c.distribution)
     rows = _Rows(c, reps, draw)
     windows, tracked = zip(*(first_window(x, c.alpha, c.resolved_phi)
@@ -483,16 +633,21 @@ def _chunk_unrestricted(c: ScenarioConfig, reps: range, draw: GuideTable) -> lis
     tracked = np.array(tracked)
     records = [{"rep": rep, "rejected": False, "reject_n": None} for rep in reps]
     live = list(range(len(reps)))  # record index of each row
+    cells = 2 * sites.size + 1  # terms of a peak's value
+    stride = np.full(len(reps), _first_stride(below_cut, below_cut, c.n, cells, 1))
     for start, _, logs in rows.blocks(1, _family_cells(c, 1)):
-        vals = peak_values(logs, peak_weights(sites, tracked[live, None]))[..., 0]
+        m, n = logs.shape[2], start + logs.shape[2]
+        level = np.full(m, below_cut)
+        over, stride = _exceeding(logs, peak_weights(sites, tracked[live, None]),
+                                  level, n, stride)
         stopped = []
-        for i in np.flatnonzero((vals >= log_cut).any(axis=1)).tolist():
+        for i in np.flatnonzero(over.any(axis=(1, 2))).tolist():
             rec = live[i]
             lo, hi = windows[rec]
-            over = np.flatnonzero(vals[i] >= log_cut)
+            at = np.flatnonzero(over[i, :, 0])
             k = 0
-            while len(over):
-                k += int(over[0])
+            while len(at):
+                k += int(at[0])
                 # the full scan of this step's tables
                 peaks = np.arange(lo, hi + 1)
                 scan = peak_values(logs[:, i, k], peak_weights(sites, peaks))
@@ -503,11 +658,18 @@ def _chunk_unrestricted(c: ScenarioConfig, reps: range, draw: GuideTable) -> lis
                     break
                 tracked[rec] = lo + j
                 k += 1
-                rest = peak_values(logs[:, i, k:], peak_weights(sites, [lo + j]))
-                over = np.flatnonzero(rest[:, 0] >= log_cut)
+                if k == m:
+                    break
+                # the new tracked peak on the rest of the block, anchored on
+                # its value at this step
+                after, before, _ = _reach(scan[None, j:j + 1], below_cut, below_cut, n, cells)
+                rest, _ = _exceeding(logs[:, i:i + 1, k:], peak_weights(sites, [[lo + j]]),
+                                     level[k:], n, _stride(after, before, m - k))
+                at = np.flatnonzero(rest[0, :, 0])
         if stopped:
             rows.drop(stopped)
             live = [rec for i, rec in enumerate(live) if i not in stopped]
+            stride = np.delete(stride, stopped)
     return records
 
 
@@ -534,7 +696,7 @@ def _run_growth(c: ScenarioConfig) -> tuple[list[dict], dict]:
 
 def _run_settlement(c: ScenarioConfig) -> tuple[list[dict], dict]:
     cells = _family_cells(c, len(_clip_peaks(c))) * c.n
-    log_tau = np.array([estimate_scan(k)[1] for k in range(1, c.n + 1)])
+    log_tau = np.array([estimate_level(k) for k in range(1, c.n + 1)])
     records = _map_reps(c, _chunk_settlement, cells, log_tau)
     return records, {
         "all_match_target": all(rec["matches_target"] for rec in records),

@@ -9,9 +9,12 @@ an analytic scan bound to certify everything outside a finite window.
 
 The anchor-free test scans its peak window only at steps where the value
 at one tracked peak reaches ``0.99 * 3/alpha``.  Tilt amplitudes are at
-most 1/2, so one observation multiplies any peak's value by at most 3/2,
-and a log value ``g`` below that cut cannot reach it in the next ``g /
-log 1.5`` observations: the test skips those evaluations.
+most 1/2, so one observation multiplies any peak's value by a factor
+between 1/2 and 3/2: a log value ``g`` below that cut stays below it for
+the next ``g / log 1.5`` observations, less a rounding margin
+(``eprocess._drift_margin``), and the test skips those evaluations.
+The harness engines read the same bound both ways: a log value ``g``
+above a level stays above it for ``g / log 2`` observations.
 """
 
 from __future__ import annotations
@@ -22,12 +25,11 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import AlreadyRejected, BadAlpha, InvalidSnapshot, ZeroPhi
-from .eprocess import UnimodalFamily, _peak_value, _snapshot_fields
+from .eprocess import (_LN_RISE, UnimodalFamily, _drift_margin, _peak_value,
+                       _snapshot_fields)
 from .pmf import ModeInterval, _json_bool, _json_int, _json_number
 
 _LOG2_3HALF = math.log2(1.5)
-_LN_3HALF = math.log(1.5)
-_SKIP_SLACK = 1e-9  # log margin over the rounding of a mixture value
 
 
 @dataclass(frozen=True)
@@ -127,14 +129,21 @@ class ConfidenceSetResult:
         return self.rejected.invert()
 
 
-def estimate_scan(n: int) -> tuple[int | None, float]:
-    """Margin around the data and log threshold ``log(n**2)`` of
-    :func:`mode_estimate` at ``n``; the margin is ``None`` when nothing can
-    be rejected, as at ``n <= 1``, where every factor is one."""
+def estimate_level(n: int) -> float:
+    """Log threshold ``log(n**2)`` of :func:`mode_estimate` at ``n``;
+    infinite at ``n <= 1``, where every factor is one."""
     tau = float(n) * float(n)
-    if tau <= 1.0:
-        return None, math.inf
-    return scan_halfwidth(n, tau), math.log(tau)
+    return math.log(tau) if tau > 1.0 else math.inf
+
+
+def estimate_scan(n: int) -> tuple[int | None, float]:
+    """Margin around the data and log threshold (:func:`estimate_level`) of
+    :func:`mode_estimate` at ``n``; the margin is ``None`` when nothing can
+    be rejected."""
+    level = estimate_level(n)
+    if level == math.inf:
+        return None, level
+    return scan_halfwidth(n, float(n) * float(n)), level
 
 
 def _scan(family: UnimodalFamily, margin: int | None, log_tau: float):
@@ -205,10 +214,13 @@ class UnrestrictedTest:
 
     A step can reject only if the value at the tracked peak reaches
     ``0.99 * 3/alpha`` (:func:`free_levels`); a scan that does not reject
-    tracks the window's weakest peak.  As tilts ``lam <= 1/2`` lift a value
-    by at most 3/2 per observation, a log value ``g`` below that cut skips
-    the next ``g / log 1.5`` evaluations.  The skip count is not part of
-    the snapshot: a restored test evaluates at its next observation.
+    tracks the window's weakest peak.  As tilts ``lam <= 1/2`` move a value
+    by a factor between 1/2 and 3/2 per observation, a log value ``g`` below
+    that cut skips the next ``g / log 1.5`` evaluations, less the rounding
+    margin of ``eprocess._drift_margin``: the rounding of the tables' sums
+    and of the log-sum-exp, and of the leftover weight as sites are first
+    touched.  The skip count is not part of the snapshot: a restored test
+    evaluates at its next observation.
     """
 
     _SNAPSHOT_KEYS = ("alpha", "phi", "first", "theta0", "rejected", "family")
@@ -305,9 +317,15 @@ class UnrestrictedTest:
         th = self._theta0
         rise = {j: lf for j, lf in fam.log_rise.items() if j >= th}
         fall = {i: lf for i, lf in fam.log_fall.items() if i <= th}
-        gap = self._log_cut - _peak_value(rise, fall, th)
+        value = _peak_value(rise, fall, th)
+        gap = self._log_cut - value
         if gap > 0.0:
-            self._skip = int((gap - _SKIP_SLACK) / _LN_3HALF)
+            # skip the j < (gap - fixed) / (log 1.5 + per_step) steps with
+            # value + j log 1.5 + margin(j) < cut; the skip is shorter than
+            # gap / log 1.5, so its tables hold at most that many more
+            fixed, per_step = _drift_margin(value, fam.n + gap / _LN_RISE,
+                                            len(rise) + len(fall) + 1)
+            self._skip = max(math.ceil((gap - fixed) / (_LN_RISE + per_step)) - 1, 0)
             return "continue"
         lo, hi = self.theta_window
         vals = fam.values_range(lo, hi)

@@ -279,6 +279,22 @@ def test_cont_ci_rejects_non_finite(monkeypatch, capsys, value):
     assert "not finite" in err
 
 
+@pytest.mark.parametrize("edelman", [[], ["--edelman"]], ids=["mode", "edelman"])
+def test_cont_ci_names_an_interval_that_overflows(monkeypatch, capsys, edelman):
+    # |x - phi| overflows to inf: a typed line, not json's own complaint
+    code, out, err = run_cli(monkeypatch, capsys,
+                             ["cont-ci", "--alpha", "0.5", "--phi", "1e308", *edelman],
+                             "-1e308\n")
+    factor = "3.0" if edelman else "5.0"  # 2/alpha -+ 1
+    assert (code, out) == (1, "")
+    assert err == (f"evshape: interval -1e+308 -+ {factor} * |-1e+308 - 1e+308| "
+                   "overflows a float\n")
+    # finite ends near the float range still print
+    code, out, _ = run_cli(monkeypatch, capsys,
+                           ["cont-ci", "--alpha", "0.5", "--phi", "0", *edelman], "1e307\n")
+    assert code == 0 and json.loads(out)["interval"]["kind"] == "open"
+
+
 _HUGE = "1" + "0" * 400  # a JSON integer past the float range
 
 

@@ -15,6 +15,7 @@ from evshape.eprocess import (
     UnimodalTracker,
     _lambdas,
     _numeraire_logs,
+    _tilt_rows,
     numeraire_eprocess,
     peak_values,
     peak_weights,
@@ -28,7 +29,7 @@ from evshape.errors import (
 from evshape.evalues import EvalFn, is_in_polar_D, is_in_polar_M, wavelet_lambda
 from evshape.mode import UnrestrictedTest
 from evshape.numeraire import lcm
-from evshape.pmf import make_pmf, sample
+from evshape.pmf import PROB_TOL, make_pmf, sample
 from test_row_engine import fold_in_blocks
 
 
@@ -410,6 +411,40 @@ def test_family_peak_step_factors_are_in_polar_d_and_at_most_3_halves(obs):
                         lambda f: float(f.values_range(theta, theta)[0]), lo, hi)
         assert is_in_polar_D(e, theta)
         assert max(e.values) <= 1.5
+
+
+@settings(max_examples=100, deadline=None, database=None)
+@given(data=st.data(), width=st.integers(1, 6))
+def test_row_block_peak_values_move_within_the_one_step_bound(data, width):
+    # a block of _tilt_rows from random carried counts and tables: at every
+    # step, each peak's value moves by a factor in [1/2, 3/2], and its step
+    # factor over every next observation lies in D(theta).  Two untouched
+    # sites pad each end, so observations there give the factor the tails
+    # carry, 1.  numpy.log rounds apart from math.log: compare to PROB_TOL.
+    pad = np.zeros(2)
+    counts = np.concatenate([pad, data.draw(st.lists(st.integers(0, 9), min_size=width,
+                                                     max_size=width)), pad]).astype(float)
+    tables = np.array([np.concatenate([pad, data.draw(st.lists(
+        st.floats(-8.0, 8.0), min_size=width, max_size=width)), pad]) for _ in "rf"])
+    cells = np.array(data.draw(st.lists(st.integers(2, width + 1), min_size=1,
+                                        max_size=12)))
+    peaks = np.arange(-1, width + 5)
+    weights = peak_weights(np.arange(width + 4), peaks)
+    _, logs = _tilt_rows(counts[None], *tables[:, None], cells[None])
+    states = np.concatenate([tables[:, None], logs[:, 0]], axis=1)
+    values = peak_values(states, weights)
+    ratio = np.exp(np.diff(values, axis=0))
+    assert ((ratio >= 0.5 - PROB_TOL) & (ratio <= 1.5 + PROB_TOL)).all()
+    xs = np.arange(1, width + 3)  # every site an observation can touch
+    for step in range(len(cells) + 1):
+        now = counts + np.bincount(cells[:step], minlength=counts.size)
+        _, after = _tilt_rows(np.tile(now, (len(xs), 1)),
+                              *np.repeat(states[:, step, None], len(xs), axis=1),
+                              xs[:, None])
+        factors = np.exp(peak_values(after[:, :, 0], weights) - values[step])
+        for j, theta in enumerate(peaks.tolist()):
+            e = EvalFn(1, factors[:, j].tolist(), 1.0, 1.0)
+            assert is_in_polar_D(e, theta)
 
 
 # ---------------------------------------------------------- UnimodalFamily

@@ -17,13 +17,19 @@ from hypothesis import strategies as st
 
 import evshape.harness as harness
 from evshape.eprocess import (
+    _LN_FALL,
+    _LN_RISE,
     MonotoneTracker,
     _check_obs,
+    _drift_margin,
     _lambdas,
     _MonotoneRows,
     _numeraire_logs,
     _numeraire_sums,
 )
+from evshape.eprocess import _tilt_rows as tilt_rows
+from evshape.eprocess import peak_values as engine_peak_values
+from evshape.eprocess import peak_weights as engine_peak_weights
 from evshape.harness import (
     ScenarioConfig,
     derive_seed,
@@ -273,10 +279,23 @@ def row_configs(draw):
 CAPS = [1, 1 << 9, 1 << 20]
 
 
+# where the level leaves the one-step bound no room, every step is evaluated:
+# the free test at alpha 0.6, whose cut is log 4.95, and settlement with a
+# clip on the data, whose peaks next to the mode cross log(n**2) late
+NO_ROOM = [
+    ScenarioConfig("unrestricted_power", make_pmf(0, [0.5, 0.0, 0.5]),
+                   n=300, reps=4, alpha=0.6, seed=2),
+    ScenarioConfig("mode_settlement", make_pmf(0, [0.3, 0.4, 0.3]),
+                   n=400, reps=2, alpha=0.05, seed=5, clip=(-1, 3)),
+]
+
+
 @settings(max_examples=80, deadline=None, database=None)
 @given(c=row_configs(), cap=st.sampled_from(CAPS))
 @example(c=ScenarioConfig("unrestricted_power", make_pmf(0, [0.4, 0.2, 0.4]),
                           n=150, reps=6, alpha=0.6, seed=13), cap=1 << 9)
+@example(c=NO_ROOM[0], cap=1 << 20)
+@example(c=NO_ROOM[1], cap=1 << 9)
 def test_row_engine_matches_the_per_replication_engine(c, cap):
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(harness, "_BLOCK_CELLS", cap)
@@ -300,6 +319,105 @@ def test_many_rows_in_short_blocks_match_the_reference(c, cap):
         shared = (_estimate_scans(c.n)[1],) if c.scenario == "mode_settlement" else ()
         got = CHUNKS[c.scenario](c, range(c.reps), GuideTable(c.distribution), *shared)
     assert got == reference_records(c)
+
+
+# ------------------------------------------------------ anchored evaluation
+
+
+def test_certified_steps_on_their_boundary():
+    # values exactly j steps of the bound plus the margin from the level,
+    # nudged by an eighth of the margin: certified for j steps on the far
+    # side, for j - 1 on the near one.  Each certified step agrees with the
+    # dense decision on the path that moves at the bound's full rate.
+    n, cells, level = 700, 11, 4.0
+    for j in range(1, 9):
+        # (rate towards the level, direction of the side, after or before)
+        for rate, side, back in ((_LN_RISE, -1, 0), (_LN_FALL, 1, 0),
+                                 (_LN_FALL, -1, 1), (_LN_RISE, 1, 1)):
+            edge = level + side * j * rate
+            fixed, per_step = _drift_margin(edge, n, cells)
+            margin = fixed + j * per_step
+            for nudge, steps in ((margin / 8, j), (-margin / 8, j - 1)):
+                value = edge + side * (margin + nudge)
+                *reach, above = harness._reach(np.array([value]), level, level, n, cells)
+                assert reach[back] == steps
+                assert above.tolist() == [side > 0]
+                path = value - side * rate * np.arange(steps + 1)
+                assert ((path > level) == (side > 0)).all()
+
+
+def test_the_one_step_bound_is_attained():
+    # rise site 2 carries nearly all of peak 2's weight, and counts 0 and 5
+    # at sites 2 and 3 tilt it by the widest amplitude, 1/2: an observation
+    # at 2 halves the value and one at 3 lifts it by 3/2.  Neither step can
+    # be certified to stay past a level just beyond where it lands.
+    counts = np.array([[0.0, 0.0, 0.0, 5.0, 0.0, 0.0]])
+    rise, fall = np.array([[0.0, 0.0, 40.0, 0.0, 0.0, 0.0]]), np.zeros((1, 6))
+    weights = engine_peak_weights(np.arange(6), [2])
+    now = engine_peak_values(np.stack([rise[0], fall[0]]), weights)
+    for x, rate, side in ((2, _LN_FALL, 1), (3, _LN_RISE, -1)):
+        _, logs = tilt_rows(counts, rise, fall, np.array([[x]]))
+        moved = float(engine_peak_values(logs[:, 0, 0], weights)[0])
+        assert moved - float(now[0]) == pytest.approx(-side * rate, abs=1e-12)
+        level = moved + side * 1e-9
+        assert harness._reach(now, level, level, 6, 13)[0] == 0
+
+
+LEVELS = ["constant", "at a value", "rising", "infinite first"]
+
+
+@settings(max_examples=200, deadline=None, database=None)
+@given(data=st.data(), rows=st.integers(1, 3), steps=st.integers(1, 90),
+       width=st.integers(1, 5), levels=st.sampled_from(LEVELS),
+       per_row=st.booleans(), always=st.booleans(), seed=st.integers(0, 2**32),
+       cap=st.sampled_from([1 << 16, 400, 40]))
+def test_anchored_decisions_match_the_dense_evaluation(data, rows, steps, width, levels,
+                                                       per_row, always, seed, cap):
+    # any strides and levels, ties included; ``always`` keeps the anchored
+    # path however much it evaluates, as the thresholds only pick the path,
+    # and small caps cut a block evaluated at every step into many slices
+    rng = np.random.default_rng(seed)
+    counts = np.zeros((rows, width + 2))
+    start = data.draw(st.integers(0, 500))
+    _, logs = tilt_rows(counts, counts, counts, rng.integers(1, width + 1, (rows, steps)))
+    peaks = rng.integers(-2, width + 4, (rows, 1)) if per_row else np.arange(-2, width + 4)
+    weights = engine_peak_weights(np.arange(width + 2), peaks)
+    dense = engine_peak_values(logs, weights)
+    if levels == "constant":
+        level = np.full(steps, data.draw(st.floats(-3.0, 6.0)))
+    elif levels == "at a value":
+        level = np.full(steps, rng.choice(dense.ravel()))
+    else:
+        level = np.log(np.arange(start + 1.0, start + steps + 1.0) ** 2)
+        if levels == "infinite first":
+            level[0] = math.inf
+    stride = rng.integers(1, steps + 2, rows)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(harness, "_BLOCK_CELLS", cap)
+        if always:
+            mp.setattr(harness, "_TRY", 0)
+            mp.setattr(harness, "_GO", 0)
+        got, nxt = harness._exceeding(logs, weights, level, start + steps, stride)
+    assert got.tolist() == (dense > level[:, None]).tolist()
+    assert nxt.shape == (rows,) and (nxt >= 1).all()
+
+
+def test_settlement_evaluates_few_steps_once_the_peaks_have_settled():
+    c = ScenarioConfig("mode_settlement", make_pmf(0, [0.2, 0.6, 0.2]), n=1000, reps=1,
+                       alpha=0.05, seed=1)
+    evaluated = []
+
+    def counted(logs, weights):
+        evaluated.append(math.prod(logs.shape[1:-1]))
+        return engine_peak_values(logs, weights)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(harness, "peak_values", counted)
+        assert run_experiment(c).records == tuple(reference_records(c))
+    # the first 400 steps or so are evaluated whole, then the last two
+    # blocks a few anchors each: 438 of the 1000 steps here
+    assert sum(evaluated) < 0.5 * c.n
+    assert max(evaluated[-2:]) < 40
 
 
 def test_rows_stop_at_different_steps():
