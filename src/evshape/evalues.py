@@ -11,8 +11,10 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from itertools import accumulate, chain, compress, count, islice, repeat
-from operator import gt, mul, sub, truediv
+from itertools import chain, compress, count, islice, repeat
+from operator import mul, truediv
+
+import numpy as np
 
 from .errors import (
     InvalidCertificate,
@@ -58,15 +60,19 @@ class EvalFn:
             return self.right_tail
         return self.values[n - self.lo]
 
-    def at_range(self, a: int, b: int, reverse: bool = False):
-        """``self.at(n)`` lazily over ``range(a, b)``, or from ``b - 1`` down."""
+    def _segments(self, a: int, b: int):
+        # range(a, b) as the left tail's run (value, length), the table's
+        # indices (i, j) and the right tail's run; at_range and the polar
+        # walks' array chunks both read these
         n, lo = len(self.values), self.lo
-        i, j = min(max(a - lo, 0), n), min(max(b - lo, 0), n)
-        below = repeat(self.left_tail, max(min(b, lo) - a, 0))
-        above = repeat(self.right_tail, max(b - max(a, lo + n), 0))
-        if reverse:
-            return chain(above, islice(reversed(self.values), n - j, n - i), below)
-        return chain(below, islice(self.values, i, j), above)
+        return ((self.left_tail, max(min(b, lo) - a, 0)),
+                (min(max(a - lo, 0), n), min(max(b - lo, 0), n)),
+                (self.right_tail, max(b - max(a, lo + n), 0)))
+
+    def at_range(self, a: int, b: int):
+        """``self.at(n)`` lazily over ``range(a, b)``."""
+        below, (i, j), above = self._segments(a, b)
+        return chain(repeat(*below), islice(self.values, i, j), repeat(*above))
 
     def to_json(self) -> dict:
         return {
@@ -85,16 +91,56 @@ class EvalFn:
                    _json_number(obj["right_tail"], "right_tail"))
 
 
-def _over_block_caps(sums, tol: float = PROB_TOL) -> bool:
-    # some running sum through n breaks the uniform blocks' cap n + 1; the
-    # oracle and its certificate share this rule, so their verdicts agree
-    return any(map(gt, sums, map(mul, map(float, count(1)), repeat(1.0 + tol))))
+# entries per array chunk of a polar walk: memory stays O(_CHUNK) at any
+# offset, and signal handlers run between chunks
+_CHUNK = 4096
 
 
-def _block_excess(sums) -> float:
-    # max over n of rho_n - (n + 1): a side's excess over the uniform blocks'
-    # caps, which the D oracle and its certificate share as they share caps
-    return max(map(sub, sums, map(float, count(1))))
+def _chunks(e: EvalFn, a: int, b: int, reverse: bool = False):
+    # e(n) over range(a, b), or from b - 1 down, as fresh float arrays of at
+    # most _CHUNK entries: tail runs filled, the table sliced from its tuple
+    below, (i, j), above = e._segments(a, b)
+    if reverse:
+        table = (np.array(e.values[max(k - _CHUNK, i):k], dtype=float)[::-1]
+                 for k in range(j, i, -_CHUNK))
+        return chain(_runs(*above), table, _runs(*below))
+    table = (np.array(e.values[k:min(k + _CHUNK, j)], dtype=float) for k in range(i, j, _CHUNK))
+    return chain(_runs(*below), table, _runs(*above))
+
+
+def _runs(value: float, length: int):
+    for k in range(0, length, _CHUNK):
+        yield np.full(min(_CHUNK, length - k), value)
+
+
+def _running_sums(e: EvalFn, a: int, b: int, start: float, reverse: bool = False):
+    # (n, sums) per chunk: the running sums past start, n of them before the
+    # chunk.  add.accumulate (cumsum) is sequential, not np.sum's pairwise
+    # order, and each chunk's first entry adds the last sum before it, so
+    # every sum is the float accumulate(..., initial=start) gives entry by entry
+    n = 0
+    for chunk in _chunks(e, a, b, reverse):
+        with np.errstate(over="ignore"):  # sums overflow to inf silently, as floats do
+            chunk[0] += start
+            start = np.add.accumulate(chunk, out=chunk)[-1]
+        yield n, chunk
+        n += len(chunk)
+
+
+def _over_block_caps(sums, tol: float = PROB_TOL, first: int = 0) -> bool:
+    # some running sum through n breaks the uniform blocks' cap n + 1, with
+    # sums[0] the sum through n = first; the oracle and its certificate share
+    # this rule, so their verdicts agree
+    sums = np.asarray(sums, dtype=float)
+    caps = np.arange(first + 1, first + 1 + len(sums), dtype=float) * (1.0 + tol)
+    return bool((sums > caps).any())
+
+
+def _block_excess(sums, first: int = 0) -> float:
+    # max over n of rho_n - (n + 1), with sums[0] = rho_first: a side's excess
+    # over the uniform blocks' caps, which the D oracle and its certificate share
+    sums = np.asarray(sums, dtype=float)
+    return float((sums - np.arange(first + 1, first + 1 + len(sums), dtype=float)).max())
 
 
 @dataclass(frozen=True)
@@ -113,8 +159,12 @@ class PolarCertificate:
         object.__setattr__(self, "rho", tuple(float(r) for r in self.rho))
         if self.eta is not None:
             object.__setattr__(self, "eta", tuple(float(r) for r in self.eta))
-        seqs = [self.rho] + ([self.eta] if self.eta is not None else [])
-        for seq in seqs:
+        for name, seq in (("rho", self.rho), ("eta", self.eta or ())):
+            # NaN passes every comparison below; numpy's max would spread it
+            # where Python's skips it, so it is refused before the caps
+            if any(map(math.isnan, seq)):
+                at = next(i for i, r in enumerate(seq) if math.isnan(r))
+                raise InvalidCertificate(f"certificate sum {name}[{at}] is NaN")
             if any(b < a - SHAPE_TOL for a, b in zip(seq, seq[1:])):
                 raise InvalidCertificate("certificate sums must be non-decreasing")
         if self.eta is None:
@@ -198,11 +248,15 @@ def is_in_polar_M(e: EvalFn, tol: float = PROB_TOL) -> bool:
 
     Exact via the block criterion: the running sum through ``n`` must
     stay at most ``n + 1`` for every ``n >= 0``, and the right tail must
-    not exceed one.  Entries below zero are ignored.
+    not exceed one.  Entries below zero are ignored.  The sums are
+    sequential float sums taken in array chunks, so memory stays bounded
+    however far the table lies from zero, and a long walk can be
+    interrupted.
     """
     if e.right_tail > 1.0 + tol:
         return False
-    return not _over_block_caps(accumulate(e.at_range(0, max(e.hi, 0) + 1)), tol)
+    sums = _running_sums(e, 0, max(e.hi, 0) + 1, 0.0)
+    return not any(_over_block_caps(chunk, tol, n) for n, chunk in sums)
 
 
 def is_in_polar_D(e: EvalFn, theta: int, tol: float = PROB_TOL) -> bool:
@@ -212,7 +266,9 @@ def is_in_polar_D(e: EvalFn, theta: int, tol: float = PROB_TOL) -> bool:
     ``rho_n = (1 + e(theta))/2 + sum_{k<n} e(theta + k)`` and the
     mirrored ``eta_m``, membership holds iff ``sup(rho_n - n) +
     sup(eta_m - m) <= 0``.  Constant tails make both suprema attainable
-    one step past the table.
+    one step past the table.  As in :func:`is_in_polar_M`, the sums are
+    sequential and taken in array chunks: memory stays bounded however
+    far ``theta`` lies from the table, and a long walk can be interrupted.
     """
     if e.at(theta) > 1.0 + tol:
         return False
@@ -221,22 +277,31 @@ def is_in_polar_D(e: EvalFn, theta: int, tol: float = PROB_TOL) -> bool:
     start = (1.0 + e.at(theta)) / 2.0
     # one index past the table is enough: increments are constant after
     span = max(e.hi - theta, theta - e.lo, 0) + 2
-    rho = accumulate(e.at_range(theta + 1, theta + span + 1), initial=start)
-    eta = accumulate(e.at_range(theta - span, theta, reverse=True), initial=start)
-    return _block_excess(rho) + _block_excess(eta) <= tol
+
+    def excess(a: int, b: int, reverse: bool) -> float:
+        # rho_0 = start comes before the walk, so a chunk's sums start at n + 1
+        sums = _running_sums(e, a, b, start, reverse)
+        return max(chain((start - 1.0,), (_block_excess(chunk, n + 1) for n, chunk in sums)))
+
+    return excess(theta + 1, theta + span + 1, False) + excess(theta - span, theta, True) <= tol
+
+
+def _all_sums(e: EvalFn, a: int, b: int, start: float, reverse: bool = False):
+    # every running sum past start, as Python floats
+    return chain.from_iterable(chunk.tolist() for _, chunk in _running_sums(e, a, b, start, reverse))
 
 
 def polar_certificate_m(e: EvalFn, upto: int) -> PolarCertificate:
     """Running sums of ``e`` through ``upto``; raises if the cap breaks."""
-    return PolarCertificate(tuple(accumulate(e.at_range(0, upto + 1), initial=0.0))[1:])
+    return PolarCertificate(tuple(_all_sums(e, 0, upto + 1, 0.0)))
 
 
 def polar_certificate_d(e: EvalFn, theta: int, upto: int) -> PolarCertificate:
     """Two-sided running sums around ``theta`` through depth ``upto``."""
     start = (1.0 + e.at(theta)) / 2.0
     return PolarCertificate(
-        tuple(accumulate(e.at_range(theta + 1, theta + upto + 1), initial=start)),
-        tuple(accumulate(e.at_range(theta - upto, theta, reverse=True), initial=start)))
+        (start, *_all_sums(e, theta + 1, theta + upto + 1, start)),
+        (start, *_all_sums(e, theta - upto, theta, start, reverse=True)))
 
 
 # -------------------------------------------------------- product forms

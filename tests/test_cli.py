@@ -7,8 +7,10 @@ one subprocess test at the end confirms the installed entry point.
 import io
 import json
 import random
+import signal
 import subprocess
 import sys
+import time
 
 import pytest
 
@@ -549,3 +551,27 @@ def test_cli_imports_no_process_pool():
                           text=True, timeout=60)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout == "[]\n"
+
+
+def test_far_peak_check_stops_on_interrupt():
+    # the walk to theta = 10^12 would take hours; the interpreter runs its
+    # SIGINT handler between the walk's chunks, so Ctrl-C ends it
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "evshape.cli", "check-evalue", "--theta", "1000000000000"],
+        stdin=subprocess.PIPE, stdout=subprocess.DEVNULL, stderr=subprocess.DEVNULL,
+        text=True,
+        # a SIGINT ignored by the caller would stay ignored in the child
+        preexec_fn=lambda: signal.signal(signal.SIGINT, signal.SIG_DFL))
+    try:
+        proc.stdin.write('{"lo": 0, "values": [0.5, 0.25, 0.1], '
+                         '"left_tail": 0.5, "right_tail": 0.5}')
+        proc.stdin.close()
+        time.sleep(2.0)  # past start-up and into the walk
+        assert proc.poll() is None, "the check finished instead of walking"
+        proc.send_signal(signal.SIGINT)
+        proc.wait(timeout=10)
+    except subprocess.TimeoutExpired:
+        pytest.fail("check-evalue ignored SIGINT for 10 s")
+    finally:
+        proc.kill()
+        proc.wait()

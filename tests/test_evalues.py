@@ -2,6 +2,8 @@
 
 import math
 import random
+import re
+import tracemalloc
 
 import pytest
 
@@ -234,6 +236,29 @@ def test_certificate_validation():
         PolarCertificate(rho=(1.5,))  # rho_1 > 1 in the monotone case
     with pytest.raises(InvalidCertificate):
         PolarCertificate(rho=(0.75, 1.0), eta=(0.25, 1.0))  # rho1 != eta1
+
+
+@pytest.mark.parametrize("rho, eta, where", [
+    ((math.nan,), None, "rho[0]"),
+    ((0.75, math.nan), (0.75, 0.75), "rho[1]"),
+    ((0.5, math.nan, 1.0), None, "rho[1]"),  # NaN passes the order check both ways
+    ((0.75, 1.0), (0.75, math.nan), "eta[1]"),
+])
+def test_certificate_rejects_nan_sums(rho, eta, where):
+    with pytest.raises(InvalidCertificate, match=re.escape(f"{where} is NaN")):
+        PolarCertificate(rho, eta)
+
+
+def test_far_peak_walk_holds_bounded_memory():
+    # 10^6 steps of tail on each side of theta, summed a chunk at a time
+    e = EvalFn(0, (0.5, 0.25, 0.1), 0.5, 0.5)
+    tracemalloc.start()
+    try:
+        assert is_in_polar_D(e, 10**6)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2**20
 
 
 # ---------------------------------------------------------------- xq family

@@ -62,6 +62,7 @@ from evshape.errors import (
     SubprobabilityInput,
 )
 from evshape.evalues import (
+    _CHUNK,
     EvalFn,
     PolarCertificate,
     _over_block_caps,
@@ -1173,6 +1174,72 @@ def test_polar_certificates_match_the_entry_loops(e, theta, upto):
     assert exact(polar_certificate_m, e, upto) == exact(ref_polar_certificate_m, e, upto)
     assert exact(polar_certificate_d, e, theta, upto) == exact(
         ref_polar_certificate_d, e, theta, upto)
+
+
+# The walks sum in arrays of _CHUNK entries, each tail run and the table in
+# chunks of their own; the tables below are long enough to cross them.
+_SIZES = (_CHUNK - 1, _CHUNK, _CHUNK + 1, 2 * _CHUNK + 3)
+_ONES = EvalFn(0, (1.0,) * (2 * _CHUNK + 3), 1.0, 1.0)  # every sum lands on its cap
+
+
+@st.composite
+def chunked_tables(draw):
+    size = draw(st.sampled_from(_SIZES))
+    pool = draw(st.lists(_entries, min_size=1, max_size=3))
+    rng = random.Random(draw(st.integers(0, 2**32 - 1)))
+    values = [rng.choice(pool) for _ in range(size)]
+    # _SEQUENTIAL over table index _CHUNK, a boundary of the walks from index 0
+    at = min(draw(st.integers(_CHUNK - 15, _CHUNK - 1)), size - len(_SEQUENTIAL))
+    values[at:at + len(_SEQUENTIAL)] = _SEQUENTIAL
+    return EvalFn(draw(st.sampled_from([0, -2, 3])), values, draw(_entries), draw(_entries))
+
+
+@st.composite
+def chunked_walks(draw):
+    e = draw(chunked_tables())
+    # left of the table, a chunk in from either end, and past the table
+    theta = draw(st.one_of(
+        st.sampled_from([e.lo - 1, e.lo + _CHUNK - 8, e.hi - _CHUNK + 8, e.hi + 2]),
+        st.integers(e.lo - 3, e.hi + 3)))
+    return e, theta
+
+
+@settings(max_examples=40, deadline=None, database=None)
+@given(walk=chunked_walks(), tol=_tols, upto=st.sampled_from(_SIZES))
+@example(walk=(_ONES, 5), tol=0.0, upto=_CHUNK)
+@example(walk=(EvalFn(0, (1.0,) * _CHUNK + (1.0 + 2.0**-40,), 1.0, 1.0), 0), tol=0.0,
+         upto=_CHUNK + 1)  # the one sum past its cap, first in its chunk
+@example(walk=(EvalFn(-2, (1.0,) * (_CHUNK - 10) + _SEQUENTIAL, 0.5, 1.0), -3), tol=0.0,
+         upto=2 * _CHUNK + 3)
+@example(walk=(EvalFn(5, (1e308,) * (_CHUNK + 1), 0.0, 0.0), 6), tol=PROB_TOL,
+         upto=_CHUNK + 1)  # sums overflow to inf
+def test_polar_walks_across_chunks_match_the_entry_loops(walk, tol, upto):
+    e, theta = walk
+    assert exact(is_in_polar_M, e, tol) == exact(ref_is_in_polar_M, e, tol)
+    assert exact(is_in_polar_D, e, theta, tol) == exact(ref_is_in_polar_D, e, theta, tol)
+    assert exact(polar_certificate_m, e, upto) == exact(ref_polar_certificate_m, e, upto)
+    assert exact(polar_certificate_d, e, theta, upto) == exact(
+        ref_polar_certificate_d, e, theta, upto)
+
+
+@pytest.mark.parametrize("e, theta", [
+    (EvalFn(0, (0.5, 0.25, 0.1), 0.5, 0.5), 10**6),
+    (EvalFn(3, (0.5, 1.0), 1.0, 1.0 + PROB_TOL), -10**6),
+    (EvalFn(10**5, (1.0,) * _CHUNK, 1.0, 1.0), 10**5 + _CHUNK // 2),  # M walks 10^5 tail
+])
+def test_far_polar_walks_match_the_entry_loops(e, theta):
+    assert exact(is_in_polar_M, e) == exact(ref_is_in_polar_M, e)
+    assert exact(is_in_polar_D, e, theta) == exact(ref_is_in_polar_D, e, theta)
+
+
+@settings(max_examples=100, deadline=None, database=None)
+@given(e=st.one_of(evalue_tables(), chunked_tables()), theta=st.integers(-7, 7),
+       tol=_tols, shift=st.sampled_from([12345, 2**40, -2**40]))
+def test_polar_d_is_shift_equivariant(e, theta, tol, shift):
+    # D reads e only at theta + k: moving the table and the peak together
+    # moves nothing the walk sees
+    moved = EvalFn(e.lo + shift, e.values, e.left_tail, e.right_tail)
+    assert exact(is_in_polar_D, moved, theta + shift, tol) == exact(is_in_polar_D, e, theta, tol)
 
 
 @settings(max_examples=200, deadline=None, database=None)
