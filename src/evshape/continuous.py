@@ -16,7 +16,10 @@ bit.  Expectations, e-powers and the numeraire refine two breakpoint
 grids in one array merge (a sort plus ``searchsorted``) and do
 the same float operations on the arrays, one by one, that the scalar
 code did on each piece; logs stay ``math.log``.  The numeraire divides
-by a majorant fitted once per table.
+by a majorant fitted once per table: the knots' heights come from one
+``cumsum``, and their upper hull from :mod:`evshape.numeraire`, where a
+numpy prune certified by a rounding bound leaves every near-tie to the
+monotone chain.
 """
 
 from __future__ import annotations
@@ -24,7 +27,7 @@ from __future__ import annotations
 import math
 from bisect import bisect_left
 from dataclasses import dataclass
-from itertools import accumulate, chain, islice
+from itertools import chain, islice
 from operator import lt, mul, sub, truediv
 
 import numpy as np
@@ -451,8 +454,14 @@ def lcm_cont(q: StepDensity) -> StepDensity:
     piecewise-linear CDF is the upper hull of its knots, so the fitted
     density is the hull's slope sequence.
     """
-    xs = (0.0,) + q.fn.breakpoints[1:]  # the grid may start at -0.0
-    hx, hy = _upper_hull(xs, list(accumulate(q.fn._areas(), initial=q.atom0)))
+    bps = np.array(q.fn.breakpoints)
+    cdf = np.empty(len(bps))  # the knots' heights: the atom, then each piece's area
+    cdf[0] = q.atom0
+    with np.errstate(all="ignore"):  # areas and sums overflow to inf, as floats do
+        np.multiply(q.fn.levels, np.diff(bps), out=cdf[1:])
+        np.cumsum(cdf, out=cdf)  # sequential, as accumulate(..., initial=atom0) is
+    bps[0] = 0.0  # the grid may start at -0.0
+    hx, hy = _upper_hull(bps, cdf)
     slopes = tuple(map(truediv, map(sub, hy[1:], hy), map(sub, hx[1:], hx)))
     return StepDensity(StepFn(tuple(hx), slopes, 0.0, 0.0), q.atom0, q.is_sub)
 

@@ -98,14 +98,21 @@ _CHUNK = 4096
 
 def _chunks(e: EvalFn, a: int, b: int, reverse: bool = False):
     # e(n) over range(a, b), or from b - 1 down, as fresh float arrays of at
-    # most _CHUNK entries: tail runs filled, the table sliced from its tuple
-    below, (i, j), above = e._segments(a, b)
+    # most _CHUNK entries: tail runs filled, the table sliced from its tuple.
+    # A span that fits one chunk is one array, its three pieces filled in place
+    (left, n_left), (i, j), (right, n_right) = e._segments(a, b)
+    if 0 < b - a <= _CHUNK:
+        whole = np.empty(b - a)
+        whole[:n_left] = left
+        whole[n_left:n_left + j - i] = e.values[i:j]
+        whole[n_left + j - i:] = right
+        return iter((whole[::-1] if reverse else whole,))
     if reverse:
         table = (np.array(e.values[max(k - _CHUNK, i):k], dtype=float)[::-1]
                  for k in range(j, i, -_CHUNK))
-        return chain(_runs(*above), table, _runs(*below))
+        return chain(_runs(right, n_right), table, _runs(left, n_left))
     table = (np.array(e.values[k:min(k + _CHUNK, j)], dtype=float) for k in range(i, j, _CHUNK))
-    return chain(_runs(*below), table, _runs(*above))
+    return chain(_runs(left, n_left), table, _runs(right, n_right))
 
 
 def _runs(value: float, length: int):

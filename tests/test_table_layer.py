@@ -11,9 +11,9 @@ and so does the type of any exception raised.
 The C-level kernels (``map``, ``itertools`` and array merges in place of
 per-entry loops) are compared the same way with the per-entry loops
 they replaced: the text parser, the table validation, ``epower``, the
-polar walks and certificates, the monotone chain, ``integral_to``,
-``lcm_cont`` and the two-pointer grid merge.  There floats are compared
-by ``float.hex`` and exceptions by type and message.
+polar walks and certificates, the monotone chain (pruned on long inputs),
+``integral_to``, ``lcm_cont`` and the two-pointer grid merge.  There
+floats are compared by ``float.hex`` and exceptions by type and message.
 
 The closed forms are compared with the scans they replaced: the mode
 set and the peak predicate from the last rise and the first drop against
@@ -30,6 +30,8 @@ import sys
 import warnings
 from fractions import Fraction
 from itertools import accumulate
+from operator import sub
+from unittest.mock import patch
 
 import numpy as np
 import pytest
@@ -65,7 +67,9 @@ from evshape.evalues import (
     _CHUNK,
     EvalFn,
     PolarCertificate,
+    _chunks,
     _over_block_caps,
+    _running_sums,
     epower,
     epower_lower_bound,
     expectation,
@@ -81,6 +85,9 @@ from evshape.evalues import (
 from evshape.harness import ScenarioConfig, run_experiment
 from evshape.numeraire import (
     LcmResult,
+    _prune,
+    _pruned_hull,
+    _replay,
     _upper_hull,
     lcm,
     max_epower,
@@ -174,7 +181,7 @@ def ref_lcm(q: Pmf) -> LcmResult:
     for n in range(0, q.hi + 1):
         acc += q.f(n)
         cdf.append(acc)
-    hx, hy = _upper_hull(xs, cdf)
+    hx, hy = ref_upper_hull(xs, cdf)
     # merge numerically equal adjacent slopes so contacts are canonical
     contacts = [hx[0]]
     heights = [hy[0]]
@@ -735,8 +742,8 @@ def pmf_texts(draw):
 def _merges_slopes(text: str) -> bool:
     # the fit merged two hull pieces under its 1e-12 slope rule
     q = pmf_from_text(text)
-    hull = _upper_hull(list(range(-1, q.hi + 1)),
-                       list(accumulate([0.0] * q.lo + list(q.masses), initial=0.0)))
+    hull = ref_upper_hull(list(range(-1, q.hi + 1)),
+                          list(accumulate([0.0] * q.lo + list(q.masses), initial=0.0)))
     return len(hull[0]) > len(lcm(q).contacts)
 
 
@@ -1260,6 +1267,130 @@ def test_monotone_chain_matches_the_list_loop(ys, start, float_xs):
     if float_xs:
         xs = [x / 4.0 for x in xs]
     assert repr(_upper_hull(xs, ys)) == repr(ref_upper_hull(xs, ys))
+
+
+# The hull prune runs past _PRUNE_MIN points, 2048; with that bound patched
+# down to 8, and the replay's blocks to 7 drops, inputs of 50 to 3,000
+# points take many passes and replay checks.  They hold every kind of
+# near-tie the chain decides.
+_N = 10**4
+_DECREASING = [float(_N - k) / (_N * (_N + 1) / 2) for k in range(_N)]  # all vertices
+_EVERY_OTHER_ZERO = [2.0 / _N if k % 2 == 0 else 0.0 for k in range(_N)]
+_EQUAL_PIECES = [k / _N for k in range(_N + 1)]  # a uniform density's grid
+
+
+def _cdf_knots(masses):
+    return list(range(-1, len(masses))), list(accumulate(masses, initial=0.0))
+
+
+@st.composite
+def long_hull_inputs(draw):
+    # past 2048 the prune runs at its own bound too
+    size = draw(st.one_of(st.integers(50, 3000), st.sampled_from([2049, 3000])))
+    rng = random.Random(draw(st.integers(0, 2**32 - 1)))
+    kind = draw(st.sampled_from(["plateaus", "small ints", "below half an ulp", "rare"]))
+    if kind == "plateaus":  # a CDF whose masses repeat in runs
+        masses: list[float] = []
+        while len(masses) < size:
+            masses += [rng.choice([0.0, 0.5, 1.0, 3.0, rng.random()])] * rng.randint(1, 200)
+        ys = list(accumulate(masses[:size]))
+    elif kind == "small ints":
+        ys = [float(rng.randint(-3, 3)) for _ in range(size)]
+    elif kind == "below half an ulp":  # steps from 1.0 that round away or land
+        steps = [rng.choice([0.0, 2.0**-54, 2.0**-53, 2.0**-52]) for _ in range(size - 1)]
+        ys = list(accumulate(steps, initial=1.0))
+    else:  # subnormals, 1e308, inf and nan among ordinary heights
+        pool = draw(st.lists(st.sampled_from([5e-324, 1e-310, 1e308, math.inf, math.nan]),
+                             min_size=1, max_size=3))
+        ys = [rng.choice(pool) if rng.random() < 0.1 else rng.random() for _ in range(size)]
+    start = draw(st.integers(-2, 2))
+    xs = draw(st.sampled_from([
+        [start + k for k in range(size)],
+        [(start + k) / 4.0 for k in range(size)],
+        [-0.0] + [k / 4.0 for k in range(1, size)],
+    ]))
+    return xs, ys
+
+
+_SMALL_PRUNE = patch.multiple(evshape.numeraire, _PRUNE_MIN=8, _REPLAY_BLOCK=7)
+
+
+@settings(max_examples=60, deadline=None, database=None)
+@given(points=long_hull_inputs())
+@example(points=_cdf_knots(_DECREASING))
+@example(points=_cdf_knots([1.0 / _N] * _N))
+@example(points=(_EQUAL_PIECES, list(accumulate(map(sub, _EQUAL_PIECES[1:], _EQUAL_PIECES),
+                                                initial=0.0))))
+@example(points=_cdf_knots(_EVERY_OTHER_ZERO))
+def test_pruned_hull_matches_the_list_loop_on_long_inputs(points):
+    xs, ys = points
+    want = repr(ref_upper_hull(xs, ys))
+    assert repr(_upper_hull(xs, ys)) == want
+    with _SMALL_PRUNE:
+        assert repr(_upper_hull(xs, ys)) == want
+
+
+def test_the_long_hull_examples_reach_the_cases_they_name():
+    def arrays(xs, ys):
+        return np.asarray(xs, dtype=float), np.asarray(ys)
+
+    # a strictly decreasing table: every knot a vertex, nothing pruned, and
+    # the chain runs on every knot with no replay
+    xs, ys = _cdf_knots(_DECREASING)
+    assert len(_prune(*arrays(xs, ys))[0]) == len(_upper_hull(xs, ys)[0]) == _N + 1
+    assert _pruned_hull(*arrays(xs, ys)) is None
+    # a table far from 0: its zero plateau is exactly collinear, so the
+    # first pass would drop too little as well
+    xs, ys = _cdf_knots([0.0] * _N + [0.5, 0.25, 0.25] * 100)
+    assert _prune(*arrays(xs, ys))[1] == []
+    assert _pruned_hull(*arrays(xs, ys)) is None
+    # a random table: several passes, and the replay checks hold
+    rng = random.Random(1)
+    masses = [rng.random() for _ in range(3000)]
+    xs, ys = _cdf_knots([m / math.fsum(masses) for m in masses])
+    with _SMALL_PRUNE:
+        assert len(_prune(*arrays(xs, ys))[1]) > 2
+        assert _pruned_hull(*arrays(xs, ys)) is not None
+    # products that overflow: the chain keeps the point at 2 through a nan
+    # test, the prune drops it, and the replay check sends the input to the
+    # chain on every point
+    xs, ys = list(range(9)), [1e308, 0.0, 0.0, 1.0, 0.0, 0.0, 0.0, 0.0, 0.0]
+    with _SMALL_PRUNE:
+        assert _pruned_hull(*arrays(xs, ys)) is None
+        assert _upper_hull(xs, ys) == ref_upper_hull(xs, ys) == ([0, 2, 3, 8],
+                                                                 [1e308, 0.0, 1.0, 0.0])
+    # the majorant fits on the named tables and on a uniform density cut
+    # into 10^4 equal pieces, every knot near-collinear
+    for lo, masses in ((0, _DECREASING), (0, [1.0 / _N] * _N), (0, _EVERY_OTHER_ZERO),
+                       (_N, [0.5, 0.25, 0.25])):
+        q = make_pmf(lo, masses)
+        assert outcome(lcm, q) == outcome(ref_lcm, q)
+    q = StepDensity(StepFn(tuple(_EQUAL_PIECES), (1.0,) * _N))
+    assert exact(lcm_cont, q) == exact(ref_lcm_cont, q)
+
+
+def test_replay_refuses_a_drop_that_pops_what_its_successor_kept():
+    # p = (2, 1) pops a = (1, 0) off a' = (0, 0); c = (3, 3) then pops p.
+    # The runs agree only if c popped a in the run without p
+    x, y = np.array([0.0, 1.0, 2.0, 3.0]), np.array([0.0, 0.0, 1.0, 3.0])
+    p, a, c = (np.array([k], dtype=np.int32) for k in (2, 1, 3))
+    under = np.array([-1, 0, -1, 0], dtype=np.int32)
+    for c_popped_a, agree in ((-1, False), (3, True)):
+        popped_by = np.array([-1, c_popped_a, -1, -1], dtype=np.int32)
+        assert _replay(x, y, p, a, c, under.copy(), popped_by) is agree
+
+
+def test_a_walk_within_one_chunk_is_summed_as_one_array():
+    # tails and table fill one array, accumulated once; one entry more
+    # than a chunk splits the walk again
+    e = EvalFn(0, (0.5, 0.25, 0.1), 0.5, 0.5)
+    for a, b in ((-3, 7), (1, 3), (10**6 - _CHUNK, 10**6), (2 - _CHUNK, 2)):
+        for reverse in (False, True):
+            want = list(e.at_range(a, b))
+            got = [chunk.tolist() for chunk in _chunks(e, a, b, reverse)]
+            assert got == [want[::-1] if reverse else want]
+            assert [n for n, _ in _running_sums(e, a, b, 0.5, reverse)] == [0]
+    assert len(list(_chunks(e, -_CHUNK, 1))) == 2
 
 
 @settings(max_examples=300, deadline=None, database=None)
