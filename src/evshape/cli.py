@@ -93,8 +93,8 @@ def _emit(obj) -> None:
 
     ``obj`` may hold :class:`_Runs` arrays (and then no string equal to
     ``_MARK``), which json hands to its ``default`` hook.  Each run's text
-    is written once and repeated, and the arrays are spliced into the rest
-    with one join: the same bytes as ``json.dumps`` of the written-out lists.
+    is written once and repeated, and stdout takes the arrays and the rest
+    piece by piece, unjoined: the bytes ``json.dumps`` gives the full lists.
     """
     parked = []
 
@@ -109,8 +109,8 @@ def _emit(obj) -> None:
         for array, part in zip(parked, parts[1:]):
             out += array.pieces()
             out.append(part)
-        text = "".join(out)
-    print(text, flush=True)
+        sys.stdout.writelines(out)
+    print("" if parked else text, flush=True)
 
 
 def _finite_float(text: str) -> float:

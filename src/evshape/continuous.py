@@ -9,13 +9,13 @@ which suffices because the integral minus ``x`` is piecewise linear for
 step functions and piecewise convex for the ``x * q(x)`` family.
 
 Every table operation is one linear walk, run at C level where it can
-be.  The polar check carries the running integral as Shewchuk partials
-(the ones ``math.fsum`` keeps) and rounds each prefix once, so it
-returns what summing every prefix afresh with ``fsum`` would, bit for
-bit.  Expectations, e-powers and the numeraire refine two breakpoint
-grids in one array merge (a sort plus ``searchsorted``) and do
-the same float operations on the arrays, one by one, that the scalar
-code did on each piece; logs stay ``math.log``.  The numeraire divides
+be.  The polar check reads its running integral from the package's one
+exact running sum, ``pmf._running_fsums``, so it returns what summing
+every prefix afresh with ``fsum`` would, bit for bit.  Expectations,
+e-powers and the numeraire refine two breakpoint grids in one array
+merge (a sort plus ``searchsorted``) and do the same float operations
+on the arrays, one by one, that the scalar code did on each piece; logs
+stay ``math.log``.  The numeraire divides
 by a majorant fitted once per table: the knots' heights come from one
 ``cumsum``, and their upper hull from :mod:`evshape.numeraire`, where a
 numpy prune certified by a rounding bound leaves every near-tie to the
@@ -43,7 +43,7 @@ from .errors import (
 from .mode import _check_alpha
 from .numeraire import _upper_hull
 from .pmf import (PROB_TOL, SHAPE_TOL, _check_nonnegative, _check_total, _json_bool,
-                  _json_number, _json_numbers, _json_object)
+                  _json_number, _json_numbers, _json_object, _running_fsums)
 
 
 def _rights_to(bps: tuple[float, ...], x: float):
@@ -271,39 +271,15 @@ def is_in_polar_U(e, require_jump_guard: bool = False, tol: float = PROB_TOL) ->
     with ``require_jump_guard`` also caps the value at 0 by one, which
     extends validity to nulls carrying an atom there.
 
-    One pass: the running integral is kept as ``math.fsum``'s own
-    partials, so ``fsum(partials)`` at each breakpoint is exactly
-    ``e.integral_to(b)``.
+    One pass: the running integral is read from :func:`pmf._running_fsums`,
+    exactly ``e.integral_to(b)`` at each breakpoint ``b`` (0 at the first).
     """
     if e.tail_level > 1.0 + tol:
         return False
     if require_jump_guard and e.value_at_0 > 1.0 + tol:
         return False
-    bps = e.breakpoints
-    if not 0.0 <= bps[0] + tol * max(1.0, bps[0]):
-        return False
-    partials: list[float] = []
-    for k, x in enumerate(e._areas(), 1):
-        # add x to the partials as fsum does: exact, nonoverlapping, ascending
-        i = 0
-        for y in partials:
-            if abs(x) < abs(y):
-                x, y = y, x
-            hi = x + y
-            lo = y - (hi - x)
-            if lo:
-                partials[i] = lo
-                i += 1
-            x = hi
-        if not math.isfinite(x):
-            # an infinite piece or an overflowing sum: integral_to decides
-            # the rest (inf, nan or OverflowError) as it always has
-            return all(e.integral_to(b) <= b + tol * max(1.0, b) for b in bps[k:])
-        partials[i:] = [x] if x else []
-        b = bps[k]
-        if not math.fsum(partials) <= b + tol * max(1.0, b):
-            return False
-    return True
+    integrals = chain((0.0,), _running_fsums(zip(e._areas())))
+    return all(s <= b + tol * max(1.0, b) for s, b in zip(integrals, e.breakpoints))
 
 
 # -------------------------------------------------- expectation, e-power

@@ -97,27 +97,16 @@ _CHUNK = 4096
 
 
 def _chunks(e: EvalFn, a: int, b: int, reverse: bool = False):
-    # e(n) over range(a, b), or from b - 1 down, as fresh float arrays of at
-    # most _CHUNK entries: tail runs filled, the table sliced from its tuple.
-    # A span that fits one chunk is one array, its three pieces filled in place
-    (left, n_left), (i, j), (right, n_right) = e._segments(a, b)
-    if 0 < b - a <= _CHUNK:
-        whole = np.empty(b - a)
-        whole[:n_left] = left
-        whole[n_left:n_left + j - i] = e.values[i:j]
-        whole[n_left + j - i:] = right
-        return iter((whole[::-1] if reverse else whole,))
-    if reverse:
-        table = (np.array(e.values[max(k - _CHUNK, i):k], dtype=float)[::-1]
-                 for k in range(j, i, -_CHUNK))
-        return chain(_runs(right, n_right), table, _runs(left, n_left))
-    table = (np.array(e.values[k:min(k + _CHUNK, j)], dtype=float) for k in range(i, j, _CHUNK))
-    return chain(_runs(left, n_left), table, _runs(right, n_right))
-
-
-def _runs(value: float, length: int):
-    for k in range(0, length, _CHUNK):
-        yield np.full(min(_CHUNK, length - k), value)
+    # e(n) over range(a, b), or from b - 1 down: a fresh float array for each
+    # window of at most _CHUNK entries, filled in place from its _segments
+    starts = range(a, b, _CHUNK)
+    for k in reversed(starts) if reverse else starts:
+        (left, n_left), (i, j), (right, _) = e._segments(k, min(k + _CHUNK, b))
+        chunk = np.empty(min(_CHUNK, b - k))
+        chunk[:n_left] = left
+        chunk[n_left:n_left + j - i] = e.values[i:j]
+        chunk[n_left + j - i:] = right
+        yield chunk[::-1] if reverse else chunk
 
 
 def _running_sums(e: EvalFn, a: int, b: int, start: float, reverse: bool = False):

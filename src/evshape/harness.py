@@ -64,6 +64,10 @@ slices of at most ``_BLOCK_CELLS`` terms.
 block by block in a sorted pass that keeps both, so the floats are the
 tracker's bit for bit; the numeraire e-process adds up a table of
 ``math.log`` values from the one majorant fit of the scenario.
+
+``ci_coverage`` reads each mode's coverage from difference sums over the
+mode set (``+m`` where a mass's interval starts, ``-m`` one past its end)
+by one exact running ``fsum``, in time support plus width.
 """
 
 from __future__ import annotations
@@ -95,7 +99,7 @@ from .errors import (ConfigError, EvshapeError, MalformedJson, NonIntegerInput,
 from .mode import estimate_level, first_window, free_levels, one_obs_ci
 from .numeraire import _numeraire_with_epower, lcm
 from .pmf import (GuideTable, Pmf, _json_int, _json_number, _json_numbers,
-                  _json_object, mode_set, pmf_from_json)
+                  _json_object, _running_fsums, mode_set, pmf_from_json)
 from .pmf import sample  # noqa: F401 - kept as harness.sample, which perfbench patches
 
 SCENARIOS = (
@@ -740,17 +744,18 @@ def _run_ci_coverage(c: ScenarioConfig) -> tuple[list[dict], dict]:
 
     modes = mode_set(c.distribution)
     simultaneous = []
-    per_theta = {t: [] for t in members(modes)}
+    moves = [[] for _ in range(len(members(modes)) + 1)]  # the last is never read
     for x, mass in c.distribution.items():
         if mass == 0.0:
             continue
         covered = one_obs_ci(x, c.alpha, c.resolved_phi).intersect(modes)
         if covered == modes:
             simultaneous.append(mass)
-        for t in members(covered):
-            per_theta[t].append(mass)
+        if covered.kind == "range":
+            moves[covered.lo - modes.lo].append(mass)
+            moves[covered.hi + 1 - modes.lo].append(-mass)
     coverage = math.fsum(simultaneous)
-    theta_cov = {t: math.fsum(ms) for t, ms in per_theta.items()}
+    theta_cov = dict(zip(members(modes), _running_fsums(moves)))
     records = [
         {
             "mode_set": modes.to_json(),

@@ -186,6 +186,36 @@ def _check_total(total: float, is_sub: bool) -> None:
         raise MassSumViolation(f"total mass {total} is not 1 within {PROB_TOL}")
 
 
+def _running_fsums(groups):
+    """Yield ``math.fsum`` of every float added so far, after each group.
+
+    The sum is kept exact as fsum's own partials (Shewchuk 1997), and only
+    each reading rounds.  Non-finite cases are fsum's: ``inf`` and ``nan``
+    entries restart the partials and set the reading, and a finite sum past
+    the float range raises ``OverflowError``.
+    """
+    partials, specials = [], []
+    for group in groups:
+        for x in group:
+            entry, i = x, 0
+            for y in partials:
+                if abs(x) < abs(y):
+                    x, y = y, x
+                hi = x + y
+                lo = y - (hi - x)
+                if lo:
+                    partials[i] = lo
+                    i += 1
+                x = hi
+            if not math.isfinite(x):
+                if math.isfinite(entry):
+                    raise OverflowError("intermediate overflow in fsum")
+                specials.append(entry)
+                i = x = 0
+            partials[i:] = [x] if x else []
+        yield math.fsum(specials or partials)
+
+
 def make_pmf(lo: int, masses, is_sub: bool = False) -> Pmf:
     """Validate and normalize a mass table.
 

@@ -5,9 +5,10 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from evshape import __version__
 from evshape.eprocess import MonotoneTracker, UnimodalFamily, _tilt_rows
 from evshape.errors import ConfigError
 from evshape.harness import (
@@ -17,7 +18,7 @@ from evshape.harness import (
     derive_seed,
     run_experiment,
 )
-from evshape.mode import UnrestrictedTest, mode_estimate
+from evshape.mode import UnrestrictedTest, mode_estimate, one_obs_ci
 from evshape.pmf import make_pmf, mode_set, sample
 
 UNIFORM10 = make_pmf(0, [0.1] * 10)
@@ -471,3 +472,69 @@ def test_ci_coverage_exact_sums():
     assert agg["target"] == pytest.approx(0.75)
     assert agg["min_mode_coverage"] >= agg["target"] - 1e-12
     assert 0.0 <= agg["coverage_all_modes"] <= 1.0 + 1e-12
+
+
+def ref_ci_coverage(c: ScenarioConfig) -> tuple[list[dict], dict]:
+    # the scenario as it was written first: one list of masses per mode,
+    # each summed by its own fsum
+    def members(m):  # the config holds a nonempty table, so m is never "all"
+        return range(m.lo, m.hi + 1) if m.kind == "range" else ()
+
+    modes = mode_set(c.distribution)
+    simultaneous = []
+    per_theta = {t: [] for t in members(modes)}
+    for x, mass in c.distribution.items():
+        if mass == 0.0:
+            continue
+        covered = one_obs_ci(x, c.alpha, c.resolved_phi).intersect(modes)
+        if covered == modes:
+            simultaneous.append(mass)
+        for t in members(covered):
+            per_theta[t].append(mass)
+    coverage = math.fsum(simultaneous)
+    theta_cov = {t: math.fsum(ms) for t, ms in per_theta.items()}
+    records = [
+        {
+            "mode_set": modes.to_json(),
+            "coverage_all_modes": coverage,
+            "coverage_by_mode": {str(t): v for t, v in sorted(theta_cov.items())},
+        }
+    ]
+    aggregates = {
+        "coverage_all_modes": coverage,
+        "min_mode_coverage": min(theta_cov.values()) if theta_cov else 1.0,
+        "target": 1.0 - c.alpha,
+    }
+    return records, aggregates
+
+
+@st.composite
+def coverage_configs(draw):
+    # a rise, a plateau of the peak mass (each entry moved by less than the
+    # shape tolerance) and a fall; a second rise after it leaves the mode set
+    # empty; masses of random size make every sum round
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    up, flat, down = (draw(st.integers(0, k)) for k in (40, 400, 40))
+    raw = [*np.sort(rng.uniform(0.1, 1.0, up)),
+           *(1.0 + rng.uniform(-4e-13, 4e-13, flat + 1)),
+           *np.sort(rng.uniform(0.1, 1.0, down))[::-1]]
+    if draw(st.booleans()):
+        raw += [0.5, 0.05, 0.9]  # bimodal
+    total = math.fsum(raw)
+    p = make_pmf(draw(st.integers(-300, 300)), [v / total for v in raw])
+    phi = draw(st.one_of(st.none(), st.integers(p.lo - 3, p.hi + 3)))  # often on the support
+    alpha = draw(st.one_of(st.sampled_from([0.05, 0.25, 0.9]), st.floats(0.01, 0.9)))
+    return _ci(p, alpha=alpha, phi=phi)
+
+
+@settings(max_examples=120, deadline=None, database=None)
+@given(c=coverage_configs())
+@example(c=_ci(make_pmf(0, [1 / 700] * 700)))  # a mode set 700 wide
+@example(c=_ci(make_pmf(-350, [1 / 700] * 700), alpha=0.9, phi=-1))
+@example(c=_ci(make_pmf(0, [0.4, 0.1, 0.5]), alpha=0.1))  # no modes
+def test_ci_coverage_matches_the_per_mode_lists(c):
+    # difference sums over the mode set give each mode fsum of its masses
+    records, aggregates = ref_ci_coverage(c)
+    want = RunReport(config=c.to_json(), library_version=__version__,
+                     records=tuple(records), aggregates=aggregates)
+    assert run_experiment(c).to_json() == want.to_json()

@@ -5,6 +5,8 @@ import math
 import random
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from evshape.errors import (
     EmptyObservations,
@@ -16,6 +18,7 @@ from evshape.errors import (
 from evshape.pmf import (
     ModeInterval,
     Pmf,
+    _running_fsums,
     empirical,
     is_monotone,
     is_theta_unimodal,
@@ -257,3 +260,60 @@ def test_mode_interval_intersect():
     assert a.intersect(ModeInterval.all_integers()) == a
     assert a.intersect(ModeInterval.bounded(11, 12)).is_empty
     assert a.intersect(ModeInterval.empty()).is_empty
+
+
+# ---------------------------------------------------------- running fsums
+
+
+_DBL_MAX = 1.7976931348623157e308
+# fsum's hard cases: subnormals, 2**53 (where 1 is half an ulp), steps
+# below half an ulp of 1, -0.0, entries near the float range, non-finites
+_FSUM_EDGES = [0.0, -0.0, 1.0, 2.0**53, 2.0**53 + 2.0, 2.0**-54, 2.0**-60, 5e-324,
+               -5e-324, 1e-310, 1e308, 1.7e308, -1.7e308, _DBL_MAX, math.inf, -math.inf,
+               math.nan]
+
+
+@st.composite
+def fsum_groups(draw):
+    xs = draw(st.lists(st.one_of(st.floats(), st.sampled_from(_FSUM_EDGES)), max_size=24))
+    # some entries leave again, as their negation, at or after the place they enter
+    leaves = [[] for _ in xs]
+    for i in draw(st.lists(st.integers(0, len(xs) - 1), max_size=len(xs))) if xs else ():
+        leaves[draw(st.integers(i, len(xs) - 1))].append(-xs[i])
+    flat = [y for x, out in zip(xs, leaves) for y in (x, *out)]
+    cuts = sorted(draw(st.lists(st.integers(0, len(flat)), max_size=8)))
+    return [flat[a:b] for a, b in zip([0, *cuts], [*cuts, len(flat)])]
+
+
+def _fsum_reading(xs):
+    try:
+        return repr(math.fsum(xs))
+    except (OverflowError, ValueError) as exc:
+        return type(exc).__name__
+
+
+@settings(max_examples=1000, deadline=None, database=None)
+@given(groups=fsum_groups())
+@example(groups=[[0.1, 0.7], [-0.1], [0.2, -0.7], [-0.2]])  # cancelling pairs
+@example(groups=[[5e-324], [1e-310, -5e-324], [-1e-310]])  # subnormals
+@example(groups=[[2.0**53], [1.0], [1.0], [-2.0**53]])  # at 2**53
+@example(groups=[[1.0], [2.0**-54], [2.0**-54], [2.0**-60]])  # below half an ulp
+@example(groups=[[-0.0], [-0.0, 0.0], [-0.0]])
+@example(groups=[[1.0], [math.inf], [1.0], [math.nan], [-math.inf]])
+@example(groups=[[1e308, math.inf], [1e308], [1e308]])  # overflow after an inf
+@example(groups=[[1.7e308], [1.7e308], [-1.7e308]])  # a finite overflow raises
+@example(groups=[[_DBL_MAX, -_DBL_MAX], [_DBL_MAX], [2.0**970]])
+def test_running_fsums_read_fsum_of_every_prefix(groups):
+    flat, want = [], []
+    for group in groups:
+        flat += group
+        want.append(_fsum_reading(flat))
+    got, readings = [], _running_fsums(groups)
+    while len(got) < len(groups):
+        try:
+            got.append(repr(next(readings)))
+        except (OverflowError, ValueError) as exc:
+            got.append(type(exc).__name__)
+            break
+    assert got == want[:len(got)]
+    assert len(got) == len(groups) or got[-1] in ("OverflowError", "ValueError")

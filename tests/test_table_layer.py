@@ -1183,8 +1183,8 @@ def test_polar_certificates_match_the_entry_loops(e, theta, upto):
         ref_polar_certificate_d, e, theta, upto)
 
 
-# The walks sum in arrays of _CHUNK entries, each tail run and the table in
-# chunks of their own; the tables below are long enough to cross them.
+# The walks sum in windows of _CHUNK entries counted from the walk's start;
+# the tables below are long enough to cross them.
 _SIZES = (_CHUNK - 1, _CHUNK, _CHUNK + 1, 2 * _CHUNK + 3)
 _ONES = EvalFn(0, (1.0,) * (2 * _CHUNK + 3), 1.0, 1.0)  # every sum lands on its cap
 
@@ -1195,7 +1195,7 @@ def chunked_tables(draw):
     pool = draw(st.lists(_entries, min_size=1, max_size=3))
     rng = random.Random(draw(st.integers(0, 2**32 - 1)))
     values = [rng.choice(pool) for _ in range(size)]
-    # _SEQUENTIAL over table index _CHUNK, a boundary of the walks from index 0
+    # _SEQUENTIAL near n = _CHUNK, a window boundary of the M walk from 0
     at = min(draw(st.integers(_CHUNK - 15, _CHUNK - 1)), size - len(_SEQUENTIAL))
     values[at:at + len(_SEQUENTIAL)] = _SEQUENTIAL
     return EvalFn(draw(st.sampled_from([0, -2, 3])), values, draw(_entries), draw(_entries))
@@ -1391,6 +1391,14 @@ def test_a_walk_within_one_chunk_is_summed_as_one_array():
             assert got == [want[::-1] if reverse else want]
             assert [n for n, _ in _running_sums(e, a, b, 0.5, reverse)] == [0]
     assert len(list(_chunks(e, -_CHUNK, 1))) == 2
+    # a longer walk: windows of _CHUNK entries from a, the last one short
+    long = EvalFn(-5, tuple(random.Random(0).random() for _ in range(2 * _CHUNK)), 0.5, 2.0)
+    for a, b in ((-_CHUNK, 3 * _CHUNK), (0, 2 * _CHUNK + 1)):
+        want = list(long.at_range(a, b))
+        chunks = [chunk.tolist() for chunk in _chunks(long, a, b)]
+        assert [len(c) for c in chunks[:-1]] == [_CHUNK] * (len(chunks) - 1)
+        assert sum(chunks, []) == want
+        assert sum((c.tolist() for c in _chunks(long, a, b, reverse=True)), [])[::-1] == want
 
 
 @settings(max_examples=300, deadline=None, database=None)
