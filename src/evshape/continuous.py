@@ -9,9 +9,9 @@ which suffices because the integral minus ``x`` is piecewise linear for
 step functions and piecewise convex for the ``x * q(x)`` family.
 
 Every table operation is one linear walk, run at C level where it can
-be.  The polar check reads its running integral from the package's one
-exact running sum, ``pmf._running_fsums``, so it returns what summing
-every prefix afresh with ``fsum`` would, bit for bit.  Expectations,
+be.  The polar check is one array pass, ``pmf._under_caps``, that sums
+exactly only near a cap, so it returns what summing every prefix afresh
+with ``fsum`` would, bit for bit.  Expectations,
 e-powers and the numeraire refine two breakpoint grids in one array
 merge (a sort plus ``searchsorted``) and do the same float operations
 on the arrays, one by one, that the scalar code did on each piece; logs
@@ -43,7 +43,7 @@ from .errors import (
 from .mode import _check_alpha
 from .numeraire import _upper_hull
 from .pmf import (PROB_TOL, SHAPE_TOL, _check_nonnegative, _check_total, _json_bool,
-                  _json_number, _json_numbers, _json_object, _running_fsums)
+                  _json_number, _json_numbers, _json_object, _under_caps)
 
 
 def _rights_to(bps: tuple[float, ...], x: float):
@@ -271,15 +271,24 @@ def is_in_polar_U(e, require_jump_guard: bool = False, tol: float = PROB_TOL) ->
     with ``require_jump_guard`` also caps the value at 0 by one, which
     extends validity to nulls carrying an atom there.
 
-    One pass: the running integral is read from :func:`pmf._running_fsums`,
-    exactly ``e.integral_to(b)`` at each breakpoint ``b`` (0 at the first).
+    One pass, :func:`pmf._under_caps`: each integral is exactly
+    ``e.integral_to(b)`` at its breakpoint ``b`` (0 at the first).
     """
     if e.tail_level > 1.0 + tol:
         return False
     if require_jump_guard and e.value_at_0 > 1.0 + tol:
         return False
-    integrals = chain((0.0,), _running_fsums(zip(e._areas())))
-    return all(s <= b + tol * max(1.0, b) for s, b in zip(integrals, e.breakpoints))
+    # the right end of each piece and the integral over it: _areas() as an
+    # array, by the same float operations
+    bps = np.array(e.breakpoints)
+    rights, lefts = bps[1:], bps[:-1]
+    with np.errstate(all="ignore"):  # inf and nan come silently, as in float code
+        if isinstance(e, XqEvalue):
+            areas = np.array(e.q.fn.levels) * (rights * rights - lefts * lefts) / 2.0
+        else:
+            areas = np.array(e.levels) * (rights - lefts)
+    b0 = e.breakpoints[0]  # where the integral is 0
+    return 0.0 <= b0 + tol * max(1.0, b0) and _under_caps(rights, areas, tol, e._areas())
 
 
 # -------------------------------------------------- expectation, e-power

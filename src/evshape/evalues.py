@@ -4,14 +4,15 @@ An :class:`EvalFn` is a nonnegative function on the integers given by a
 finite table plus constant tails.  The polar checks decide whether such
 a function has expectation at most one under every distribution of the
 relevant shape class; they are exact because the extreme points of both
-classes are uniform blocks.
+classes are uniform blocks.  Each takes the block sums in one array pass,
+a tail run being one piece, and sums exactly where rounding could decide.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from itertools import chain, compress, count, islice, repeat
+from itertools import accumulate, chain, compress, count, islice, repeat
 from operator import mul, truediv
 
 import numpy as np
@@ -25,7 +26,8 @@ from .errors import (
     NoViolationAt,
 )
 from .pmf import (PROB_TOL, SHAPE_TOL, Pmf, _check_nonnegative, _json_int, _json_number,
-                  _json_numbers, _json_object, is_monotone, is_theta_unimodal)
+                  _json_numbers, _json_object, _sum_margin, _under_caps, is_monotone,
+                  is_theta_unimodal)
 
 
 @dataclass(frozen=True)
@@ -60,19 +62,12 @@ class EvalFn:
             return self.right_tail
         return self.values[n - self.lo]
 
-    def _segments(self, a: int, b: int):
-        # range(a, b) as the left tail's run (value, length), the table's
-        # indices (i, j) and the right tail's run; at_range and the polar
-        # walks' array chunks both read these
-        n, lo = len(self.values), self.lo
-        return ((self.left_tail, max(min(b, lo) - a, 0)),
-                (min(max(a - lo, 0), n), min(max(b - lo, 0), n)),
-                (self.right_tail, max(b - max(a, lo + n), 0)))
-
     def at_range(self, a: int, b: int):
         """``self.at(n)`` lazily over ``range(a, b)``."""
-        below, (i, j), above = self._segments(a, b)
-        return chain(repeat(*below), islice(self.values, i, j), repeat(*above))
+        n, lo = len(self.values), self.lo
+        return chain(repeat(self.left_tail, max(min(b, lo) - a, 0)),
+                     islice(self.values, min(max(a - lo, 0), n), min(max(b - lo, 0), n)),
+                     repeat(self.right_tail, max(b - max(a, lo + n), 0)))
 
     def to_json(self) -> dict:
         return {
@@ -91,52 +86,19 @@ class EvalFn:
                    _json_number(obj["right_tail"], "right_tail"))
 
 
-# entries per array chunk of a polar walk: memory stays O(_CHUNK) at any
-# offset, and signal handlers run between chunks
-_CHUNK = 4096
-
-
-def _chunks(e: EvalFn, a: int, b: int, reverse: bool = False):
-    # e(n) over range(a, b), or from b - 1 down: a fresh float array for each
-    # window of at most _CHUNK entries, filled in place from its _segments
-    starts = range(a, b, _CHUNK)
-    for k in reversed(starts) if reverse else starts:
-        (left, n_left), (i, j), (right, _) = e._segments(k, min(k + _CHUNK, b))
-        chunk = np.empty(min(_CHUNK, b - k))
-        chunk[:n_left] = left
-        chunk[n_left:n_left + j - i] = e.values[i:j]
-        chunk[n_left + j - i:] = right
-        yield chunk[::-1] if reverse else chunk
-
-
-def _running_sums(e: EvalFn, a: int, b: int, start: float, reverse: bool = False):
-    # (n, sums) per chunk: the running sums past start, n of them before the
-    # chunk.  add.accumulate (cumsum) is sequential, not np.sum's pairwise
-    # order, and each chunk's first entry adds the last sum before it, so
-    # every sum is the float accumulate(..., initial=start) gives entry by entry
-    n = 0
-    for chunk in _chunks(e, a, b, reverse):
-        with np.errstate(over="ignore"):  # sums overflow to inf silently, as floats do
-            chunk[0] += start
-            start = np.add.accumulate(chunk, out=chunk)[-1]
-        yield n, chunk
-        n += len(chunk)
-
-
-def _over_block_caps(sums, tol: float = PROB_TOL, first: int = 0) -> bool:
-    # some running sum through n breaks the uniform blocks' cap n + 1, with
-    # sums[0] the sum through n = first; the oracle and its certificate share
-    # this rule, so their verdicts agree
+def _over_block_caps(sums, tol: float = PROB_TOL) -> bool:
+    # some running sum through n breaks the uniform blocks' cap (n + 1)(1 + tol):
+    # the monotone certificate's rule
     sums = np.asarray(sums, dtype=float)
-    caps = np.arange(first + 1, first + 1 + len(sums), dtype=float) * (1.0 + tol)
+    caps = np.arange(1, 1 + len(sums), dtype=float) * (1.0 + tol)
     return bool((sums > caps).any())
 
 
-def _block_excess(sums, first: int = 0) -> float:
-    # max over n of rho_n - (n + 1), with sums[0] = rho_first: a side's excess
-    # over the uniform blocks' caps, which the D oracle and its certificate share
+def _block_excess(sums, tol: float = PROB_TOL) -> float:
+    # max over n of rho_n - 1/2 - (n + 1/2)(1 + tol), with sums[0] = rho_0: one
+    # side's share of a block's excess over its relative cap, as in is_in_polar_D
     sums = np.asarray(sums, dtype=float)
-    return float((sums - np.arange(first + 1, first + 1 + len(sums), dtype=float)).max())
+    return float((sums - 0.5 - (np.arange(len(sums)) + 0.5) * (1.0 + tol)).max())
 
 
 @dataclass(frozen=True)
@@ -173,7 +135,7 @@ class PolarCertificate:
                 raise InvalidCertificate("sides must share the starting value")
             if not 0.5 - SHAPE_TOL <= self.rho[0] <= 1.0 + PROB_TOL:
                 raise InvalidCertificate("starting value outside [1/2, 1]")
-            if _block_excess(self.rho) + _block_excess(self.eta) > PROB_TOL:
+            if _block_excess(self.rho) + _block_excess(self.eta) > 0.0:
                 raise InvalidCertificate("certificate sums exceed the joint cap")
 
 
@@ -243,61 +205,92 @@ def is_in_polar_M(e: EvalFn, tol: float = PROB_TOL) -> bool:
     """Expectation at most one under every non-increasing distribution.
 
     Exact via the block criterion: the running sum through ``n`` must
-    stay at most ``n + 1`` for every ``n >= 0``, and the right tail must
-    not exceed one.  Entries below zero are ignored.  The sums are
-    sequential float sums taken in array chunks, so memory stays bounded
-    however far the table lies from zero, and a long walk can be
-    interrupted.
+    stay at most ``(n + 1)(1 + tol)`` for every ``n >= 0``, and the right
+    tail at most ``1 + tol``; entries below zero are ignored.  This is
+    :func:`~evshape.continuous.is_in_polar_U` on the unit grid, where
+    ``(k, k + 1]`` carries ``e(k)`` and ``(0, lo]`` the left tail as one
+    piece: the cost is the table's, however far it lies from zero.
     """
     if e.right_tail > 1.0 + tol:
         return False
-    sums = _running_sums(e, 0, max(e.hi, 0) + 1, 0.0)
-    return not any(_over_block_caps(chunk, tol, n) for n, chunk in sums)
+    areas = (e.lo * e.left_tail,) + e.values if e.lo > 0 else e.values[-e.lo:]
+    # breakpoints start .. hi + 1, each rounded once: exact offsets on a
+    # float base, as arange steps from rounded ends past 2**53
+    start = max(e.lo, 1)
+    offset = start - int(float(start))
+    rights = np.arange(offset, offset + len(areas), dtype=float)
+    rights += float(start)
+    return _under_caps(rights, np.fromiter(areas, float, len(areas)), tol, areas)
 
 
 def is_in_polar_D(e: EvalFn, theta: int, tol: float = PROB_TOL) -> bool:
     """Expectation at most one under every distribution peaked at ``theta``.
 
-    Exact via uniform blocks containing ``theta``: with running sums
-    ``rho_n = (1 + e(theta))/2 + sum_{k<n} e(theta + k)`` and the
-    mirrored ``eta_m``, membership holds iff ``sup(rho_n - n) +
-    sup(eta_m - m) <= 0``.  Constant tails make both suprema attainable
-    one step past the table.  As in :func:`is_in_polar_M`, the sums are
-    sequential and taken in array chunks: memory stays bounded however
-    far ``theta`` lies from the table, and a long walk can be interrupted.
+    Exact via uniform blocks containing ``theta``: each block's sum must
+    stay at most its length times ``t = 1 + tol``, and both tails at most
+    ``t``.  With ``R`` the largest sum of ``e(theta + k) - t`` over
+    ``k = 1..r``, ``r >= 0``, and ``L`` its mirror image, that is
+    ``e(theta) - t + R + L <= 0``.  Each side is one array pass, and the
+    run of a tail between ``theta`` and the table is one piece of it, its
+    sums being linear in its length: the cost is the table's, however far
+    ``theta`` lies from it.  Unless the float sums show the sign positive,
+    sums in units of ``2**-1074`` decide it exactly, up to the last index
+    that could hold a side's largest sum.
     """
-    if e.at(theta) > 1.0 + tol:
+    t = 1.0 + tol
+    center = e.at(theta)
+    if center > t or e.left_tail > t or e.right_tail > t:
         return False
-    if e.right_tail > 1.0 + tol or e.left_tail > 1.0 + tol:
-        return False
-    start = (1.0 + e.at(theta)) / 2.0
-    # one index past the table is enough: increments are constant after
-    span = max(e.hi - theta, theta - e.lo, 0) + 2
+    i, n = theta - e.lo, len(e.values)  # theta's index in the table
+    left = min(max(i, 0), n)  # entries below theta
+    # each side in walk order: the run of a tail between theta and the
+    # table (its length and value), then the table's entries
+    sides = ((max(-i - 1, 0), e.left_tail, slice(min(max(i + 1, 0), n), None)),
+             (max(i - n, 0), e.right_tail, slice(left - 1, None, -1) if left else slice(0)))
+    steps = np.fromiter(e.values, float, n)
+    steps -= t
+    passes = []
+    for gap, tail, cut in sides:  # each side's largest sum, an error bound, its sums
+        head, run = gap * (tail - t), steps[cut]
+        with np.errstate(all="ignore"):  # inf and nan come silently, as in float code
+            err = _sum_margin(len(run) + 1) * (abs(head) + float(np.abs(run).sum()))
+            sums = np.cumsum(run, out=run)
+            top = max(0.0, head, head + float(np.max(sums, initial=-math.inf)))
+        passes.append((top, err, head, sums))
+    (r, r_err, *_), (l, l_err, *_) = passes
+    c = center - t
+    if c + max(r - r_err, 0.0) + max(l - l_err, 0.0) > (abs(c) + r + r_err + l + l_err) * 2.0**-50:
+        return False  # positive past the roundings here
+    unit = _scaled(t)
+    total = _scaled(center) - unit
+    for (gap, tail, cut), (top, err, head, sums) in zip(sides, passes):
+        if math.isfinite(top + err):  # no sum past the last candidate can be the largest
+            candidates = np.flatnonzero(sums >= top - head - 3.0 * err)
+            run = e.values[cut][:candidates[-1] + 1] if len(candidates) else ()
+        elif math.inf in (run := e.values[cut]):
+            return False  # a block holding an infinite entry
+        total += max(chain((0,), accumulate((_scaled(v) - unit for v in run),
+                                            initial=gap * (_scaled(tail) - unit))))
+    return total <= 0
 
-    def excess(a: int, b: int, reverse: bool) -> float:
-        # rho_0 = start comes before the walk, so a chunk's sums start at n + 1
-        sums = _running_sums(e, a, b, start, reverse)
-        return max(chain((start - 1.0,), (_block_excess(chunk, n + 1) for n, chunk in sums)))
 
-    return excess(theta + 1, theta + span + 1, False) + excess(theta - span, theta, True) <= tol
-
-
-def _all_sums(e: EvalFn, a: int, b: int, start: float, reverse: bool = False):
-    # every running sum past start, as Python floats
-    return chain.from_iterable(chunk.tolist() for _, chunk in _running_sums(e, a, b, start, reverse))
+def _scaled(x: float) -> int:
+    # x in units of 2**-1074: an integer for every finite float
+    n, d = x.as_integer_ratio()
+    return n * (2**1074 // d)
 
 
 def polar_certificate_m(e: EvalFn, upto: int) -> PolarCertificate:
     """Running sums of ``e`` through ``upto``; raises if the cap breaks."""
-    return PolarCertificate(tuple(_all_sums(e, 0, upto + 1, 0.0)))
+    return PolarCertificate(tuple(accumulate(e.at_range(0, upto + 1), initial=0.0))[1:])
 
 
 def polar_certificate_d(e: EvalFn, theta: int, upto: int) -> PolarCertificate:
     """Two-sided running sums around ``theta`` through depth ``upto``."""
     start = (1.0 + e.at(theta)) / 2.0
     return PolarCertificate(
-        (start, *_all_sums(e, theta + 1, theta + upto + 1, start)),
-        (start, *_all_sums(e, theta - upto, theta, start, reverse=True)))
+        tuple(accumulate(e.at_range(theta + 1, theta + upto + 1), initial=start)),
+        tuple(accumulate(reversed(list(e.at_range(theta - upto, theta))), initial=start)))
 
 
 # -------------------------------------------------------- product forms

@@ -22,7 +22,6 @@ from __future__ import annotations
 import functools
 import math
 from dataclasses import dataclass
-from fractions import Fraction
 
 from .errors import AlreadyRejected, BadAlpha, InvalidSnapshot, ZeroPhi
 from .eprocess import (_LN_RISE, UnimodalFamily, _drift_margin, _peak_value,
@@ -64,18 +63,16 @@ def one_obs_ci(x: int, alpha: float, phi: int) -> ModeInterval:
 
     Returns the integers in the open interval ``(x - T d, x + T d)``
     with ``T = 2/alpha + 1`` and ``d = |x - phi|``; all integers when
-    ``x == phi``.  Endpoint handling is exact (rational arithmetic), so
+    ``x == phi``.  Endpoint handling is exact (integer arithmetic), so
     when ``T d`` is an integer the endpoints are correctly excluded.
     """
     _check_alpha(alpha)
     x, phi = int(x), int(phi)
     if x == phi:
         return ModeInterval.all_integers()
-    d = abs(x - phi)
-    radius = (Fraction(2) / Fraction(alpha) + 1) * d
-    lo = math.floor(x - radius) + 1
-    hi = math.ceil(x + radius) - 1
-    return ModeInterval.bounded(lo, hi)
+    a, b = alpha.as_integer_ratio()  # T = 2/alpha + 1 = (2b + a)/a
+    r = -(-(2 * b + a) * abs(x - phi) // a)  # ceil(T d)
+    return ModeInterval.bounded(x - r + 1, x + r - 1)
 
 
 def one_obs_ci_finite(x: int, alpha: float, phi: int) -> ModeInterval:

@@ -13,7 +13,7 @@ import math
 import numbers
 from dataclasses import dataclass
 from itertools import chain, compress, count, repeat
-from operator import add, gt, itemgetter
+from operator import add, gt, itemgetter, le
 
 import numpy as np
 
@@ -214,6 +214,49 @@ def _running_fsums(groups):
                 i = x = 0
             partials[i:] = [x] if x else []
         yield math.fsum(specials or partials)
+
+
+def _sum_margin(n: int) -> float:
+    # a relative error bound for a sequential float sum of n terms: twice
+    # Higham's (n - 1) 2**-53 (2002, section 4.2), with room for three
+    # roundings per term and for the arithmetic that applies it
+    return (n + 4) * 2.0**-52
+
+
+def _under_caps(rights, areas, tol: float, exact_areas) -> bool:
+    """Whether ``fsum(areas[:k + 1]) <= rights[k] + tol * max(1, rights[k])``
+    at every ``k``, read in order: the polar checks' one pass.
+
+    ``rights`` do not decrease; ``areas``, an array of nonnegative areas,
+    is overwritten by their running sums; ``exact_areas`` yields the areas
+    as floats.  A ``cumsum`` that clears its cap by :func:`_sum_margin`,
+    at least 5 units in the last place, decides its breakpoint exactly.
+    Past the first breakpoint not so decided, or a sum that is not finite,
+    :func:`_running_fsums` reads the exact prefixes, ``OverflowError`` too.
+    """
+    n = len(areas)
+    if not n:
+        return True
+    margin = _sum_margin(n)
+    with np.errstate(all="ignore"):  # inf and nan come silently, as in float code
+        # each cap, shrunk so that a float sum under it has its exact sum under the cap
+        lows = (rights if rights[0] >= 1.0 else np.maximum(rights, 1.0)) * tol
+        lows += rights
+        lows *= 1.0 - margin
+        sums = np.cumsum(areas, out=areas)
+        under = sums <= lows
+    k = int(under.argmin())  # the first breakpoint not decided under
+    if under[k]:
+        k = n - 1  # all are
+    s, b = float(sums[k]), float(rights[k])
+    # the sums do not decrease: a finite bound at k bounds each exact prefix through k
+    if math.isfinite(s * (1.0 + margin)):
+        if under[k]:
+            return True
+        if s * (1.0 - margin) >= b + tol * max(1.0, b):  # past it by over an ulp
+            return False
+    caps = (b + tol * max(1.0, b) for b in rights.tolist())
+    return all(map(le, _running_fsums(zip(exact_areas)), caps))
 
 
 def make_pmf(lo: int, masses, is_sub: bool = False) -> Pmf:

@@ -7,10 +7,9 @@ one subprocess test at the end confirms the installed entry point.
 import io
 import json
 import random
-import signal
+import resource
 import subprocess
 import sys
-import time
 
 import pytest
 
@@ -553,25 +552,22 @@ def test_cli_imports_no_process_pool():
     assert proc.stdout == "[]\n"
 
 
-def test_far_peak_check_stops_on_interrupt():
-    # the walk to theta = 10^12 would take hours; the interpreter runs its
-    # SIGINT handler between the walk's chunks, so Ctrl-C ends it
-    proc = subprocess.Popen(
-        [sys.executable, "-m", "evshape.cli", "check-evalue", "--theta", "1000000000000"],
-        stdin=subprocess.PIPE, stdout=subprocess.DEVNULL, stderr=subprocess.DEVNULL,
-        text=True,
-        # a SIGINT ignored by the caller would stay ignored in the child
-        preexec_fn=lambda: signal.signal(signal.SIGINT, signal.SIG_DFL))
-    try:
-        proc.stdin.write('{"lo": 0, "values": [0.5, 0.25, 0.1], '
-                         '"left_tail": 0.5, "right_tail": 0.5}')
-        proc.stdin.close()
-        time.sleep(2.0)  # past start-up and into the walk
-        assert proc.poll() is None, "the check finished instead of walking"
-        proc.send_signal(signal.SIGINT)
-        proc.wait(timeout=10)
-    except subprocess.TimeoutExpired:
-        pytest.fail("check-evalue ignored SIGINT for 10 s")
-    finally:
-        proc.kill()
-        proc.wait()
+_FAR_TABLE = '{"lo": %d, "values": [0.5, 0.25, 0.1], "left_tail": 0.5, "right_tail": 0.5}'
+
+
+def _limit_child():
+    # the child's own address space: 1 GB, set in the child only
+    resource.setrlimit(resource.RLIMIT_AS, (2**30, 2**30))
+
+
+@pytest.mark.parametrize("lo, theta", [(0, 10**12), (10**12, 0)],
+                         ids=["theta-1e12", "lo-1e12"])
+def test_far_check_evalue_answers_within_its_limits(lo, theta):
+    # the tail run between the table and theta, or zero, is one piece, so
+    # the check answers at once under 1 GB of address space and 10 s
+    proc = subprocess.run(
+        [sys.executable, "-m", "evshape.cli", "check-evalue", "--theta", str(theta)],
+        input=_FAR_TABLE % lo, capture_output=True, text=True, timeout=10,
+        preexec_fn=_limit_child)
+    assert proc.returncode == 0, proc.stderr
+    assert json.loads(proc.stdout) == {"polar_M": True, f"polar_D_{theta}": True}

@@ -249,8 +249,19 @@ def test_certificate_rejects_nan_sums(rho, eta, where):
         PolarCertificate(rho, eta)
 
 
+def test_polar_checks_share_the_relative_cap():
+    # a relative slack of 5e-10 per entry: every block sum is at most its
+    # length times 1 + 1e-9, so M, D and D's certificate all accept, where an
+    # absolute cap of length + 1e-9 refused the blocks of more than two entries
+    e = EvalFn(-50000, (1 + 5e-10,) * 100001, 0.0, 0.0)
+    assert is_in_polar_M(e)
+    assert is_in_polar_D(e, 0)
+    cert = polar_certificate_d(e, 0, 50001)  # raises if its joint cap breaks
+    assert len(cert.rho) == len(cert.eta) == 50002
+
+
 def test_far_peak_walk_holds_bounded_memory():
-    # 10^6 steps of tail on each side of theta, summed a chunk at a time
+    # 10^6 entries of tail between the table and theta: one piece
     e = EvalFn(0, (0.5, 0.25, 0.1), 0.5, 0.5)
     tracemalloc.start()
     try:

@@ -3,6 +3,7 @@
 import json
 import math
 import random
+from fractions import Fraction
 from unittest import mock
 
 import numpy as np
@@ -62,6 +63,32 @@ def test_one_obs_ci_open_endpoints():
     ci = one_obs_ci(5, 0.1, 0)
     assert not ci.contains(-100) and ci.contains(-99)
     assert not ci.contains(110) and ci.contains(109)
+
+
+def ref_one_obs_ci(x: int, alpha: float, phi: int) -> ModeInterval:
+    # the rational form: the radius T d as a Fraction, rebuilt on every call
+    x, phi = int(x), int(phi)
+    if x == phi:
+        return ModeInterval.all_integers()
+    radius = (Fraction(2) / Fraction(alpha) + 1) * abs(x - phi)
+    return ModeInterval.bounded(math.floor(x - radius) + 1, math.ceil(x + radius) - 1)
+
+
+# levels near 0 and near 1, and powers of two, whose T = 2/alpha + 1 is whole
+_ALPHAS = st.one_of(
+    st.floats(0.0, 1.0, exclude_min=True, exclude_max=True),
+    st.sampled_from([0.5, 0.25, 0.125, 2.0**-40, 5e-324, 1e-300,
+                     math.nextafter(1.0, 0.0), 1.0 - 2.0**-30]))
+
+
+@settings(max_examples=500, deadline=None, database=None)
+@given(x=st.one_of(st.integers(-20, 20), st.integers(-10**30, 10**30)),
+       phi=st.one_of(st.integers(-5, 5), st.integers(-10**30, 10**30)), alpha=_ALPHAS)
+@example(x=5, phi=0, alpha=0.5)  # T d = 25: both ends excluded
+@example(x=10**30, phi=-10**30, alpha=0.125)
+@example(x=1, phi=0, alpha=5e-324)
+def test_one_obs_ci_matches_the_rational_form(x, phi, alpha):
+    assert one_obs_ci(x, alpha, phi) == ref_one_obs_ci(x, alpha, phi)
 
 
 def test_one_obs_ci_finite_examples():

@@ -11,9 +11,12 @@ and so does the type of any exception raised.
 The C-level kernels (``map``, ``itertools`` and array merges in place of
 per-entry loops) are compared the same way with the per-entry loops
 they replaced: the text parser, the table validation, ``epower``, the
-polar walks and certificates, the monotone chain (pruned on long inputs),
+polar certificates, the monotone chain (pruned on long inputs),
 ``integral_to``, ``lcm_cont`` and the two-pointer grid merge.  There
 floats are compared by ``float.hex`` and exceptions by type and message.
+The M and D polar checks, which read exact sums, are compared with exact
+``Fraction`` block scans, and with the float walks they replaced where
+those walks clear every cap by their rounding error.
 
 The closed forms are compared with the scans they replaced: the mode
 set and the peak predicate from the last rise and the first drop against
@@ -64,12 +67,9 @@ from evshape.errors import (
     SubprobabilityInput,
 )
 from evshape.evalues import (
-    _CHUNK,
     EvalFn,
     PolarCertificate,
-    _chunks,
     _over_block_caps,
-    _running_sums,
     epower,
     epower_lower_bound,
     expectation,
@@ -442,6 +442,135 @@ def ref_polar_certificate_d(e: EvalFn, theta: int, upto: int) -> PolarCertificat
         rho.append(rho[-1] + e.at(theta + k))
         eta.append(eta[-1] + e.at(theta - k))
     return PolarCertificate(tuple(rho), tuple(eta))
+
+
+# The float walks above were the oracles.  The oracles now read exact sums:
+# M is is_in_polar_U's rule on the unit grid, and D compares each block's
+# exact sum with its length times t = 1 + tol.  The walks stay references
+# where their sums clear every cap by their rounding error, and the exact
+# scans below are references everywhere.
+
+
+def exact_polar_M(e: EvalFn, tol: float = PROB_TOL) -> bool:
+    # is_in_polar_U's rule on M's unit grid, every prefix summed in
+    # Fractions and rounded once: the piece (0, lo] carries the float area
+    # lo * left_tail, the piece (n, n + 1] the entry e(n)
+    if e.right_tail > 1.0 + tol:
+        return False
+    pieces = [(e.lo, e.lo * e.left_tail)] if e.lo > 0 else []
+    pieces += [(n + 1, e.at(n)) for n in range(max(e.lo, 0), e.hi + 1)]
+    total = Fraction(0)
+    for b, area in pieces:
+        if area == math.inf:
+            return False
+        total += Fraction(area)
+        b = float(b)
+        if float(total) > b + tol * max(1.0, b):
+            return False
+    return True
+
+
+def block_verdict_M(e: EvalFn, tol: float = PROB_TOL):
+    # the block criterion in exact arithmetic, S_n <= (n + 1)(1 + tol) for
+    # every n >= 0, checked at the ends of the runs where S_n is linear in n;
+    # None where some S_n lies within a few roundings of its cap
+    if e.right_tail > 1.0 + tol:
+        return False
+    if math.inf in e.values[max(-e.lo, 0):] or (e.lo > 0 and e.left_tail == math.inf):
+        return False
+    t = 1 + Fraction(tol)
+    total = e.lo * Fraction(e.left_tail) if e.lo > 0 else Fraction(0)
+    ends = [(e.lo, total)] if e.lo > 0 else []
+    for n in range(max(e.lo, 0), e.hi + 1):
+        total += Fraction(e.at(n))
+        ends.append((n + 1, total))
+    gaps = [(s - b * t, max(s, b * t) / 2**50) for b, s in ends]
+    if any(gap > slack for gap, slack in gaps):
+        return False
+    if all(gap < -slack for gap, slack in gaps):
+        return True
+    return None
+
+
+def exact_polar_D(e: EvalFn, theta: int, tol: float = PROB_TOL) -> bool:
+    # every block holding theta has an exact sum of at most its length times
+    # t = 1 + tol (a float): e(theta) - t plus each side's largest exact
+    # sum of e - t is at most 0.  The sides are walked position by position
+    # to one past the table, but a tail run is crossed in one step, its
+    # sums being linear in its length.
+    t = 1.0 + tol
+    if e.at(theta) > t or e.left_tail > t or e.right_tail > t:
+        return False
+    if math.inf in e.values:
+        return False
+    t = Fraction(t)
+
+    def side(step):
+        best = total = Fraction(0)
+        k, end = theta + step, (e.hi + 1 if step > 0 else e.lo - 1)
+        while (k - end) * step <= 0:
+            count = max(e.lo - k if step > 0 else k - e.hi, 1)
+            total += count * (Fraction(e.at(k)) - t)
+            best = max(best, total)
+            k += step * count
+        return best
+
+    return Fraction(e.at(theta)) - t + side(1) + side(-1) <= 0
+
+
+def block_scan_D(e: EvalFn, theta: int, tol: float, reach: int) -> bool:
+    # every block [theta - l, theta + r] with l, r <= reach, summed in
+    # Fractions; past one step beyond the table, tails at most t add nothing
+    t = 1.0 + tol
+    if e.left_tail > t or e.right_tail > t:
+        return False
+    window = [e.at(theta + k) for k in range(-reach, reach + 1)]
+    if math.inf in window:
+        return False
+    pre = list(accumulate(map(Fraction, window), initial=Fraction(0)))
+    return all(pre[reach + 1 + r] - pre[reach - l] <= (l + r + 1) * Fraction(t)
+               for l in range(reach + 1) for r in range(reach + 1))
+
+
+def _walk_clears_M(e: EvalFn, tol: float) -> bool:
+    # every sum of the float walk lies farther from its cap than the walk's
+    # rounding error and the caps' rounding, so the walk and the exact rule agree
+    s = 0.0
+    for n in range(0, max(e.hi, 0) + 1):
+        s += e.at(n)
+        cap = (n + 1.0) * (1.0 + tol)
+        if not abs(s - cap) > (n + 4) * 2.0**-50 * max(s, cap):
+            return False
+    return True
+
+
+def _walk_clears_D(e: EvalFn, theta: int, tol: float) -> bool:
+    # the float walk's largest block excess over the old absolute cap
+    # (length + tol) and over the relative one (length times 1 + tol) lie
+    # on the same side of 0, each farther from it than the walk's error
+    start = (1.0 + e.at(theta)) / 2.0
+    span = max(e.hi - theta, theta - e.lo, 0) + 2
+    t = 1.0 + tol
+    absolute, relative, size = -tol, 0.0, start
+    for step in (1, -1):
+        r, a, b = start, start - 1.0, start - 0.5 - 0.5 * t
+        for k in range(1, span + 1):
+            r += e.at(theta + step * k)
+            a, b = max(a, r - (k + 1.0)), max(b, r - 0.5 - (k + 0.5) * t)
+        absolute, relative, size = absolute + a, relative + b, size + r
+    err = (span + 4) * 2.0**-48 * (size + 2 * span * t)
+    return min(absolute, relative) > err or max(absolute, relative) < -err
+
+
+def check_polar_walks(e: EvalFn, theta: int, tol: float = PROB_TOL) -> None:
+    # the oracles against the exact scans, and against the float walks where
+    # those clear every cap by their rounding error
+    assert exact(is_in_polar_M, e, tol) == exact(exact_polar_M, e, tol)
+    assert exact(is_in_polar_D, e, theta, tol) == exact(exact_polar_D, e, theta, tol)
+    if _walk_clears_M(e, tol):
+        assert is_in_polar_M(e, tol) is ref_is_in_polar_M(e, tol)
+    if _walk_clears_D(e, theta, tol):
+        assert is_in_polar_D(e, theta, tol) is ref_is_in_polar_D(e, theta, tol)
 
 
 def ref_upper_hull(xs, ys):
@@ -1171,8 +1300,10 @@ def test_running_sums_are_sequential_not_pairwise():
 @example(e=EvalFn(0, _SEQUENTIAL, 1.0, 1.0), theta=3, tol=0.0)
 @example(e=EvalFn(3, (0.5, 1.0), 1.0, 1.0 + PROB_TOL), theta=-40_000, tol=PROB_TOL)  # far
 def test_polar_walks_match_the_entry_loops(e, theta, tol):
-    assert exact(is_in_polar_M, e, tol) == exact(ref_is_in_polar_M, e, tol)
-    assert exact(is_in_polar_D, e, theta, tol) == exact(ref_is_in_polar_D, e, theta, tol)
+    check_polar_walks(e, theta, tol)
+    reach = max(e.hi - theta, theta - e.lo, 0) + 1
+    if reach <= 30:
+        assert is_in_polar_D(e, theta, tol) is block_scan_D(e, theta, tol, reach)
 
 
 @settings(max_examples=200, deadline=None, database=None)
@@ -1183,47 +1314,47 @@ def test_polar_certificates_match_the_entry_loops(e, theta, upto):
         ref_polar_certificate_d, e, theta, upto)
 
 
-# The walks sum in windows of _CHUNK entries counted from the walk's start;
-# the tables below are long enough to cross them.
-_SIZES = (_CHUNK - 1, _CHUNK, _CHUNK + 1, 2 * _CHUNK + 3)
-_ONES = EvalFn(0, (1.0,) * (2 * _CHUNK + 3), 1.0, 1.0)  # every sum lands on its cap
+# Tables of thousands of entries: the one array pass, the certified bounds
+# and the exact passes all run over long arrays.
+_LONG = 4096
+_SIZES = (_LONG - 1, _LONG, _LONG + 1, 2 * _LONG + 3)
+_ONES = EvalFn(0, (1.0,) * (2 * _LONG + 3), 1.0, 1.0)  # every sum lands on its cap
 
 
 @st.composite
-def chunked_tables(draw):
+def long_tables(draw):
     size = draw(st.sampled_from(_SIZES))
     pool = draw(st.lists(_entries, min_size=1, max_size=3))
     rng = random.Random(draw(st.integers(0, 2**32 - 1)))
     values = [rng.choice(pool) for _ in range(size)]
-    # _SEQUENTIAL near n = _CHUNK, a window boundary of the M walk from 0
-    at = min(draw(st.integers(_CHUNK - 15, _CHUNK - 1)), size - len(_SEQUENTIAL))
+    # sums that a sequential walk and a pairwise one round apart, near n = 4096
+    at = min(draw(st.integers(_LONG - 15, _LONG - 1)), size - len(_SEQUENTIAL))
     values[at:at + len(_SEQUENTIAL)] = _SEQUENTIAL
     return EvalFn(draw(st.sampled_from([0, -2, 3])), values, draw(_entries), draw(_entries))
 
 
 @st.composite
-def chunked_walks(draw):
-    e = draw(chunked_tables())
-    # left of the table, a chunk in from either end, and past the table
+def long_walks(draw):
+    e = draw(long_tables())
+    # left of the table, 4096 in from either end, and past the table
     theta = draw(st.one_of(
-        st.sampled_from([e.lo - 1, e.lo + _CHUNK - 8, e.hi - _CHUNK + 8, e.hi + 2]),
+        st.sampled_from([e.lo - 1, e.lo + _LONG - 8, e.hi - _LONG + 8, e.hi + 2]),
         st.integers(e.lo - 3, e.hi + 3)))
     return e, theta
 
 
 @settings(max_examples=40, deadline=None, database=None)
-@given(walk=chunked_walks(), tol=_tols, upto=st.sampled_from(_SIZES))
-@example(walk=(_ONES, 5), tol=0.0, upto=_CHUNK)
-@example(walk=(EvalFn(0, (1.0,) * _CHUNK + (1.0 + 2.0**-40,), 1.0, 1.0), 0), tol=0.0,
-         upto=_CHUNK + 1)  # the one sum past its cap, first in its chunk
-@example(walk=(EvalFn(-2, (1.0,) * (_CHUNK - 10) + _SEQUENTIAL, 0.5, 1.0), -3), tol=0.0,
-         upto=2 * _CHUNK + 3)
-@example(walk=(EvalFn(5, (1e308,) * (_CHUNK + 1), 0.0, 0.0), 6), tol=PROB_TOL,
-         upto=_CHUNK + 1)  # sums overflow to inf
-def test_polar_walks_across_chunks_match_the_entry_loops(walk, tol, upto):
+@given(walk=long_walks(), tol=_tols, upto=st.sampled_from(_SIZES))
+@example(walk=(_ONES, 5), tol=0.0, upto=_LONG)
+@example(walk=(EvalFn(0, (1.0,) * _LONG + (1.0 + 2.0**-40,), 1.0, 1.0), 0), tol=0.0,
+         upto=_LONG + 1)  # the one sum past its cap
+@example(walk=(EvalFn(-2, (1.0,) * (_LONG - 10) + _SEQUENTIAL, 0.5, 1.0), -3), tol=0.0,
+         upto=2 * _LONG + 3)
+@example(walk=(EvalFn(5, (1e308,) * (_LONG + 1), 0.0, 0.0), 6), tol=PROB_TOL,
+         upto=_LONG + 1)  # sums overflow to inf
+def test_polar_checks_on_long_tables_match_the_entry_loops(walk, tol, upto):
     e, theta = walk
-    assert exact(is_in_polar_M, e, tol) == exact(ref_is_in_polar_M, e, tol)
-    assert exact(is_in_polar_D, e, theta, tol) == exact(ref_is_in_polar_D, e, theta, tol)
+    check_polar_walks(e, theta, tol)
     assert exact(polar_certificate_m, e, upto) == exact(ref_polar_certificate_m, e, upto)
     assert exact(polar_certificate_d, e, theta, upto) == exact(
         ref_polar_certificate_d, e, theta, upto)
@@ -1232,21 +1363,82 @@ def test_polar_walks_across_chunks_match_the_entry_loops(walk, tol, upto):
 @pytest.mark.parametrize("e, theta", [
     (EvalFn(0, (0.5, 0.25, 0.1), 0.5, 0.5), 10**6),
     (EvalFn(3, (0.5, 1.0), 1.0, 1.0 + PROB_TOL), -10**6),
-    (EvalFn(10**5, (1.0,) * _CHUNK, 1.0, 1.0), 10**5 + _CHUNK // 2),  # M walks 10^5 tail
+    (EvalFn(10**5, (1.0,) * _LONG, 1.0, 1.0), 10**5 + _LONG // 2),  # a 10^5 run to the table
 ])
 def test_far_polar_walks_match_the_entry_loops(e, theta):
-    assert exact(is_in_polar_M, e) == exact(ref_is_in_polar_M, e)
-    assert exact(is_in_polar_D, e, theta) == exact(ref_is_in_polar_D, e, theta)
+    check_polar_walks(e, theta)
 
 
 @settings(max_examples=100, deadline=None, database=None)
-@given(e=st.one_of(evalue_tables(), chunked_tables()), theta=st.integers(-7, 7),
+@given(e=st.one_of(evalue_tables(), long_tables()), theta=st.integers(-7, 7),
        tol=_tols, shift=st.sampled_from([12345, 2**40, -2**40]))
 def test_polar_d_is_shift_equivariant(e, theta, tol, shift):
     # D reads e only at theta + k: moving the table and the peak together
-    # moves nothing the walk sees
+    # moves nothing the check sees
     moved = EvalFn(e.lo + shift, e.values, e.left_tail, e.right_tail)
     assert exact(is_in_polar_D, moved, theta + shift, tol) == exact(is_in_polar_D, e, theta, tol)
+
+
+# Entries at and one float either side of the cap 1 + PROB_TOL and of 1,
+# within 3 PROB_TOL of the cap, and below half an ulp of 1; offsets that
+# put the sums near 2**53 or the tail runs 10^12 long.
+_CAP = 1.0 + PROB_TOL
+_NEAR_CAP = [1.0 + k * PROB_TOL for k in (-2.0, -1.0, -0.5, 0.5, 2.0, 3.0)] + [
+    _CAP, math.nextafter(_CAP, 0.0), math.nextafter(_CAP, 2.0),
+    1.0, math.nextafter(1.0, 0.0), math.nextafter(1.0, 2.0)]
+_BELOW_HALF_ULP = [2.0**-53, 2.0**-54, 2.0**-60, 0.0]
+_FAR = [10**6, 10**12, 2**53 - 2, 2**53 + 1, -10**12]
+
+
+@st.composite
+def near_cap_walks(draw):
+    rng = random.Random(draw(st.integers(0, 2**32 - 1)))
+    size = draw(st.one_of(st.integers(0, 12), st.sampled_from([300, 3000])))
+    kind = draw(st.sampled_from(["constant", "near cap", "below half an ulp", "mixed"]))
+    if kind == "constant":  # a long run at or near the cap
+        values = [draw(st.sampled_from(_NEAR_CAP))] * size
+    elif kind == "near cap":
+        values = [rng.choice(_NEAR_CAP) for _ in range(size)]
+    elif kind == "below half an ulp":  # unit entries, tiny steps between
+        values = [rng.choice([1.0, _CAP] + _BELOW_HALF_ULP) for _ in range(size)]
+    else:
+        values = [rng.choice(_NEAR_CAP + _BELOW_HALF_ULP + [0.5, 2.0, 1e308, math.inf])
+                  for _ in range(size)]
+    lo = draw(st.one_of(st.integers(-4, 4), st.sampled_from(_FAR)))
+    tails = st.sampled_from(_NEAR_CAP + [0.0, 0.5])
+    e = EvalFn(lo, values, draw(tails), draw(tails))
+    theta = lo + draw(st.one_of(st.integers(-3, size + 3),
+                                st.sampled_from([-10**12, -10**6, 10**6, 10**12])))
+    return e, theta
+
+
+@settings(max_examples=150, deadline=None, database=None)
+@given(walk=near_cap_walks(), tol=_tols)
+@example(walk=(EvalFn(2**53 - 2, (1.0,) * 6, 1.0, 1.0), 0), tol=0.0)  # sums cross 2**53
+@example(walk=(EvalFn(2**53 + 1, (2.0,) * 10, 1.0, 1.0), 0), tol=0.0)  # caps past 2**53
+@example(walk=(EvalFn(0, (_CAP,) * 3000, _CAP, _CAP), 1500), tol=PROB_TOL)  # on the cap
+@example(walk=(EvalFn(10**12, (0.5, 0.25, 0.1), 0.5, 0.5), 0), tol=PROB_TOL)
+@example(walk=(EvalFn(0, (0.0, 2.0 + 2.0**-51), 0.0, 0.0), 0), tol=0.0)  # over by an ulp
+@example(walk=(EvalFn(0, (0.5, 1.5), 0.0, 0.0), 0), tol=0.0)  # a block exactly on its cap
+@example(walk=(EvalFn(0, (1.0, 1e308, 1e308), 1.0, 1.0), 0), tol=PROB_TOL)  # sums past floats
+@example(walk=(EvalFn(5, (1.0 + 2.0**-51,) * 100, 1.0, 1.0), 0),
+         tol=3 * 2.0**-53)  # float sums that fall 50 ulps short of exact ones past the cap
+def test_polar_checks_match_exact_block_scans(walk, tol):
+    e, theta = walk
+    assert exact(is_in_polar_M, e, tol) == exact(exact_polar_M, e, tol)
+    verdict = block_verdict_M(e, tol)
+    if verdict is not None:  # away from the caps' rounding, the paper's criterion
+        assert is_in_polar_M(e, tol) is verdict
+    if tol >= 0.0 and e.hi + 1 < 2**53:  # M is U on the unit grid
+        grid = ([0.0] + ([float(e.lo)] if e.lo > 0 else [])
+                + [float(n + 1) for n in range(max(e.lo, 0), e.hi + 1)])
+        levels = ([e.left_tail] if e.lo > 0 else []) + list(e.values[max(-e.lo, 0):])
+        unit = StepFn(tuple(grid), tuple(levels), 0.0, e.right_tail)
+        assert exact(is_in_polar_U, unit, False, tol) == exact(is_in_polar_M, e, tol)
+    assert exact(is_in_polar_D, e, theta, tol) == exact(exact_polar_D, e, theta, tol)
+    reach = max(e.hi - theta, theta - e.lo, 0) + 1
+    if reach <= 30:
+        assert is_in_polar_D(e, theta, tol) is block_scan_D(e, theta, tol, reach)
 
 
 @settings(max_examples=200, deadline=None, database=None)
@@ -1378,27 +1570,6 @@ def test_replay_refuses_a_drop_that_pops_what_its_successor_kept():
     for c_popped_a, agree in ((-1, False), (3, True)):
         popped_by = np.array([-1, c_popped_a, -1, -1], dtype=np.int32)
         assert _replay(x, y, p, a, c, under.copy(), popped_by) is agree
-
-
-def test_a_walk_within_one_chunk_is_summed_as_one_array():
-    # tails and table fill one array, accumulated once; one entry more
-    # than a chunk splits the walk again
-    e = EvalFn(0, (0.5, 0.25, 0.1), 0.5, 0.5)
-    for a, b in ((-3, 7), (1, 3), (10**6 - _CHUNK, 10**6), (2 - _CHUNK, 2)):
-        for reverse in (False, True):
-            want = list(e.at_range(a, b))
-            got = [chunk.tolist() for chunk in _chunks(e, a, b, reverse)]
-            assert got == [want[::-1] if reverse else want]
-            assert [n for n, _ in _running_sums(e, a, b, 0.5, reverse)] == [0]
-    assert len(list(_chunks(e, -_CHUNK, 1))) == 2
-    # a longer walk: windows of _CHUNK entries from a, the last one short
-    long = EvalFn(-5, tuple(random.Random(0).random() for _ in range(2 * _CHUNK)), 0.5, 2.0)
-    for a, b in ((-_CHUNK, 3 * _CHUNK), (0, 2 * _CHUNK + 1)):
-        want = list(long.at_range(a, b))
-        chunks = [chunk.tolist() for chunk in _chunks(long, a, b)]
-        assert [len(c) for c in chunks[:-1]] == [_CHUNK] * (len(chunks) - 1)
-        assert sum(chunks, []) == want
-        assert sum((c.tolist() for c in _chunks(long, a, b, reverse=True)), [])[::-1] == want
 
 
 @settings(max_examples=300, deadline=None, database=None)
