@@ -214,6 +214,8 @@ def _cmd_mode_track(args) -> int:
 
 def _cmd_check_evalue(args) -> int:
     e = EvalFn.from_json(sys.stdin.read())
+    for end in (e.lo - 1, e.hi + 1):  # is_in_polar_D's tail runs, in floats
+        _json_number(args.theta - end, "--theta's distance to the table")
     _emit({
         "polar_M": is_in_polar_M(e),
         f"polar_D_{args.theta}": is_in_polar_D(e, args.theta),

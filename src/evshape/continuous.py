@@ -17,9 +17,8 @@ merge (a sort plus ``searchsorted``) and do the same float operations
 on the arrays, one by one, that the scalar code did on each piece; logs
 stay ``math.log``.  The numeraire divides
 by a majorant fitted once per table: the knots' heights come from one
-``cumsum``, and their upper hull from :mod:`evshape.numeraire`, where a
-numpy prune certified by a rounding bound leaves every near-tie to the
-monotone chain.
+``cumsum``, and their upper hull from the monotone chain of
+:mod:`evshape.numeraire`.
 """
 
 from __future__ import annotations
@@ -446,7 +445,7 @@ def lcm_cont(q: StepDensity) -> StepDensity:
         np.multiply(q.fn.levels, np.diff(bps), out=cdf[1:])
         np.cumsum(cdf, out=cdf)  # sequential, as accumulate(..., initial=atom0) is
     bps[0] = 0.0  # the grid may start at -0.0
-    hx, hy = _upper_hull(bps, cdf)
+    hx, hy = _upper_hull(bps.tolist(), cdf.tolist())
     slopes = tuple(map(truediv, map(sub, hy[1:], hy), map(sub, hx[1:], hx)))
     return StepDensity(StepFn(tuple(hx), slopes, 0.0, 0.0), q.atom0, q.is_sub)
 

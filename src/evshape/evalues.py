@@ -80,8 +80,9 @@ class EvalFn:
     @classmethod
     def from_json(cls, obj: dict | str) -> "EvalFn":
         obj = _json_object(obj)
-        return cls(_json_int(obj["lo"], "lo"),
-                   tuple(_json_numbers(obj["values"], "values")),
+        lo = _json_int(obj["lo"], "lo")
+        _json_number(lo, "lo")  # the polar checks place the table in floats
+        return cls(lo, tuple(_json_numbers(obj["values"], "values")),
                    _json_number(obj["left_tail"], "left_tail"),
                    _json_number(obj["right_tail"], "right_tail"))
 

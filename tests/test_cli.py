@@ -313,6 +313,22 @@ def test_integers_too_large_for_a_float_are_typed_errors(monkeypatch, capsys, ar
     assert "too large for a float" in err
 
 
+_EVALUE = '{"lo": %s, "values": [1.0], "left_tail": 0.0, "right_tail": 0.0}'
+
+
+@pytest.mark.parametrize("lo, theta, field", [
+    (_HUGE, "0", "lo"),
+    ("0", _HUGE, "--theta's distance to the table"),
+    # each offset is a float, the distance between them is not
+    ("-1" + "0" * 308, "1" + "0" * 308, "--theta's distance to the table"),
+], ids=["lo", "theta", "distance"])
+def test_check_evalue_names_an_offset_too_far_for_a_float(monkeypatch, capsys,
+                                                         lo, theta, field):
+    code, out, err = run_cli(monkeypatch, capsys, ["check-evalue", "--theta", theta],
+                             _EVALUE % lo)
+    assert (code, out, err) == (1, "", f"evshape: {field} is too large for a float\n")
+
+
 def test_integer_streams_reject_non_finite_json(monkeypatch, capsys):
     for argv in (["test-monotone", "--alpha", "0.05"],
                  ["mode-ci", "--alpha", "0.1", "--phi", "1"]):

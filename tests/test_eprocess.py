@@ -27,7 +27,7 @@ from evshape.errors import (
     NonNumericInput,
 )
 from evshape.evalues import EvalFn, is_in_polar_D, is_in_polar_M, wavelet_lambda
-from evshape.mode import UnrestrictedTest
+from evshape.mode import IntSet, UnrestrictedTest, confidence_set, mode_estimate
 from evshape.numeraire import lcm
 from evshape.pmf import PROB_TOL, make_pmf, sample
 from test_row_engine import fold_in_blocks
@@ -159,17 +159,54 @@ def test_unimodal_far_theta_is_inert():
     assert abs(t.unimodal_value()) < 1e-8
 
 
-def test_translation_equivariance():
-    rng = random.Random(21)
-    obs = [rng.randint(-2, 4) for _ in range(200)]
-    for shift in (-7, 13):
-        a = UnimodalTracker(1)
-        b = UnimodalTracker(1 + shift)
-        for x in obs:
-            a.update(x)
-            b.update(x + shift)
-        assert a.unimodal_value() == pytest.approx(b.unimodal_value(),
-                                                   abs=1e-12)
+def _moved(table: dict, shift: int) -> dict:
+    # a snapshot table with every site moved by shift
+    return {str(int(site) + shift): v for site, v in table.items()}
+
+
+_RNG = random.Random(21)
+_STREAM = [_RNG.randint(-2, 4) for _ in range(200)]
+
+
+@settings(max_examples=60, deadline=None, database=None)
+@given(obs=st.lists(st.integers(-3, 6), min_size=1, max_size=150),
+       theta=st.integers(-5, 8),
+       shift=st.one_of(st.sampled_from([12_345, 2**40, -(2**40)]),
+                       st.integers(-10**6, 10**6)),
+       alpha=st.sampled_from([0.05, 0.2, 0.5]))
+@example(obs=_STREAM, theta=1, shift=-7, alpha=0.05)
+@example(obs=_STREAM, theta=1, shift=13, alpha=0.05)
+@example(obs=[0] * 40 + [3] * 40, theta=3, shift=2**40, alpha=0.05)
+def test_translation_equivariance(obs, theta, shift, alpha):
+    # the peaked family sees the data only through differences, so moving
+    # the stream and theta together moves every answer with them, exactly
+    moved = [x + shift for x in obs]
+    base, tracker = UnimodalTracker(theta), UnimodalTracker(theta + shift)
+    for x, y in zip(obs, moved):
+        base.update(x)
+        tracker.update(y)
+    want = base.to_snapshot()
+    snap = tracker.to_snapshot()
+    assert snap == {"theta": theta + shift, **{key: _moved(want[key], shift)
+                                               for key in ("counts", "log_rise", "log_fall")}}
+    tracker = UnimodalTracker.from_snapshot(json.dumps(snap))
+    assert tracker.unimodal_value() == base.unimodal_value()
+
+    base, family = replay_family(obs), replay_family(moved)
+    snap = family.to_snapshot()
+    assert snap == {key: _moved(table, shift) for key, table in base.to_snapshot().items()}
+    family = UnimodalFamily.from_snapshot(json.dumps(snap))
+    want, got = confidence_set(base, alpha), confidence_set(family, alpha)
+    assert got.rejected == IntSet.finite(m + shift for m in want.rejected.members)
+    if want.window is None:  # too few observations to reject any peak
+        assert got.window is None
+    else:
+        lo, hi = want.window
+        assert got.window == (lo + shift, hi + shift)
+        assert family.values_range(lo + shift, hi + shift).tolist() == \
+            base.values_range(lo, hi).tolist()
+    assert mode_estimate(family) == IntSet.cofinite(
+        m + shift for m in mode_estimate(base).members)
 
 
 @pytest.mark.parametrize("shift", [2**53 + 1, 2**63, -(2**63) - 5])

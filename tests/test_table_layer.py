@@ -11,7 +11,7 @@ and so does the type of any exception raised.
 The C-level kernels (``map``, ``itertools`` and array merges in place of
 per-entry loops) are compared the same way with the per-entry loops
 they replaced: the text parser, the table validation, ``epower``, the
-polar certificates, the monotone chain (pruned on long inputs),
+polar certificates, the monotone chain (on short and long inputs),
 ``integral_to``, ``lcm_cont`` and the two-pointer grid merge.  There
 floats are compared by ``float.hex`` and exceptions by type and message.
 The M and D polar checks, which read exact sums, are compared with exact
@@ -34,7 +34,6 @@ import warnings
 from fractions import Fraction
 from itertools import accumulate
 from operator import sub
-from unittest.mock import patch
 
 import numpy as np
 import pytest
@@ -85,9 +84,6 @@ from evshape.evalues import (
 from evshape.harness import ScenarioConfig, run_experiment
 from evshape.numeraire import (
     LcmResult,
-    _prune,
-    _pruned_hull,
-    _replay,
     _upper_hull,
     lcm,
     max_epower,
@@ -876,6 +872,21 @@ def _merges_slopes(text: str) -> bool:
     return len(hull[0]) > len(lcm(q).contacts)
 
 
+# long tables: every knot a vertex, every knot collinear, a zero at every
+# other index, a table 10^4 past zero; and a uniform density's grid of 10^4
+# equal pieces, every knot near-collinear
+_N = 10**4
+_DECREASING = [float(_N - k) / (_N * (_N + 1) / 2) for k in range(_N)]
+_EVERY_OTHER_ZERO = [2.0 / _N if k % 2 == 0 else 0.0 for k in range(_N)]
+_LONG_TABLES = [(0, _DECREASING), (0, [1.0 / _N] * _N), (0, _EVERY_OTHER_ZERO),
+                (_N, [0.5, 0.25, 0.25])]
+_EQUAL_PIECES = [k / _N for k in range(_N + 1)]
+
+
+def _pmf_text(lo: int, masses) -> str:
+    return "".join(f"{lo + i} {m!r}\n" for i, m in enumerate(masses))
+
+
 _NUMERAIRE_EXAMPLES = [
     "0 1.0\n1 1e-165\n",  # a fitted mass of 0 under a positive one
     "3 1.0\n",  # one entry
@@ -900,7 +911,7 @@ def test_the_numeraire_examples_reach_the_cases_they_name():
 
 
 def _with_examples(test):
-    for text in _NUMERAIRE_EXAMPLES:
+    for text in _NUMERAIRE_EXAMPLES + [_pmf_text(lo, m) for lo, m in _LONG_TABLES]:
         test = example(text=text)(test)
     return test
 
@@ -1453,22 +1464,14 @@ def test_block_cap_rule_matches_the_indexed_loop(sums, tol):
 @given(ys=st.lists(st.one_of(st.integers(-3, 3).map(float), st.floats(-2.0, 2.0),
                              st.sampled_from([math.inf, math.nan, 1e308])), max_size=14),
        start=st.integers(-2, 2), float_xs=st.booleans())
+@example(ys=[1e308, 0.0, 0.0, 1.0, 0.0, 0.0, 0.0, 0.0, 0.0], start=0, float_xs=False)
 def test_monotone_chain_matches_the_list_loop(ys, start, float_xs):
-    # small integer heights make collinear and repeated turns common
+    # small integer heights make collinear and repeated turns common; a
+    # product that overflows gives a nan test, which keeps the point
     xs = [start + k for k in range(len(ys))]
     if float_xs:
         xs = [x / 4.0 for x in xs]
     assert repr(_upper_hull(xs, ys)) == repr(ref_upper_hull(xs, ys))
-
-
-# The hull prune runs past _PRUNE_MIN points, 2048; with that bound patched
-# down to 8, and the replay's blocks to 7 drops, inputs of 50 to 3,000
-# points take many passes and replay checks.  They hold every kind of
-# near-tie the chain decides.
-_N = 10**4
-_DECREASING = [float(_N - k) / (_N * (_N + 1) / 2) for k in range(_N)]  # all vertices
-_EVERY_OTHER_ZERO = [2.0 / _N if k % 2 == 0 else 0.0 for k in range(_N)]
-_EQUAL_PIECES = [k / _N for k in range(_N + 1)]  # a uniform density's grid
 
 
 def _cdf_knots(masses):
@@ -1477,8 +1480,8 @@ def _cdf_knots(masses):
 
 @st.composite
 def long_hull_inputs(draw):
-    # past 2048 the prune runs at its own bound too
-    size = draw(st.one_of(st.integers(50, 3000), st.sampled_from([2049, 3000])))
+    # 50 to 3,000 points holding every kind of near-tie the chain decides
+    size = draw(st.integers(50, 3000))
     rng = random.Random(draw(st.integers(0, 2**32 - 1)))
     kind = draw(st.sampled_from(["plateaus", "small ints", "below half an ulp", "rare"]))
     if kind == "plateaus":  # a CDF whose masses repeat in runs
@@ -1504,9 +1507,6 @@ def long_hull_inputs(draw):
     return xs, ys
 
 
-_SMALL_PRUNE = patch.multiple(evshape.numeraire, _PRUNE_MIN=8, _REPLAY_BLOCK=7)
-
-
 @settings(max_examples=60, deadline=None, database=None)
 @given(points=long_hull_inputs())
 @example(points=_cdf_knots(_DECREASING))
@@ -1514,62 +1514,9 @@ _SMALL_PRUNE = patch.multiple(evshape.numeraire, _PRUNE_MIN=8, _REPLAY_BLOCK=7)
 @example(points=(_EQUAL_PIECES, list(accumulate(map(sub, _EQUAL_PIECES[1:], _EQUAL_PIECES),
                                                 initial=0.0))))
 @example(points=_cdf_knots(_EVERY_OTHER_ZERO))
-def test_pruned_hull_matches_the_list_loop_on_long_inputs(points):
+def test_upper_hull_matches_the_list_loop_on_long_inputs(points):
     xs, ys = points
-    want = repr(ref_upper_hull(xs, ys))
-    assert repr(_upper_hull(xs, ys)) == want
-    with _SMALL_PRUNE:
-        assert repr(_upper_hull(xs, ys)) == want
-
-
-def test_the_long_hull_examples_reach_the_cases_they_name():
-    def arrays(xs, ys):
-        return np.asarray(xs, dtype=float), np.asarray(ys)
-
-    # a strictly decreasing table: every knot a vertex, nothing pruned, and
-    # the chain runs on every knot with no replay
-    xs, ys = _cdf_knots(_DECREASING)
-    assert len(_prune(*arrays(xs, ys))[0]) == len(_upper_hull(xs, ys)[0]) == _N + 1
-    assert _pruned_hull(*arrays(xs, ys)) is None
-    # a table far from 0: its zero plateau is exactly collinear, so the
-    # first pass would drop too little as well
-    xs, ys = _cdf_knots([0.0] * _N + [0.5, 0.25, 0.25] * 100)
-    assert _prune(*arrays(xs, ys))[1] == []
-    assert _pruned_hull(*arrays(xs, ys)) is None
-    # a random table: several passes, and the replay checks hold
-    rng = random.Random(1)
-    masses = [rng.random() for _ in range(3000)]
-    xs, ys = _cdf_knots([m / math.fsum(masses) for m in masses])
-    with _SMALL_PRUNE:
-        assert len(_prune(*arrays(xs, ys))[1]) > 2
-        assert _pruned_hull(*arrays(xs, ys)) is not None
-    # products that overflow: the chain keeps the point at 2 through a nan
-    # test, the prune drops it, and the replay check sends the input to the
-    # chain on every point
-    xs, ys = list(range(9)), [1e308, 0.0, 0.0, 1.0, 0.0, 0.0, 0.0, 0.0, 0.0]
-    with _SMALL_PRUNE:
-        assert _pruned_hull(*arrays(xs, ys)) is None
-        assert _upper_hull(xs, ys) == ref_upper_hull(xs, ys) == ([0, 2, 3, 8],
-                                                                 [1e308, 0.0, 1.0, 0.0])
-    # the majorant fits on the named tables and on a uniform density cut
-    # into 10^4 equal pieces, every knot near-collinear
-    for lo, masses in ((0, _DECREASING), (0, [1.0 / _N] * _N), (0, _EVERY_OTHER_ZERO),
-                       (_N, [0.5, 0.25, 0.25])):
-        q = make_pmf(lo, masses)
-        assert outcome(lcm, q) == outcome(ref_lcm, q)
-    q = StepDensity(StepFn(tuple(_EQUAL_PIECES), (1.0,) * _N))
-    assert exact(lcm_cont, q) == exact(ref_lcm_cont, q)
-
-
-def test_replay_refuses_a_drop_that_pops_what_its_successor_kept():
-    # p = (2, 1) pops a = (1, 0) off a' = (0, 0); c = (3, 3) then pops p.
-    # The runs agree only if c popped a in the run without p
-    x, y = np.array([0.0, 1.0, 2.0, 3.0]), np.array([0.0, 0.0, 1.0, 3.0])
-    p, a, c = (np.array([k], dtype=np.int32) for k in (2, 1, 3))
-    under = np.array([-1, 0, -1, 0], dtype=np.int32)
-    for c_popped_a, agree in ((-1, False), (3, True)):
-        popped_by = np.array([-1, c_popped_a, -1, -1], dtype=np.int32)
-        assert _replay(x, y, p, a, c, under.copy(), popped_by) is agree
+    assert repr(_upper_hull(xs, ys)) == repr(ref_upper_hull(xs, ys))
 
 
 @settings(max_examples=300, deadline=None, database=None)
@@ -1591,6 +1538,7 @@ def test_integral_to_matches_the_piece_loop(data, e):
 @settings(max_examples=200, deadline=None, database=None)
 @given(fn=step_fns(tail=0.0), atom0=st.sampled_from([0.0, 0.0, 0.25, 5e-324]))
 @example(fn=StepFn((0.0, 1e308, DBL_MAX), (10.0, 1.0)), atom0=0.0)  # knots overflow
+@example(fn=StepFn(tuple(_EQUAL_PIECES), (1.0,) * _N), atom0=0.0)
 def test_lcm_cont_matches_the_knot_loop(fn, atom0):
     q = StepDensity(fn, atom0, is_sub=True)
     assert exact(lcm_cont, q) == exact(ref_lcm_cont, q)
