@@ -20,11 +20,10 @@ import sys
 from itertools import compress, count, islice, repeat
 
 from .continuous import (
-    _numeraire_cont,
+    _numeraire_cont_with_epower,
     cont_mode_ci,
     edelman_ci,
     edelman_pvalue,
-    epower_cont,
     lcm_cont,
     step_density_from_json,
 )
@@ -259,11 +258,11 @@ def _cmd_cont_pvalue(args) -> int:
 def _cmd_cont_numeraire(args) -> int:
     q = step_density_from_json(sys.stdin.read())
     fitted = lcm_cont(q)
-    e = _numeraire_cont(q, fitted)
+    e, power = _numeraire_cont_with_epower(q, fitted)
     _emit({
         "lcm": fitted.to_json(),
         "numeraire": e.to_json(),
-        "max_epower": epower_cont(e, q),
+        "max_epower": power,
     })
     return 0
 

@@ -15,10 +15,10 @@ with ``fsum`` would, bit for bit.  Expectations,
 e-powers and the numeraire refine two breakpoint grids in one array
 merge (a sort plus ``searchsorted``) and do the same float operations
 on the arrays, one by one, that the scalar code did on each piece; logs
-stay ``math.log``.  The numeraire divides
-by a majorant fitted once per table: the knots' heights come from one
-``cumsum``, and their upper hull from the monotone chain of
-:mod:`evshape.numeraire`.
+stay ``math.log``.  The numeraire divides by a majorant fitted once per
+table: the knots' heights come from one ``cumsum``, and their upper hull
+from the monotone chain of :mod:`evshape.numeraire`.  Its e-power is read
+off the merge that made it.
 """
 
 from __future__ import annotations
@@ -328,12 +328,17 @@ def expectation_cont(e, p: StepDensity) -> float:
 
 def epower_cont(e: StepFn, q: StepDensity) -> float:
     """Exact ``E_q[log e(X)]``; ``-inf`` when ``q`` charges a zero of ``e``."""
+    left, right, e_lv, q_lv, _ = _charged_pieces(e, q.fn)
+    return _epower_pieces(e.value_at_0, q, left, right, e_lv, q_lv)
+
+
+def _epower_pieces(at0: float, q: StepDensity, left, right, e_lv, q_lv) -> float:
+    # epower_cont from the charged pieces of q's grid merged with e's, and e(0)
     parts = []
     if q.atom0 > 0.0:
-        if e.value_at_0 <= 0.0:
+        if at0 <= 0.0:
             return -math.inf
-        parts.append(q.atom0 * math.log(e.value_at_0))
-    left, right, e_lv, q_lv, _ = _charged_pieces(e, q.fn)
+        parts.append(q.atom0 * math.log(at0))
     if not (e_lv > 0.0).all():
         return -math.inf
     with np.errstate(all="ignore"):
@@ -457,18 +462,27 @@ def numeraire_cont(q: StepDensity) -> StepFn:
     subset), zero off the support of ``q``, and exactly one at 0 when
     the atom survives the projection untouched.
     """
-    return _numeraire_cont(q, lcm_cont(q))
+    return _numeraire_cont(q, lcm_cont(q))[0]
 
 
-def _numeraire_cont(q: StepDensity, fitted: StepDensity) -> StepFn:
-    # fitted = lcm_cont(q), whose grid is a subset of q's
-    _, right, f_lv, q_lv, charged = _charged_pieces(fitted.fn, q.fn)
+def _numeraire_cont_with_epower(q: StepDensity,
+                                fitted: StepDensity) -> tuple[StepFn, float]:
+    # fitted = lcm_cont(q); the e-power is epower_cont(e, q), read off the
+    # merge that made e, as e's grid and the charged pieces are q's
+    e, pieces = _numeraire_cont(q, fitted)
+    return e, _epower_pieces(e.value_at_0, q, *pieces)
+
+
+def _numeraire_cont(q: StepDensity, fitted: StepDensity):
+    # fitted = lcm_cont(q), whose grid is a subset of q's; e and its charged
+    # pieces (left, right, e's level, q's level)
+    left, right, f_lv, q_lv, charged = _charged_pieces(fitted.fn, q.fn)
     if (f_lv == 0.0).any():
         k = np.argmax(f_lv == 0.0)
         raise ZeroFittedMass(f"level {q_lv[k].item()!r} up to {right[k].item()!r} is "
                              "fitted as 0: it is below the rounding of the CDF")
     values = np.zeros(len(charged))
     with np.errstate(all="ignore"):
-        values[charged] = q_lv / f_lv
+        values[charged] = ratio = q_lv / f_lv
     at0 = 1.0 if q.atom0 > 0.0 else 0.0
-    return StepFn(q.fn.breakpoints, _floats(values), at0, 0.0)
+    return StepFn(q.fn.breakpoints, _floats(values), at0, 0.0), (left, right, ratio, q_lv)

@@ -170,11 +170,14 @@ def expectation(e: EvalFn, p: Pmf) -> float:
 
 def epower(e: EvalFn, q: Pmf) -> float:
     """Expected log of ``e`` under ``q``; ``-inf`` when ``e`` vanishes on mass."""
-    charged = list(map((0.0).__lt__, q.masses))
-    values = list(compress(e.at_range(q.lo, q.hi + 1), charged))
+    values, masses = e.at_range(q.lo, q.hi + 1), q.masses
+    if 0.0 in masses:  # only the entries q charges count
+        charged = list(map((0.0).__lt__, masses))
+        values, masses = compress(values, charged), compress(masses, charged)
+    values = list(values)
     if not all(map((0.0).__lt__, values)):
         return float("-inf")
-    return math.fsum(map(mul, compress(q.masses, charged), map(math.log, values)))
+    return math.fsum(map(mul, masses, map(math.log, values)))
 
 
 def _rise_bound(a: float, b: float) -> float:
@@ -214,13 +217,14 @@ def is_in_polar_M(e: EvalFn, tol: float = PROB_TOL) -> bool:
     """
     if e.right_tail > 1.0 + tol:
         return False
-    areas = (e.lo * e.left_tail,) + e.values if e.lo > 0 else e.values[-e.lo:]
+    start = max(e.lo, 1)
+    base = _json_number(start, "lo")  # NonFiniteInput past the float range
+    areas = (base * e.left_tail,) + e.values if e.lo > 0 else e.values[-e.lo:]
     # breakpoints start .. hi + 1, each rounded once: exact offsets on a
     # float base, as arange steps from rounded ends past 2**53
-    start = max(e.lo, 1)
-    offset = start - int(float(start))
+    offset = start - int(base)
     rights = np.arange(offset, offset + len(areas), dtype=float)
-    rights += float(start)
+    rights += base
     return _under_caps(rights, np.fromiter(areas, float, len(areas)), tol, areas)
 
 
@@ -252,7 +256,8 @@ def is_in_polar_D(e: EvalFn, theta: int, tol: float = PROB_TOL) -> bool:
     steps -= t
     passes = []
     for gap, tail, cut in sides:  # each side's largest sum, an error bound, its sums
-        head, run = gap * (tail - t), steps[cut]
+        head = _json_number(gap, "theta's distance to the table") * (tail - t)
+        run = steps[cut]
         with np.errstate(all="ignore"):  # inf and nan come silently, as in float code
             err = _sum_margin(len(run) + 1) * (abs(head) + float(np.abs(run).sum()))
             sums = np.cumsum(run, out=run)
@@ -331,41 +336,53 @@ def witness(q: Pmf, theta: int | None = None) -> EvalFn:
     scan runs over adjacent pairs; with ``theta`` given both sides of
     the peak are scanned.  The winner maximizes the guaranteed growth
     and has expectation strictly above one under ``q``.
+
+    The winner is the first largest bound in scan order: rising pairs
+    upward from ``max(theta, lo - 1)`` (``max(0, lo - 1)`` without
+    ``theta``), then falling pairs downward from ``min(theta - 1, hi)``,
+    over the pairs whose rise ``d = b - a`` exceeds ``SHAPE_TOL``.  One
+    array pass takes every hint ``d * d / den``, ``den = 4 (a + b)``:
+    without ``theta`` that is :func:`_rise_bound`'s bound, bit for bit.
+    With ``theta`` the bound is ``d ** 2 / den``, and libm's ``pow`` may
+    round apart from the product.  While ``d < 2**511`` nothing overflows,
+    and as ``d > 1e-12`` and ``d >= b * 2**-54`` every bound is at least
+    ``1e-12 * 2**-57``, never subnormal; so three roundings and a ``pow``
+    within 1 ulp put ``d ** 2 / den`` within a factor ``1 + 6u`` of the
+    hint (``u = 2**-53``).  A hint below ``1 - 2**-40`` times the largest
+    then marks a bound below the largest hint's, so only the bounds within
+    that margin are recomputed in Python, in scan order, and the first
+    largest wins.  Past ``2**511`` every bound is recomputed, inf and nan
+    included.
     """
-    best: tuple[float, int, bool] | None = None  # (bound, location, falling)
-
-    def consider(bound: float, at: int, falling: bool) -> None:
-        nonlocal best
-        if best is None or bound > best[0]:
-            best = (bound, at, falling)
-
-    f = [0.0, *q.masses, 0.0]  # f[n + off] is q.f(n) for q.lo - 1 <= n <= q.hi + 1
-    off = 1 - q.lo
     if theta is None:
         if q.lo < 0:
             raise NegativeSupport("monotone witness needs nonnegative support")
         if is_monotone(q):
             raise NoViolation("distribution is non-increasing")
-        for m in range(max(0, q.lo - 1), q.hi):
-            a, b = f[m + off], f[m + 1 + off]
-            if b - a > SHAPE_TOL:
-                consider(_rise_bound(a, b), m, False)
-    else:
-        if is_theta_unimodal(q, theta):
-            raise NoViolation(f"distribution is unimodal with peak {theta}")
-        # the bound as (b - a) ** 2: pow rounds apart from _rise_bound's product
-        for j in range(max(theta, q.lo - 1), q.hi):
-            a, b = f[j + off], f[j + 1 + off]
-            if b - a > SHAPE_TOL:
-                consider((b - a) ** 2 / (4.0 * (a + b)), j, False)
-        for i in range(min(theta - 1, q.hi), q.lo - 1, -1):
-            a, b = f[i + 1 + off], f[i + off]
-            if b - a > SHAPE_TOL:
-                consider((b - a) ** 2 / (4.0 * (a + b)), i, True)
-    if best is None:
+    elif is_theta_unimodal(q, theta):
+        raise NoViolation(f"distribution is unimodal with peak {theta}")
+    n = len(q.masses)
+    f = np.zeros(n + 2)  # f[k + off] is q.f(k) for lo - 1 <= k <= hi + 1
+    f[1:-1] = q.masses
+    off = 1 - q.lo
+    up = min(max(0 if theta is None else theta, q.lo - 1), q.hi) + off  # first rising pair
+    down = 0 if theta is None else max(min(theta - 1, q.hi), q.lo - 1) + off  # first falling
+    a = np.concatenate((f[up:n], f[down + 1:1:-1]))
+    b = np.concatenate((f[up + 1:n + 1], f[down:0:-1]))
+    with np.errstate(all="ignore"):  # inf and nan come silently, as in float code
+        d = b - a
+        pairs = np.flatnonzero(d > SHAPE_TOL)  # the pairs that rise, in scan order
+        d, den = d[pairs], 4.0 * (a[pairs] + b[pairs])
+        hint = d * d / den
+    if not len(pairs):
         raise NoViolation("no adjacent-pair violation found")
-    _, at, falling = best
-    if not falling:
-        return wavelet_evalue(q, at)
+    near = (np.arange(len(d)) if d.max() >= 2.0**511
+            else np.flatnonzero(hint >= hint.max() * (1.0 - 2.0**-40)))
+    rises = zip(d[near].tolist(), den[near].tolist())
+    bounds = [x * x / y if theta is None else x ** 2 / y for x, y in rises]
+    k = int(pairs[near[bounds.index(max(bounds))]])
+    if k < n - up:
+        return wavelet_evalue(q, up + k - off)
+    at = down - (k - (n - up)) - off
     lam = wavelet_lambda(q.f(at + 1), q.f(at))
     return EvalFn(at, (1.0 + lam, 1.0 - lam), 1.0, 1.0)

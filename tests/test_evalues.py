@@ -13,6 +13,7 @@ from evshape.errors import (
     NegativeValue,
     NoViolation,
     NoViolationAt,
+    NonFiniteInput,
     NonzeroTail,
 )
 from evshape.evalues import (
@@ -258,6 +259,16 @@ def test_polar_checks_share_the_relative_cap():
     assert is_in_polar_D(e, 0)
     cert = polar_certificate_d(e, 0, 50001)  # raises if its joint cap breaks
     assert len(cert.rho) == len(cert.eta) == 50002
+
+
+def test_polar_checks_refuse_offsets_past_the_float_range():
+    # the oracles place the table in floats: an offset that no float holds
+    # is a typed error naming it, as the check-evalue readers give
+    with pytest.raises(NonFiniteInput, match="^lo is too large for a float$"):
+        is_in_polar_M(EvalFn(10**309 + 7, (0.5, 0.25, 0.1), 0.5, 0.5))
+    with pytest.raises(NonFiniteInput,
+                       match="^theta's distance to the table is too large for a float$"):
+        is_in_polar_D(EvalFn(-(10**308 + 7), (0.5, 0.25, 0.1), 0.5, 0.5), 10**308)
 
 
 def test_far_peak_walk_holds_bounded_memory():

@@ -47,6 +47,7 @@ from evshape.continuous import (
     StepFn,
     XqEvalue,
     _charged_pieces,
+    _numeraire_cont_with_epower,
     epower_cont,
     expectation_cont,
     is_in_polar_U,
@@ -84,6 +85,7 @@ from evshape.evalues import (
 from evshape.harness import ScenarioConfig, run_experiment
 from evshape.numeraire import (
     LcmResult,
+    _numeraire_with_epower,
     _upper_hull,
     lcm,
     max_epower,
@@ -1011,6 +1013,26 @@ def test_cont_numeraire_payload_matches_the_two_fit_composition(text):
     assert cli_outcome(["cont-numeraire"], text) == want
 
 
+@settings(max_examples=100, deadline=None, database=None)
+@given(text=pmf_texts(), density=density_texts())
+# fitted 0 under a positive mass and a positive level: ZeroFittedMass
+@example(text="0 1.0\n1 1e-165\n",
+         density=json.dumps({"breakpoints": [0, 1, 2], "levels": [1.0, 1e-300]}))
+# a level of 5e-324 under a fitted level above 2: its ratio underflows to 0,
+# so the e-power is -inf; and an atom at 0
+@example(text="0 0.25\n1 0.0\n2 0.75\n",
+         density=json.dumps({"breakpoints": [0, 0.1, 0.2, 0.3],
+                             "levels": [0.001, 5e-324, 9.999]}))
+@example(text="2 1.0\n", density=json.dumps({"breakpoints": [0, 1, 2],
+                                               "levels": [0.1, 0.5], "atom0": 0.4}))
+def test_numeraire_with_epower_is_the_epower_of_the_numeraire(text, density):
+    q, d = pmf_from_text(text), step_density_from_json(density)
+    assert outcome(lambda: _numeraire_with_epower(q, lcm(q).fitted_masses())) == outcome(
+        lambda: (numeraire_evalue(q), epower(numeraire_evalue(q), q)))
+    assert outcome(lambda: _numeraire_cont_with_epower(d, lcm_cont(d))) == outcome(
+        lambda: (numeraire_cont(d), epower_cont(numeraire_cont(d), d)))
+
+
 def _count_calls(monkeypatch, original) -> list:
     """Replace ``original`` wherever the package binds it; count its calls."""
     calls = []
@@ -1047,8 +1069,13 @@ def test_each_table_command_fits_its_majorant_once(monkeypatch):
 
 @st.composite
 def witness_cases(draw):
-    masses = draw(st.lists(st.one_of(st.sampled_from([0.0, 0.1, 0.2, 0.3]),
-                                     st.floats(0.0, 1.0)), max_size=20))
+    values = st.one_of(st.sampled_from([0.0, 0.1, 0.2, 0.3]), st.floats(0.0, 1.0))
+    if draw(st.booleans()):
+        masses = draw(st.lists(values, max_size=20))
+    else:  # up to 2,000 entries from a pool of a few: ties within and across sides
+        pool = draw(st.lists(values, min_size=1, max_size=3))
+        rng = random.Random(draw(st.integers(0, 2**32)))
+        masses = rng.choices(pool, k=draw(st.integers(0, 2000)))
     lo = draw(st.integers(-3, 4))
     q = Pmf(lo, tuple(masses))
     theta = draw(st.one_of(st.none(), st.integers(lo - 3, q.hi + 3)))
@@ -1065,6 +1092,14 @@ def witness_cases(draw):
 # delta ** 2 and not under the other
 @example(case=(Pmf(0, (0.0, 0.24632406204900867, 0.0, 0.2463240620490087)), None))
 @example(case=(Pmf(0, (0.0, 0.0, 0.013046783940414964, 0.0, 0.013046783940414966)), 0))
+# rises whose bounds tie under ** and not under the product: the product
+# is only a hint, and the tie goes to the first
+@example(case=(Pmf(0, (0.0, 0.230197530756741, 0.0, 0.23019753075674101)), 0))
+# rises past 2**511, whose products overflow: a nan bound after a finite one
+# and before it, and a ** that raises OverflowError
+@example(case=(Pmf(0, (0.0, 1.0, 0.0, 1e308)), None))
+@example(case=(Pmf(0, (0.0, 1e308, 0.0, 1.0)), None))
+@example(case=(Pmf(0, (0.0, 1.0, 0.0, 1e300)), 0))
 def test_witness_matches_the_tilt_per_pair_scan(case):
     q, theta = case
     assert outcome(witness, q, theta) == outcome(ref_witness, q, theta)
