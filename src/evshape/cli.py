@@ -33,6 +33,7 @@ from .evalues import EvalFn, is_in_polar_D, is_in_polar_M
 from .harness import config_from_json, run_experiment
 from .mode import (
     UnrestrictedTest,
+    _check_alpha,
     confidence_set,
     mode_estimate,
     one_obs_ci,
@@ -152,6 +153,7 @@ def _first_value(fh, as_int: bool):
 
 def _cmd_test_tracker(args) -> int:
     """test-monotone and test-unimodal: one tracker, rejecting at 1/alpha."""
+    _check_alpha(args.alpha)
     if args.command == "test-monotone":
         tracker, extra = MonotoneTracker(), {}
         value = tracker.mixture_value

@@ -42,7 +42,7 @@ from .errors import (
 from .mode import _check_alpha
 from .numeraire import _upper_hull
 from .pmf import (PROB_TOL, SHAPE_TOL, _check_nonnegative, _check_total, _json_bool,
-                  _json_number, _json_numbers, _json_object, _under_caps)
+                  _json_number, _json_numbers, _json_object, _total, _under_caps)
 
 
 def _rights_to(bps: tuple[float, ...], x: float):
@@ -99,7 +99,7 @@ class StepFn:
             return 0.0
         bps = self.breakpoints
         tail = (self.tail_level * (x - bps[-1]),) if x > bps[-1] else ()
-        return math.fsum(chain(self._areas(x), tail))
+        return _total(chain(self._areas(x), tail))
 
     def _areas(self, x: float = math.inf):
         # the integral over each piece that starts left of x, cut at x
@@ -135,8 +135,7 @@ class StepDensity:
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "atom0", float(self.atom0))
-        if self.atom0 < 0.0 or math.isnan(self.atom0):
-            raise NegativeValue(f"atom {self.atom0} is negative")
+        _check_nonnegative((self.atom0,), NegativeValue, "atom")
         if self.fn.tail_level != 0.0:
             raise NonzeroTail("a density has no mass past its last breakpoint")
 
@@ -229,7 +228,7 @@ class XqEvalue:
     def integral_to(self, x: float) -> float:
         if x <= 0.0:
             return 0.0
-        return math.fsum(self._areas(x))
+        return _total(self._areas(x))
 
     def _areas(self, x: float = math.inf):
         # the integral over each piece that starts left of x, cut at x

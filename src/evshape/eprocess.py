@@ -204,7 +204,12 @@ def _log_mixture(*sides) -> float:
     weight_used = 0.0
     terms = []
     for table, base, sign in sides:
-        weight_used += math.fsum([2.0 ** (base + sign * s) for s in table])
+        try:
+            weights = [2.0 ** (base + sign * s) for s in table]
+        except OverflowError:  # exponents past the float range add 0.0 to both sums
+            table = {s: lf for s, lf in table.items() if base + sign * s > -2**1000}
+            weights = [2.0 ** (base + sign * s) for s in table]
+        weight_used += math.fsum(weights)
         terms += [(base + sign * s) * _LN2 + lf for s, lf in table.items()]
     residual = 1.0 - weight_used
     if residual > 0.0:

@@ -282,8 +282,8 @@ def is_in_polar_D(e: EvalFn, theta: int, tol: float = PROB_TOL) -> bool:
 
 def _scaled(x: float) -> int:
     # x in units of 2**-1074: an integer for every finite float
-    n, d = x.as_integer_ratio()
-    return n * (2**1074 // d)
+    n, d = x.as_integer_ratio()  # d is a power of two, at most 2**1074
+    return n << (1075 - d.bit_length())
 
 
 def polar_certificate_m(e: EvalFn, upto: int) -> PolarCertificate:

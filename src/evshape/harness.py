@@ -38,7 +38,9 @@ last place (``numpy.log`` against ``math.log``); the records, booleans
 and integers, are those of ``UnrestrictedTest`` and of ``mode_estimate``
 on a ``UnimodalFamily``.
 
-Both evaluate peaks only where a bound cannot decide (:func:`_exceeding`).
+Both evaluate peaks only where a bound cannot decide (:func:`_exceeding`);
+after a scan of the free test that does not reject, the row's new tracked
+peak is evaluated at every remaining step of its block.
 Every amplitude is at most 1/2, so one observation moves a log mixture
 value up by at most ``log 1.5`` and down by at most ``log 2``.  Each row
 evaluates its peaks at anchor steps, every ``stride`` steps and at the
@@ -662,14 +664,9 @@ def _chunk_unrestricted(c: ScenarioConfig, reps: range, draw: GuideTable) -> lis
                     break
                 tracked[rec] = lo + j
                 k += 1
-                if k == m:
-                    break
-                # the new tracked peak on the rest of the block, anchored on
-                # its value at this step
-                after, before, _ = _reach(scan[None, j:j + 1], below_cut, below_cut, n, cells)
-                rest, _ = _exceeding(logs[:, i:i + 1, k:], peak_weights(sites, [[lo + j]]),
-                                     level[k:], n, _stride(after, before, m - k))
-                at = np.flatnonzero(rest[0, :, 0])
+                # the new tracked peak at every remaining step of the block
+                rest = peak_values(logs[:, i, k:], peak_weights(sites, [lo + j]))
+                at = np.flatnonzero(rest[:, 0] > below_cut)
         if stopped:
             rows.drop(stopped)
             live = [rec for i, rec in enumerate(live) if i not in stopped]

@@ -133,24 +133,16 @@ def estimate_level(n: int) -> float:
     return math.log(tau) if tau > 1.0 else math.inf
 
 
-def estimate_scan(n: int) -> tuple[int | None, float]:
-    """Margin around the data and log threshold (:func:`estimate_level`) of
-    :func:`mode_estimate` at ``n``; the margin is ``None`` when nothing can
-    be rejected."""
-    level = estimate_level(n)
-    if level == math.inf:
-        return None, level
-    return scan_halfwidth(n, float(n) * float(n)), level
-
-
-def _scan(family: UnimodalFamily, margin: int | None, log_tau: float):
-    """Scanned window and the peaks in it whose log mixture value exceeds
-    ``log_tau``: the data range widened by ``margin``, ``None`` with no
-    peaks when the margin is ``None``."""
+def _scan(family: UnimodalFamily, tau: float):
+    """Scanned window and the peaks in it whose mixture value exceeds
+    ``tau``: the data range widened by :func:`scan_halfwidth`, ``None`` with
+    no peaks when nothing can be rejected (``tau <= 1`` included)."""
     rng = family.data_range()
+    margin = None if tau <= 1.0 else scan_halfwidth(family.n, tau)
     if rng is None or margin is None:
         return None, []
     lo, hi = rng[0] - margin, rng[1] + margin
+    log_tau = math.log(tau)
     vals = family.values_range(lo, hi)
     return (lo, hi), [lo + k for k, v in enumerate(vals) if v > log_tau]
 
@@ -158,8 +150,7 @@ def _scan(family: UnimodalFamily, margin: int | None, log_tau: float):
 def confidence_set(family: UnimodalFamily, alpha: float) -> ConfidenceSetResult:
     """Peaks whose mixture value exceeds ``1/alpha``, with certificate."""
     _check_alpha(alpha)
-    tau = 1.0 / alpha
-    window, rejected = _scan(family, scan_halfwidth(family.n, tau), math.log(tau))
+    window, rejected = _scan(family, 1.0 / alpha)
     return ConfidenceSetResult(IntSet.finite(rejected), window)
 
 
@@ -168,7 +159,7 @@ def mode_estimate(family: UnimodalFamily) -> IntSet:
 
     The result is cofinite (every peak far from the data is accepted).
     """
-    _, rejected = _scan(family, *estimate_scan(family.n))
+    _, rejected = _scan(family, float(family.n) * float(family.n))
     return IntSet.cofinite(rejected)
 
 

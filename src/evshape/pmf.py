@@ -135,7 +135,7 @@ class Pmf:
 
     @property
     def total(self) -> float:
-        return math.fsum(self.masses)
+        return _total(self.masses)
 
     def f(self, n: int) -> float:
         """Mass at ``n``; exactly zero outside the window."""
@@ -147,9 +147,7 @@ class Pmf:
         """Total mass on ``(-inf, n]``."""
         if n < self.lo:
             return 0.0
-        if n >= self.hi:
-            return self.total
-        return math.fsum(self.masses[: n - self.lo + 1])
+        return _total(self.masses[: n - self.lo + 1])
 
     def items(self):
         """Yield ``(index, mass)`` pairs over the window."""
@@ -163,7 +161,18 @@ class Pmf:
 def _check_nonnegative(xs, error, what: str) -> None:
     # one C-level pass (false on NaN too); the offender is sought only on failure
     if not all(map((0.0).__le__, xs)):
-        raise error(f"{what} {next(x for x in xs if not 0.0 <= x)} is negative")
+        bad = next(x for x in xs if not 0.0 <= x)
+        if math.isnan(bad):
+            raise NonFiniteInput(f"{what} {bad} is not a number")
+        raise error(f"{what} {bad} is negative")
+
+
+def _total(xs) -> float:
+    """``math.fsum`` of nonnegative floats, ``inf`` past the float range."""
+    try:
+        return math.fsum(xs)
+    except OverflowError:
+        return math.inf
 
 
 def _trimmed(lo: int, masses: list[float]) -> tuple[int, list[float]]:
@@ -232,7 +241,8 @@ def _under_caps(rights, areas, tol: float, exact_areas) -> bool:
     as floats.  A ``cumsum`` that clears its cap by :func:`_sum_margin`,
     at least 5 units in the last place, decides its breakpoint exactly.
     Past the first breakpoint not so decided, or a sum that is not finite,
-    :func:`_running_fsums` reads the exact prefixes, ``OverflowError`` too.
+    :func:`_running_fsums` reads the exact prefixes; as in :func:`_total`,
+    one past the float range reads ``inf``, and so do the rest.
     """
     n = len(areas)
     if not n:
@@ -256,7 +266,10 @@ def _under_caps(rights, areas, tol: float, exact_areas) -> bool:
         if s * (1.0 - margin) >= b + tol * max(1.0, b):  # past it by over an ulp
             return False
     caps = (b + tol * max(1.0, b) for b in rights.tolist())
-    return all(map(le, _running_fsums(zip(exact_areas)), caps))
+    try:
+        return all(map(le, _running_fsums(zip(exact_areas)), caps))
+    except OverflowError:  # map reads sums first: this prefix's cap is the next
+        return all(map(le, repeat(math.inf), caps))
 
 
 def make_pmf(lo: int, masses, is_sub: bool = False) -> Pmf:
@@ -269,7 +282,7 @@ def make_pmf(lo: int, masses, is_sub: bool = False) -> Pmf:
     """
     ms = list(map(float, masses))
     _check_nonnegative(ms, NegativeMass, "mass")
-    _check_total(math.fsum(ms), is_sub)
+    _check_total(_total(ms), is_sub)
     lo2, ms2 = _trimmed(int(lo), ms)
     return Pmf(lo2, tuple(ms2), is_sub)
 
@@ -494,26 +507,19 @@ def empirical(obs) -> Pmf:
     return make_pmf(lo, [c / n for c in counts])
 
 
-def inverse_cdf(p: Pmf, u: np.ndarray) -> np.ndarray:
-    """Map uniforms in ``[0, 1)`` to values of ``p`` by inverse CDF (int64)."""
-    cum = np.cumsum(np.asarray(p.masses, dtype=float))
-    idx = np.searchsorted(cum, u, side="right")
-    return p.lo + np.minimum(idx, len(p.masses) - 1)
-
-
 _GUIDE_BUCKETS = 4096
 
 
 class GuideTable:
-    """:func:`inverse_cdf` of one ``p`` through a guide table, for many draws.
+    """Inverse CDF of one ``p`` (int64 values) through a guide table.
 
     The uniform ``u`` lies in bucket ``floor(u * 4096)``, exactly, since
     the scale is a power of two.  A bucket whose open interior holds no
     CDF value maps all of it to the index at its left edge; only draws in
     buckets that hold one go through ``searchsorted`` (Chen & Asau 1974;
-    Devroye 1986, III.2).  Values equal :func:`inverse_cdf`'s for every
-    ``u`` in ``[0, 1)``.  Building costs two searches of 4096 edges, so
-    build once per distribution, not per call.
+    Devroye 1986, III.2).  Values equal ``searchsorted``'s on the CDF for
+    every ``u`` in ``[0, 1)``.  Building costs two searches of 4096 edges,
+    so build once per distribution, not per call.
     """
 
     def __init__(self, p: Pmf) -> None:
@@ -536,7 +542,7 @@ class GuideTable:
 
 
 def sample(p: Pmf, seed: int, n: int) -> list[int]:
-    """Draw ``n`` values by inverse CDF with a seeded generator.
+    """Draw ``n`` values through :class:`GuideTable` with a seeded generator.
 
     Identical ``(p, seed, n)`` give identical output; the stream comes
     from ``numpy.random.default_rng(seed)``.
@@ -545,6 +551,4 @@ def sample(p: Pmf, seed: int, n: int) -> list[int]:
         raise SubprobabilitySampling("cannot sample from a subprobability")
     if n < 0:
         raise ValueError("sample size must be >= 0")
-    if n == 0:
-        return []
-    return inverse_cdf(p, np.random.default_rng(seed).random(n)).tolist()
+    return GuideTable(p)(np.random.default_rng(seed).random(n)).tolist()

@@ -329,6 +329,76 @@ def test_check_evalue_names_an_offset_too_far_for_a_float(monkeypatch, capsys,
     assert (code, out, err) == (1, "", f"evshape: {field} is too large for a float\n")
 
 
+_OVERFLOWING = '{"scenario": "type1", "distribution": %s, "n": 10, "reps": 1, "alpha": 0.05}'
+
+
+@pytest.mark.parametrize("argv, text, message", [
+    (["numeraire"], '{"lo":0,"masses":[1e308,1e308]}', "total mass inf exceeds 1"),
+    (["numeraire"], "0 1e308\n1 1e308\n", "total mass inf exceeds 1"),
+    (["cont-numeraire"], '{"breakpoints":[0,1,2],"levels":[1.5e308,1.5e308]}',
+     "total mass inf exceeds 1"),
+    (["simulate"], _OVERFLOWING % '{"lo":0,"masses":[1e308,1e308]}',
+     "bad distribution: total mass inf exceeds 1"),
+], ids=["numeraire-json", "numeraire-text", "cont-numeraire", "simulate"])
+def test_a_total_past_the_float_range_is_a_typed_error(monkeypatch, capsys, tmp_path,
+                                                       argv, text, message):
+    # the exact sum exceeds every float, so it exceeds 1: it reads inf
+    if argv[0] == "simulate":
+        path = tmp_path / "cfg.json"
+        path.write_text(text)
+        argv, text = argv + ["--config", str(path)], ""
+    code, out, err = run_cli(monkeypatch, capsys, argv, text)
+    assert (code, out, err) == (1, "", f"evshape: {message}\n")
+
+
+def test_check_evalue_reads_a_sum_past_the_float_range_as_past_its_cap(monkeypatch,
+                                                                       capsys):
+    # a tail of 1.0 from 0 to lo, then 1e307: the sum through lo passes every float
+    text = '{"lo": %d, "values": [1e307], "left_tail": 1.0, "right_tail": 0.0}'
+    code, out, err = run_cli(monkeypatch, capsys, ["check-evalue", "--theta", "0"],
+                             text % int(1.79e308))
+    assert (code, out, err) == (0, '{"polar_D_0": false, "polar_M": false}\n', "")
+
+
+@pytest.mark.parametrize("argv, text, message", [
+    (["numeraire"], "0 nan\n1 1\n", "mass nan is not a number"),
+    (["numeraire"], '{"lo": 0, "masses": [0.5, NaN, -1.0]}', "mass nan is not a number"),
+    (["numeraire"], '{"lo": 0, "masses": [0.5, -1.0, NaN]}', "mass -1.0 is negative"),
+    (["check-evalue"], '{"lo": 0, "values": [NaN], "left_tail": 0, "right_tail": 0}',
+     "e-value entry nan is not a number"),
+    (["cont-numeraire"], '{"breakpoints": [0, 1], "levels": [NaN]}',
+     "step level nan is not a number"),
+    (["cont-numeraire"], '{"breakpoints": [0, 1], "levels": [1.0], "atom0": NaN}',
+     "atom nan is not a number"),
+], ids=["text-mass", "json-mass", "negative-first", "evalue", "level", "atom"])
+def test_the_first_nan_or_negative_entry_names_the_error(monkeypatch, capsys,
+                                                         argv, text, message):
+    code, out, err = run_cli(monkeypatch, capsys, argv, text)
+    assert (code, out, err) == (1, "", f"evshape: {message}\n")
+
+
+@pytest.mark.parametrize("alpha", ["0", "1", "-0.5", "2"])
+def test_tracker_tests_refuse_a_level_outside_the_unit_interval(monkeypatch, capsys,
+                                                                alpha):
+    for argv in (["test-monotone"], ["test-unimodal", "--theta", "0"]):
+        code, out, err = run_cli(monkeypatch, capsys, argv + ["--alpha", alpha], "0\n")
+        assert (code, out) == (1, "")
+        assert err == f"evshape: alpha {float(alpha)} must lie in (0, 1)\n"
+
+
+@pytest.mark.parametrize("argv", [["test-monotone"], ["test-unimodal", "--theta", "1"],
+                                  ["test-unimodal", "--theta", _HUGE]],
+                         ids=["monotone", "unimodal", "unimodal-far-theta"])
+def test_tracker_tests_weigh_a_site_past_the_float_range_at_zero(monkeypatch, capsys,
+                                                                 argv):
+    # a site 10**400 from the peak weighs 2**-(10**400), 0.0 in floats, as
+    # one 10**6 away does, and adds nothing to the mixture
+    argv = argv + ["--alpha", "0.05"]
+    far = run_cli(monkeypatch, capsys, argv, "0\n%s\n1\n0\n2\n" % _HUGE)
+    near = run_cli(monkeypatch, capsys, argv, "0\n1000000\n1\n0\n2\n")
+    assert far[0] == 0 and far == near
+
+
 def test_integer_streams_reject_non_finite_json(monkeypatch, capsys):
     for argv in (["test-monotone", "--alpha", "0.05"],
                  ["mode-ci", "--alpha", "0.1", "--phi", "1"]):

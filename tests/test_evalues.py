@@ -4,8 +4,11 @@ import math
 import random
 import re
 import tracemalloc
+from fractions import Fraction
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from evshape.errors import (
     InvalidCertificate,
@@ -19,6 +22,7 @@ from evshape.errors import (
 from evshape.evalues import (
     EvalFn,
     PolarCertificate,
+    _scaled,
     epower,
     epower_lower_bound,
     expectation,
@@ -269,6 +273,32 @@ def test_polar_checks_refuse_offsets_past_the_float_range():
     with pytest.raises(NonFiniteInput,
                        match="^theta's distance to the table is too large for a float$"):
         is_in_polar_D(EvalFn(-(10**308 + 7), (0.5, 0.25, 0.1), 0.5, 0.5), 10**308)
+
+
+def test_polar_m_reads_a_sum_past_the_float_range_as_past_its_cap():
+    # a tail of 1.0 from 0 to lo, about 1.79e308, then 1e307: the exact
+    # prefix through lo passes the float range, and every finite cap
+    lo = int(1.79e308)
+    assert not is_in_polar_M(EvalFn(lo, (1e307,), 1.0, 0.0))
+    assert not is_in_polar_D(EvalFn(lo, (1e307,), 1.0, 0.0), 0)
+    # the first prefix under its cap, the second past the float range
+    assert not is_in_polar_M(EvalFn(0, (8e307, 1e308), 0.0, 0.0), 8.5e307)
+    # it reads inf, which an infinite cap holds
+    assert is_in_polar_M(EvalFn(0, (1e308, 1e308), 0.0, 0.0), math.inf)
+
+
+@settings(max_examples=500, deadline=None, database=None)
+@given(x=st.one_of(st.floats(allow_nan=False, allow_infinity=False),
+                   st.floats(-2.0**-1021, 2.0**-1021, allow_nan=False)))
+@example(x=0.0)
+@example(x=-0.0)
+@example(x=5e-324)
+@example(x=-5e-324)
+@example(x=2.0**-1022)
+@example(x=1.7976931348623157e308)
+@example(x=-1.7976931348623157e308)
+def test_scaled_is_the_float_in_units_of_the_least_subnormal(x):
+    assert _scaled(x) == Fraction(x) * 2**1074
 
 
 def test_far_peak_walk_holds_bounded_memory():

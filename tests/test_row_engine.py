@@ -5,7 +5,9 @@ The reference section copies the per-replication harness verbatim from
 before replications ran as rows: the one-row ``_tilt_rows``, the
 ``peak_weights`` and ``peak_values`` it was evaluated with, and the
 ``_rep_*`` paths that drove them one replication at a time, plus the
-per-observation ``numeraire_eprocess``.  Records are compared with ``==``.
+per-observation ``numeraire_eprocess`` and the two library helpers those
+paths called, ``pmf.inverse_cdf`` (``searchsorted`` on the CDF) and
+``mode.estimate_scan``.  Records are compared with ``==``.
 """
 
 import math
@@ -35,9 +37,9 @@ from evshape.harness import (
     derive_seed,
     run_experiment,
 )
-from evshape.mode import estimate_scan, first_window
+from evshape.mode import estimate_level, first_window, scan_halfwidth
 from evshape.numeraire import lcm
-from evshape.pmf import GuideTable, inverse_cdf, make_pmf, mode_set, sample
+from evshape.pmf import GuideTable, make_pmf, mode_set, sample
 
 # ------------------------------------------------- reference, verbatim
 
@@ -102,6 +104,19 @@ def peak_values(logs, weights):
     terms -= top
     np.exp(terms, out=terms)
     return top + np.log(_plane_sum(terms))
+
+
+def inverse_cdf(p, u):
+    cum = np.cumsum(np.asarray(p.masses, dtype=float))
+    idx = np.searchsorted(cum, u, side="right")
+    return p.lo + np.minimum(idx, len(p.masses) - 1)
+
+
+def estimate_scan(n):
+    level = estimate_level(n)
+    if level == math.inf:
+        return None, level
+    return scan_halfwidth(n, float(n) * float(n)), level
 
 
 def _draws(c, rep):
@@ -553,3 +568,10 @@ def test_guide_table_matches_searchsorted(p, seed):
     # blocks of any shape, as the harness draws them
     block = u[:len(u) // 4 * 4].reshape(4, -1)
     assert GuideTable(p)(block).tolist() == inverse_cdf(p, block).tolist()
+
+
+@settings(max_examples=150, deadline=None, database=None)
+@given(p=guide_cases(), seed=st.integers(0, 2**32), n=st.integers(0, 3000))
+def test_sample_draws_the_searchsorted_inverse_cdf(p, seed, n):
+    want = inverse_cdf(p, np.random.default_rng(seed).random(n)).tolist()
+    assert sample(p, seed, n) == want

@@ -346,7 +346,9 @@ def ref_validated(xs, error, what: str) -> tuple:
     # the check each constructor ran on its converted entries
     xs = tuple(float(x) for x in xs)
     for x in xs:
-        if x < 0.0 or math.isnan(x):
+        if math.isnan(x):
+            raise NonFiniteInput(f"{what} {x} is not a number")
+        if x < 0.0:
             raise error(f"{what} {x} is negative")
     return xs
 
@@ -587,6 +589,14 @@ def ref_upper_hull(xs, ys):
     return hx, hy
 
 
+def ref_fsum(parts) -> float:
+    # an exact sum of nonnegative parts past the float range reads inf
+    try:
+        return math.fsum(parts)
+    except OverflowError:
+        return math.inf
+
+
 def ref_integral_to(e: StepFn, x: float) -> float:
     if x <= 0.0:
         return 0.0
@@ -599,7 +609,7 @@ def ref_integral_to(e: StepFn, x: float) -> float:
         parts.append(lv * (right - left))
     if x > bps[-1]:
         parts.append(e.tail_level * (x - bps[-1]))
-    return math.fsum(parts)
+    return ref_fsum(parts)
 
 
 def ref_xq_integral_to(e: XqEvalue, x: float) -> float:
@@ -612,7 +622,7 @@ def ref_xq_integral_to(e: XqEvalue, x: float) -> float:
         if right <= left:
             break
         parts.append(lv * (right * right - left * left) / 2.0)
-    return math.fsum(parts)
+    return ref_fsum(parts)
 
 
 def ref_lcm_cont(q: StepDensity) -> StepDensity:
