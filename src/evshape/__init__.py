@@ -16,6 +16,7 @@ from .errors import (
     ConfigError,
     EmptyObservations,
     EvshapeError,
+    FarTable,
     InvalidCertificate,
     InvalidSnapshot,
     MassSumViolation,
@@ -115,7 +116,7 @@ __all__ = [
     "__version__",
     # errors
     "AlreadyRejected", "AtomPresent", "BadAlpha", "BadInterval",
-    "ConfigError", "EmptyObservations", "EvshapeError",
+    "ConfigError", "EmptyObservations", "EvshapeError", "FarTable",
     "InvalidCertificate", "InvalidSnapshot", "MassSumViolation",
     "NegativeMass", "NegativeObservation", "NegativeSupport",
     "NegativeValue", "NonFiniteInput", "NonIntegerInput", "NonNumericInput",

@@ -57,6 +57,10 @@ class ZeroFittedMass(EvshapeError):
     """A positive mass whose fitted non-increasing mass rounds to zero."""
 
 
+class FarTable(EvshapeError):
+    """A table lies too far from zero for a list of its masses from zero."""
+
+
 # ----------------------------------------------------------- processes
 
 class NegativeObservation(EvshapeError):

@@ -38,6 +38,19 @@ last place (``numpy.log`` against ``math.log``); the records, booleans
 and integers, are those of ``UnrestrictedTest`` and of ``mode_estimate``
 on a ``UnimodalFamily``.
 
+Settlement reads its decisions backwards from step ``n``.  A pass
+forwards draws and folds every row, and keeps only its draws, as table
+offsets in the narrowest unsigned dtype, and its log tables at the start
+of every block of ``_SETTLE_STEPS`` steps; the decisions at ``n`` are the
+final set.  A walk back from the last block then finds each row's last
+change, the step after the last one whose decisions differ from those at
+``n``, and drops the row there.  A block whose two ends certify all its
+steps (:func:`_kept`) keeps the final decisions; any other is folded
+again from its start and decided by :func:`_exceeding`.  The fold adds
+the same logs to the same tables in the same order, so its floats, and
+with them every decision and record, are those of one pass forwards over
+every step.  A chunk holds the draws, those tables and one block.
+
 Both evaluate peaks only where a bound cannot decide (:func:`_exceeding`);
 after a scan of the free test that does not reject, the row's new tracked
 peak is evaluated at every remaining step of its block.
@@ -123,6 +136,11 @@ _RESYNC_EVERY = 256
 # blocks of the per-replication scenarios: at most this many cells of a
 # (rows x steps x cells per step) temporary
 _BLOCK_CELLS = 1 << 16
+# steps of a settlement block: the backward walk recomputes and decides
+# whole blocks, so short ones stop each row close to its last change
+_SETTLE_STEPS = 32
+# cells that ``eprocess._tilt_rows`` holds per row, step and site, with room
+_TILT_CELLS = 12
 # cells the monotone fold holds per observation: two events, each in some
 # ten numpy arrays and two lists of Python floats
 _FOLD_CELLS = 32
@@ -511,10 +529,10 @@ def _stride(after, before, steps: int):
 
 
 @functools.lru_cache(maxsize=64)
-def _first_stride(least: float, most: float, n: int, cells: int, peaks: int) -> int:
-    """The first block's stride: a family that starts empty values every
-    peak at one, log 0."""
-    after, before, _ = _reach(np.zeros(peaks), least, most, n, cells)
+def _first_stride(level: float, n: int, cells: int) -> int:
+    """The free test's first stride: a family that starts empty values its
+    tracked peak at one, log 0."""
+    after, before, _ = _reach(np.zeros(1), level, level, n, cells)
     return int(_stride(after, before, n))
 
 
@@ -589,33 +607,86 @@ def _exceeding(logs: np.ndarray, weights, level: np.ndarray, n: int,
     return np.concatenate([head, tail], axis=1), stride
 
 
+def _kept(here, ends, want, level: np.ndarray, n: int, cells: int):
+    """Rows ``(row,)`` whose block, between values ``here`` before its first
+    step and ``ends`` at its last (``(row, peak)``), keeps the decisions
+    ``want`` at every step against its levels: the ends certify all the
+    steps between them (:func:`_reach`), each on the side of ``want``, and
+    the last step decides ``want``.  Also the anchor stride of each block
+    (:func:`_stride`), from the values at its end."""
+    m = len(level)
+    after, before, side = _reach(np.stack([here, ends]), level.min(), level.max(), n, cells)
+    kept = ((after[0] + before[1] + 1 >= m)
+            & ((after[0] == 0) | (side[0] == want).all(axis=1))
+            & ((ends > level[-1]) == want).all(axis=1))
+    return kept, _stride(after[1], before[1], m)
+
+
 def _chunk_settlement(c: ScenarioConfig, reps: range, draw: GuideTable,
                       log_tau: np.ndarray) -> list[dict]:
     p = c.distribution
     peaks, sites = _clip_peaks(c), _sites(p)
     weights = peak_weights(sites, peaks)
-    # ``current == ()`` before the first step: every peak counts as rejected
-    rejected = np.ones((len(reps), len(peaks)), dtype=bool)
-    last_change = np.zeros(len(reps), dtype=np.int64)
+    width, cells = sites.size, 2 * sites.size + 1  # terms of a peak's value
+    steps, family = _SETTLE_STEPS, _family_cells(c, len(peaks))
+    starts = range(0, c.n, steps)
+    # forward, in folds of whole blocks: every row's draws as table offsets
+    # and its log tables at the start of every block
     rows = _Rows(c, reps, draw)
-    stride = np.full(len(reps), _first_stride(log_tau.min(), log_tau.max(), c.n,
-                                              2 * sites.size + 1, len(peaks)))
-    for start, xs, logs in rows.blocks(0, _family_cells(c, len(peaks))):
-        m = xs.shape[1]
-        # mode_estimate at each step of the block, cut to the clip; its
-        # scan window only certifies peaks that this test never rejects
-        by_step, stride = _exceeding(logs, weights, log_tau[start:start + m],
-                                     start + m, stride)
-        before = np.concatenate([rejected[:, None], by_step[:, :-1]], axis=1)
-        changed = (by_step != before).any(axis=2)
-        moved = changed.any(axis=1)
-        last_step = changed.shape[1] - changed[:, ::-1].argmax(axis=1)
-        last_change[moved] = start + last_step[moved]
-        rejected = by_step[:, -1]
+    xs = np.empty((len(reps), c.n), dtype=np.min_scalar_type(width - 1))
+    saved = np.empty((len(starts), 2, len(reps), width))
+    counts, tables = np.zeros((len(reps), width)), np.zeros((2, len(reps), width))
+    fold = steps * max(1, _BLOCK_CELLS // (len(reps) * _TILT_CELLS * width * steps))
+    for start in range(0, c.n, fold):
+        block = rows.take(min(fold, c.n - start)) - sites[0]
+        xs[:, start:start + block.shape[1]] = block
+        b = start // steps
+        saved[b] = tables
+        counts, logs = _tilt_rows(counts, *tables, block)
+        inner = logs[:, :, steps - 1:-1:steps]
+        saved[b + 1:b + 1 + inner.shape[2]] = inner.transpose(2, 0, 1, 3)
+        tables = logs[:, :, -1].copy()
+    # mode_estimate at step n, cut to the clip; its scan window only
+    # certifies peaks that this test never rejects
+    ends = peak_values(tables, weights)
+    final = ends > log_tau[-1]
+    # backward, over the rows whose last change is not found yet: it is the
+    # step after the last one whose decisions differ from the final ones
+    last_change = np.zeros(len(reps), dtype=np.int64)
+    live = np.arange(len(reps))
+    for start, at in zip(reversed(starts), saved[::-1]):
+        block = xs[live, start:start + steps]
+        m = block.shape[1]
+        # the counts at the block's start, and the values there
+        flat = block + np.arange(0, counts.size, width)[:, None]
+        counts = counts - np.bincount(flat.ravel(), minlength=counts.size).reshape(counts.shape)
+        here = peak_values(at[:, live], weights)
+        # a block that does not keep the final decisions throughout is
+        # folded again from its start, bit for bit the forward fold, and decided
+        level, want = log_tau[start:start + m], final[live]
+        kept, stride = _kept(here, ends, want, level, start + m, cells)
+        if not kept.all():
+            o = np.flatnonzero(~kept)
+            _, logs = _tilt_rows(counts[o], *at[:, live[o]], block[o])
+            # decided in pieces of at most _BLOCK_CELLS terms
+            piece = max(1, _BLOCK_CELLS // (len(o) * family))
+            by_step = np.concatenate([
+                _exceeding(logs[:, :, a:a + piece], weights, level[a:a + piece],
+                           start + min(a + piece, m), stride[o])[0]
+                for a in range(0, m, piece)], axis=1)
+            differs = (by_step != want[o, None]).any(axis=2)
+            found = differs.any(axis=1)
+            last_change[live[o[found]]] = start + m + 1 - differs[found, ::-1].argmax(axis=1)
+            live, counts, here = (np.delete(v, o[found], axis=0) for v in (live, counts, here))
+            if not live.size:
+                break
+        ends = here
+    # ``current == ()`` before the first step: every peak counts as rejected
+    last_change[live] = (~final[live]).any(axis=1)
     target = mode_set(p)
     target_members = tuple(t for t in peaks.tolist() if target.contains(t))
     records = []
-    for rep, row, last in zip(reps, rejected, last_change.tolist()):
+    for rep, row, last in zip(reps, final, last_change.tolist()):
         current = tuple(peaks[~row].tolist())
         records.append({
             "rep": rep,
@@ -640,7 +711,7 @@ def _chunk_unrestricted(c: ScenarioConfig, reps: range, draw: GuideTable) -> lis
     records = [{"rep": rep, "rejected": False, "reject_n": None} for rep in reps]
     live = list(range(len(reps)))  # record index of each row
     cells = 2 * sites.size + 1  # terms of a peak's value
-    stride = np.full(len(reps), _first_stride(below_cut, below_cut, c.n, cells, 1))
+    stride = np.full(len(reps), _first_stride(below_cut, c.n, cells))
     for start, _, logs in rows.blocks(1, _family_cells(c, 1)):
         m, n = logs.shape[2], start + logs.shape[2]
         level = np.full(m, below_cut)
@@ -696,9 +767,12 @@ def _run_growth(c: ScenarioConfig) -> tuple[list[dict], dict]:
 
 
 def _run_settlement(c: ScenarioConfig) -> tuple[list[dict], dict]:
-    cells = _family_cells(c, len(_clip_peaks(c))) * c.n
+    sites, steps = _sites(c.distribution).size, _SETTLE_STEPS
+    # a row holds its draws, two log tables per block and one block's terms
+    held = (c.n * np.min_scalar_type(sites - 1).itemsize // 8
+            + 2 * sites * -(-c.n // steps) + steps * _family_cells(c, len(_clip_peaks(c))))
     log_tau = np.array([estimate_level(k) for k in range(1, c.n + 1)])
-    records = _map_reps(c, _chunk_settlement, cells, log_tau)
+    records = _map_reps(c, _chunk_settlement, held, log_tau)
     return records, {
         "all_match_target": all(rec["matches_target"] for rec in records),
         "max_last_change_n": max(rec["last_change_n"] for rec in records),

@@ -12,12 +12,13 @@ finds it in one pass over them.
 
 from __future__ import annotations
 
+import sys
 from bisect import bisect_left
 from dataclasses import dataclass
 from itertools import accumulate, chain, islice, repeat
 from operator import sub
 
-from .errors import NegativeSupport, SubprobabilityInput, ZeroFittedMass
+from .errors import FarTable, NegativeSupport, SubprobabilityInput, ZeroFittedMass
 from .evalues import EvalFn, epower
 from .pmf import PROB_TOL, Pmf, make_pmf
 
@@ -50,6 +51,7 @@ class LcmResult:
 
     def fitted_masses(self) -> list[float]:
         """Fitted mass at every index ``0 .. hi``."""
+        _check_from_0(self.hi)
         runs = map(sub, self.contacts[1:], self.contacts)
         return list(chain.from_iterable(map(repeat, self.slopes, runs)))
 
@@ -86,8 +88,15 @@ def _upper_hull(xs: list, ys: list) -> tuple[list, list]:
     return hx, hy
 
 
+def _check_from_0(hi: int) -> None:
+    # a CPython list holds at most sys.maxsize // 8 entries (pointers)
+    if hi >= sys.maxsize // 8:
+        raise FarTable(f"lo is too far from 0: the masses from 0 to {hi} cannot be listed")
+
+
 def _masses_from_0(q: Pmf) -> list[float]:
     # q.f(n) for n = 0 .. q.hi, without a call per index
+    _check_from_0(q.hi)
     return [0.0] * q.lo + list(q.masses)
 
 

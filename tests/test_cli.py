@@ -226,6 +226,18 @@ def test_numeraire_with_a_mass_below_the_cdf_rounding_is_a_typed_error(
                    "it is below the rounding of the CDF\n")
 
 
+@pytest.mark.parametrize("lo", [2**63, 2**60 - 1], ids=["past ssize_t", "past a list"])
+@pytest.mark.parametrize("form", ['{"lo": %d, "masses": [1.0]}', "%d 1.0\n"],
+                         ids=["json", "text"])
+def test_numeraire_names_a_table_too_far_from_0_to_list(monkeypatch, capsys, lo, form):
+    # the e-value and slopes are lists from 0 up, and no list holds 2**60
+    # entries: the check raises before anything is allocated
+    code, out, err = run_cli(monkeypatch, capsys, ["numeraire"], form % lo)
+    assert (code, out) == (1, "")
+    assert err == (f"evshape: lo is too far from 0: the masses from 0 to {lo} "
+                   "cannot be listed\n")
+
+
 def test_cont_numeraire_with_a_level_below_the_cdf_rounding_is_a_typed_error(
         monkeypatch, capsys):
     # 1 + 1e-300 == 1, so the majorant fits level 0 on (1, 2]

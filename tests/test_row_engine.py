@@ -261,8 +261,8 @@ def reference_records(c):
 
 
 @st.composite
-def row_configs(draw):
-    scenario = draw(st.sampled_from(sorted(REFERENCE)))
+def row_configs(draw, scenarios=tuple(sorted(REFERENCE))):
+    scenario = draw(st.sampled_from(scenarios))
     weights = draw(st.lists(st.integers(0, 6), min_size=1, max_size=6)
                    .filter(any))
     lo = draw(st.integers(-4, 3))
@@ -417,22 +417,134 @@ def test_anchored_decisions_match_the_dense_evaluation(data, rows, steps, width,
     assert nxt.shape == (rows,) and (nxt >= 1).all()
 
 
-def test_settlement_evaluates_few_steps_once_the_peaks_have_settled():
+# ------------------------------------------------------ settlement walk
+
+
+def test_settlement_walks_back_from_n_and_stops_at_the_last_change():
     c = ScenarioConfig("mode_settlement", make_pmf(0, [0.2, 0.6, 0.2]), n=1000, reps=1,
                        alpha=0.05, seed=1)
+    # the tables after every step, to name the step of each table evaluated;
+    # a table seen at several steps counts as the earliest
+    xs = np.array(sample(c.distribution, derive_seed(c.seed, 0), c.n)) + 1
+    zeros = np.zeros((1, 5))
+    _, logs = tilt_rows(zeros, zeros, zeros, xs[None])
+    tables = np.concatenate([np.zeros((2, 1, 1, 5)), logs], axis=2)[:, 0]
+    step_of = {tables[:, k].tobytes(): k for k in range(c.n, -1, -1)}
     evaluated = []
 
     def counted(logs, weights):
-        evaluated.append(math.prod(logs.shape[1:-1]))
+        flat = logs.reshape(2, -1, logs.shape[-1])
+        evaluated.extend(step_of[flat[:, j].tobytes()] for j in range(flat.shape[1]))
         return engine_peak_values(logs, weights)
 
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(harness, "peak_values", counted)
-        assert run_experiment(c).records == tuple(reference_records(c))
-    # the first 400 steps or so are evaluated whole, then the last two
-    # blocks a few anchors each: 438 of the 1000 steps here
-    assert sum(evaluated) < 0.5 * c.n
-    assert max(evaluated[-2:]) < 40
+        (rec,) = run_experiment(c).records
+    assert [rec] == reference_records(c)
+    # 100 of the 1000 steps here (73 and 101 at seeds 2 and 3): step n, each
+    # block's start on the way back and the anchors of the blocks next to
+    # the last change, at step 300
+    assert len(evaluated) < c.n / 4
+    # the last step that differs from step n is the one before the last
+    # change; the walk stops in its block, whose tables start at most
+    # _SETTLE_STEPS steps before it
+    assert min(evaluated) >= rec["last_change_n"] - 1 - harness._SETTLE_STEPS
+
+
+def test_a_block_keeps_the_final_decisions_only_where_its_ends_certify_them():
+    # one peak, rejected at step n, against a level of 4 over a block of 3
+    level, want = np.full(3, 4.0), np.array([[True]])
+    low, near, high = np.array([[-6.0]]), np.array([[3.9]]), np.array([[14.0]])
+
+    def kept(here, ends):
+        return harness._kept(here, ends, want, level, 700, 11)[0].tolist()
+
+    assert kept(high, high) == [True]
+    # a start just below the level certifies nothing, and the end certifies
+    # the block alone
+    assert kept(near, high) == [True]
+    # a start certified below the level, or an end that decides otherwise
+    assert kept(low, high) == [False]
+    assert kept(high, low) == [False]
+    # a start certified for one step and an end for none cover a block of
+    # two steps, not one of three
+    one, none = np.array([[4.0 - 1.5 * _LN_RISE]]), np.array([[4.0 - 0.5 * _LN_FALL]])
+    for m, covered in ((2, True), (3, False)):
+        got = harness._kept(one, none, ~want, np.full(m, 4.0), 700, 11)[0]
+        assert got.tolist() == [covered]
+
+
+def test_rows_that_never_change_settle_at_step_1_or_at_0():
+    # levels that decide every peak alike at every step: a row changes at
+    # step 1 unless it rejects them all, as every peak counts before step 1
+    c = ScenarioConfig("mode_settlement", make_pmf(0, [0.3, 0.4, 0.3]), n=70, reps=2,
+                       alpha=0.05, seed=4)
+    draw = GuideTable(c.distribution)
+    for level, last, size in ((-math.inf, 0, 0), (math.inf, 1, 41)):
+        got = harness._chunk_settlement(c, range(2), draw, np.full(c.n, level))
+        assert [(rec["last_change_n"], len(rec["final_set"])) for rec in got] == [(last, size)] * 2
+
+
+# settlement configs at the edges of the backward walk, and what each shows
+WALK_EDGES = {
+    "last change at n": (
+        ScenarioConfig("mode_settlement", make_pmf(-3, [0.4, 0.6]), n=40, reps=1,
+                       alpha=0.05, seed=256),
+        lambda rec: rec["last_change_n"] == 40),
+    "last change on a block's first step": (
+        ScenarioConfig("mode_settlement", make_pmf(-2, [1.0]), n=20, reps=1,
+                       alpha=0.05, seed=286),
+        lambda rec: rec["last_change_n"] == 19),
+    "last change on a block's last step, every peak rejected at n": (
+        ScenarioConfig("mode_settlement", make_pmf(0, [1.0]), n=40, reps=1,
+                       alpha=0.05, seed=73, clip=(2, 6)),
+        lambda rec: rec["last_change_n"] == 30 and rec["final_set"] == []),
+    "every clip peak rejected at n": (
+        ScenarioConfig("mode_settlement", make_pmf(2, [1.0]), n=20, reps=1,
+                       alpha=0.05, seed=607, clip=(1, 1)),
+        lambda rec: rec["final_set"] == [] and rec["last_change_n"] > 1),
+    "no change after step 1": (
+        ScenarioConfig("mode_settlement", make_pmf(-2, [1 / 6, 5 / 6]), n=20, reps=1,
+                       alpha=0.05, seed=169, clip=(-3, 0)),
+        lambda rec: rec["last_change_n"] == 1 and rec["final_set"] == [-3, -2, -1, 0]),
+    "n = 1": (
+        ScenarioConfig("mode_settlement", make_pmf(0, [0.3, 0.7]), n=1, reps=2,
+                       alpha=0.05, seed=3),
+        lambda rec: rec["last_change_n"] == 1 and len(rec["final_set"]) == 41),
+    "n = 2": (
+        ScenarioConfig("mode_settlement", make_pmf(0, [0.3, 0.7]), n=2, reps=2,
+                       alpha=0.05, seed=3),
+        lambda rec: rec["last_change_n"] == 1 and len(rec["final_set"]) == 41),
+    "a clip far from the data": (
+        ScenarioConfig("mode_settlement", make_pmf(0, [0.4, 0.3, 0.2, 0.1]), n=300,
+                       reps=3, alpha=0.05, seed=1, clip=(-60, -40)),
+        lambda rec: rec["last_change_n"] == 300 and 0 < len(rec["final_set"]) < 21),
+}
+
+
+@pytest.mark.parametrize("edge", sorted(WALK_EDGES))
+def test_walk_edges_show_what_they_name(edge):
+    c, shows = WALK_EDGES[edge]
+    assert all(shows(rec) for rec in run_experiment(c).records)
+
+
+# blocks of 3 steps: 19 opens one, 30 closes one
+@settings(max_examples=60, deadline=None, database=None)
+@given(c=row_configs(("mode_settlement",)), steps=st.sampled_from([1, 3]))
+@example(c=WALK_EDGES["last change at n"][0], steps=3)
+@example(c=WALK_EDGES["last change on a block's first step"][0], steps=3)
+@example(c=WALK_EDGES["last change on a block's last step, every peak rejected at n"][0],
+         steps=3)
+@example(c=WALK_EDGES["every clip peak rejected at n"][0], steps=1)
+@example(c=WALK_EDGES["no change after step 1"][0], steps=3)
+@example(c=WALK_EDGES["n = 1"][0], steps=3)
+@example(c=WALK_EDGES["n = 2"][0], steps=1)
+@example(c=WALK_EDGES["a clip far from the data"][0], steps=3)
+@example(c=NO_ROOM[1], steps=1)
+def test_settlement_walk_in_short_blocks_matches_the_reference(c, steps):
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(harness, "_SETTLE_STEPS", steps)
+        assert list(run_experiment(c).records) == reference_records(c)
 
 
 def test_rows_stop_at_different_steps():
