@@ -118,3 +118,9 @@ class NonNumericInput(EvshapeError):
 
 class MalformedJson(EvshapeError):
     """A JSON input is not an object, or a field is not the list it should be."""
+
+
+class MalformedText(EvshapeError, ValueError):
+    """An ``index mass`` text has no rows, or a row that is not one integer
+    index and one number or that repeats an index; the message names the
+    1-based row."""

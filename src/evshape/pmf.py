@@ -8,18 +8,21 @@ predicates, envelopes, mode sets, sampling -- operates on these windows.
 
 from __future__ import annotations
 
+import io
 import json
 import math
 import numbers
+import warnings
 from dataclasses import dataclass
 from itertools import chain, compress, count, repeat
-from operator import add, gt, itemgetter, le
+from operator import add, gt, le
 
 import numpy as np
 
 from .errors import (
     EmptyObservations,
     MalformedJson,
+    MalformedText,
     MassSumViolation,
     NegativeMass,
     NegativeSupport,
@@ -345,46 +348,78 @@ def pmf_from_json(obj: dict | str) -> Pmf:
                     _json_bool(obj.get("is_sub", False), "is_sub"))
 
 
-def _contiguous_rows(lines: list[str]) -> tuple[int, list[float]] | None:
-    # the common text, one "index mass" row per index from lo up, converted
-    # at C level chunk by chunk, so no per-row list outlives its chunk; None
-    # for anything else: comments, blanks, gaps, other field counts
-    try:
-        lo, masses = int(lines[0].split()[0]), []
-        for k in range(0, len(lines), 4096):
-            fields = list(map(str.split, lines[k:k + 4096]))
-            if set(map(len, fields)) != {2}:
-                return None
-            index = list(map(int, map(itemgetter(0), fields)))
-            if index != list(range(lo + k, lo + k + len(index))):
-                return None
-            masses += map(float, map(itemgetter(1), fields))
-    except (IndexError, ValueError):  # no rows, or a field int or float does not read
+def _contiguous_rows(stripped: str) -> tuple[int, list[float]] | None:
+    """``(lo, masses)`` of a stripped text of one ``index mass`` row per
+    index from ``lo`` up, read in one call to numpy's C text reader; None
+    for any other text.
+
+    The reader converts masses with ``PyOS_string_to_double``, which
+    ``float()`` calls once it has removed underscores, and indices as
+    plain decimal int64.  It raises ``ValueError`` or warns, and so
+    refuses, on any field ``int()`` or ``float()`` reads otherwise
+    (underscores, hex, ``1.0`` as an index, an index past int64), on other
+    field counts, quotes, a lone ``\\r``, and non-ASCII or empty text.
+    It reads ``\\x0b``, ``\\x0c`` and ``\\x1c``-``\\x1e`` as field whitespace
+    where ``str.splitlines`` breaks lines, so a text holding one is refused.
+    """
+    if any(map(stripped.__contains__, "\x0b\x0c\x1c\x1d\x1e")):
         return None
-    return lo, masses
+    try:
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            rows = np.loadtxt(io.BytesIO(stripped.encode("ascii")),
+                              dtype=[("i", np.int64), ("m", np.float64)],
+                              comments=None, ndmin=1, encoding="ascii")
+    except (ValueError, Warning):  # UnicodeEncodeError is a ValueError
+        return None
+    index = rows["i"]
+    lo = int(index[0])
+    # int64 steps wrap, but steps of 1 mod 2**64 span n - 1 only if none did
+    if int(index[-1]) - lo != len(index) - 1 or not (np.diff(index) == 1).all():
+        return None
+    return lo, rows["m"].tolist()
 
 
 def pmf_from_text(text: str, is_sub: bool = False) -> Pmf:
-    """Parse ``index mass`` lines (or a JSON object) into a Pmf."""
+    """Parse ``index mass`` rows (or a JSON object) into a Pmf.
+
+    A text of one row per index from ``lo`` up takes numpy's text reader
+    (:func:`_contiguous_rows`).  Any other goes through the line loop:
+    blank rows and rows whose first field starts with ``#`` are skipped,
+    and an index with no row has mass 0.  A row that is not one integer
+    index and one number, or repeats an index, raises
+    :class:`MalformedText` naming its 1-based row, as does a text with no
+    rows.
+    """
     stripped = text.strip()
     if stripped.startswith("{"):
         return pmf_from_json(stripped)
-    lines = stripped.splitlines()
-    rows = _contiguous_rows(lines)
+    rows = _contiguous_rows(stripped)
     if rows is not None:
         return make_pmf(*rows, is_sub)
     entries: dict[int, float] = {}
-    for line in lines:
-        line = line.strip()
-        if not line or line.startswith("#"):
+    for row, line in enumerate(text.splitlines(), 1):
+        fields = line.split()
+        if not fields or fields[0].startswith("#"):
             continue
-        idx_s, mass_s = line.split()
-        idx = int(idx_s)
+        if len(fields) != 2:
+            raise MalformedText(f"row {row}: expected 2 fields (index mass), "
+                                f"found {len(fields)}")
+        try:
+            idx = int(fields[0])
+        except ValueError:
+            raise MalformedText(f"row {row}: index {fields[0]!r:.200} does not "
+                                "read as an integer") from None
+        try:
+            mass = float(fields[1])
+        except ValueError:
+            raise MalformedText(f"row {row}: mass {fields[1]!r:.200} does not "
+                                "read as a number") from None
         if idx in entries:
-            raise ValueError(f"duplicate index {idx}")
-        entries[idx] = float(mass_s)
+            raise MalformedText(f"row {row}: duplicate index {idx}")
+        entries[idx] = mass
     if not entries:
-        raise ValueError("no mass entries found")
+        raise MalformedText("no index mass rows found")
     lo, hi = min(entries), max(entries)
     masses = [entries.get(n, 0.0) for n in range(lo, hi + 1)]
     return make_pmf(lo, masses, is_sub)

@@ -7,6 +7,7 @@ one subprocess test at the end confirms the installed entry point.
 import io
 import json
 import random
+import re
 import resource
 import subprocess
 import sys
@@ -16,7 +17,8 @@ import pytest
 from evshape import cli
 from evshape.cli import main
 from evshape.continuous import make_step_density
-from evshape.pmf import make_pmf, sample
+from evshape.errors import EvshapeError
+from evshape.pmf import make_pmf, pmf_from_text, sample
 
 
 def run_cli(monkeypatch, capsys, argv, stdin_text=""):
@@ -628,6 +630,26 @@ def test_malformed_json_is_a_one_line_error(monkeypatch, capsys, tmp_path,
     assert (code, out) == (1, "")
     assert err.startswith("evshape: ") and err.count("\n") == 1
     assert message in err
+
+
+@pytest.mark.parametrize("text, message", [
+    ("0 0.5 1\n1 0.5\n", "row 1: expected 2 fields (index mass), found 3"),
+    ("0 0.5\n\n1\n", "row 3: expected 2 fields (index mass), found 1"),
+    ("x 0.5\n", "row 1: index 'x' does not read as an integer"),
+    ("0 0.5\n1 abc\n", "row 2: mass 'abc' does not read as a number"),
+    ("# note\n0 0.5\n0 0.5\n", "row 3: duplicate index 0"),
+    ("0\x0c1\n", "row 1: expected 2 fields (index mass), found 1"),
+    ("# only a comment\n", "no index mass rows found"),
+    ("", "no index mass rows found"),
+], ids=["three-fields", "one-field", "bad-index", "bad-mass", "duplicate", "form-feed",
+        "only-a-comment", "empty"])
+def test_malformed_text_names_its_row(monkeypatch, capsys, text, message):
+    code, out, err = run_cli(monkeypatch, capsys, ["numeraire"], text)
+    assert (code, out, err) == (1, "", f"evshape: {message}\n")
+    # still a ValueError, for callers that catch one
+    with pytest.raises(ValueError, match=re.escape(message)) as info:
+        pmf_from_text(text)
+    assert isinstance(info.value, EvshapeError)
 
 
 def test_installed_entry_point():

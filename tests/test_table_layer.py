@@ -58,6 +58,7 @@ from evshape.continuous import (
 from evshape.errors import (
     BadInterval,
     EvshapeError,
+    MalformedText,
     NegativeMass,
     NegativeSupport,
     NegativeValue,
@@ -97,6 +98,7 @@ from evshape.pmf import (
     SHAPE_TOL,
     ModeInterval,
     Pmf,
+    _contiguous_rows,
     is_monotone,
     is_theta_unimodal,
     make_pmf,
@@ -169,15 +171,21 @@ def ref_numeraire_cont(q: StepDensity) -> StepFn:
     return StepFn(q.fn.breakpoints, tuple(values), at0, 0.0)
 
 
+def _masses_from_0(q: Pmf) -> list[float]:
+    # q.f at every index 0 .. hi, read once: each q.f call recomputes q.hi
+    return [0.0] * q.lo + list(q.masses)
+
+
 def ref_lcm(q: Pmf) -> LcmResult:
     if q.lo < 0:
         raise NegativeSupport("majorant needs nonnegative support")
     if q.is_sub or abs(q.total - 1.0) > PROB_TOL:
         raise SubprobabilityInput("majorant needs a full probability")
     xs = list(range(-1, q.hi + 1))
+    f = _masses_from_0(q)
     cdf, acc = [0.0], 0.0
     for n in range(0, q.hi + 1):
-        acc += q.f(n)
+        acc += f[n]
         cdf.append(acc)
     hx, hy = ref_upper_hull(xs, cdf)
     # merge numerically equal adjacent slopes so contacts are canonical
@@ -200,17 +208,17 @@ def ref_lcm(q: Pmf) -> LcmResult:
 
 def ref_numeraire_evalue(q: Pmf) -> EvalFn:
     res = ref_lcm(q)
-    fitted = res.fitted_masses()
+    fitted, f = res.fitted_masses(), _masses_from_0(q)
     values = tuple(
-        q.f(n) / fitted[n] if q.f(n) > 0.0 else 0.0 for n in range(0, res.hi + 1)
+        f[n] / fitted[n] if f[n] > 0.0 else 0.0 for n in range(0, res.hi + 1)
     )
     return EvalFn(0, values, 0.0, 0.0)
 
 
 def ref_ripr(q: Pmf) -> Pmf:
     res = ref_lcm(q)
-    fitted = res.fitted_masses()
-    masses = [fitted[n] if q.f(n) > 0.0 else 0.0 for n in range(0, res.hi + 1)]
+    fitted, f = res.fitted_masses(), _masses_from_0(q)
+    masses = [fitted[n] if f[n] > 0.0 else 0.0 for n in range(0, res.hi + 1)]
     return make_pmf(0, masses, is_sub=True)
 
 
@@ -324,19 +332,31 @@ def ref_cont_numeraire_stdout(text: str) -> str:
 
 
 def ref_pmf_from_text(text: str, is_sub: bool = False) -> Pmf:
-    stripped = text.strip()
     entries: dict[int, float] = {}
-    for line in stripped.splitlines():
+    for row, line in enumerate(text.splitlines(), 1):
         line = line.strip()
         if not line or line.startswith("#"):
             continue
-        idx_s, mass_s = line.split()
-        idx = int(idx_s)
+        fields = line.split()
+        if len(fields) != 2:
+            raise MalformedText(f"row {row}: expected 2 fields (index mass), "
+                                f"found {len(fields)}")
+        idx_s, mass_s = fields
+        try:
+            idx = int(idx_s)
+        except ValueError:
+            raise MalformedText(f"row {row}: index {idx_s!r:.200} does not "
+                                "read as an integer") from None
+        try:
+            mass = float(mass_s)
+        except ValueError:
+            raise MalformedText(f"row {row}: mass {mass_s!r:.200} does not "
+                                "read as a number") from None
         if idx in entries:
-            raise ValueError(f"duplicate index {idx}")
-        entries[idx] = float(mass_s)
+            raise MalformedText(f"row {row}: duplicate index {idx}")
+        entries[idx] = mass
     if not entries:
-        raise ValueError("no mass entries found")
+        raise MalformedText("no index mass rows found")
     lo, hi = min(entries), max(entries)
     masses = [entries.get(n, 0.0) for n in range(lo, hi + 1)]
     return make_pmf(lo, masses, is_sub)
@@ -1188,21 +1208,36 @@ _entries = st.one_of(st.floats(0.0, 1.5), st.sampled_from(_ENTRIES))
 _bad_entries = st.one_of(_entries, st.sampled_from([-1.0, -5e-324, math.nan, -math.inf]))
 
 
+# every ASCII control character, and CRLF, to join two rows or part two fields:
+# \x0b, \x0c and \x1c-\x1e break lines for str.splitlines but part fields for
+# numpy's text reader, and a lone \r breaks lines for one and not the other
+_CONTROLS = [chr(c) for c in range(32)] + ["\x7f", "\r\n"]
+_ROW_EDITS = ["shuffle", "gap", "duplicate", "comment", "blank", "three", "one",
+              "bad-index", "bad-mass", "negative", "special", "tabs", "crlf",
+              "unsorted", "join", "split", "signed", "float-index",
+              "underscore-index", "underscore-mass", "note", "trailing", "wide-digit"]
+_WIDE_DIGITS = str.maketrans("0123456789", "０１２３４５６７８９")
+
+
 @st.composite
-def text_tables(draw):
+def text_tables(draw, max_edits=2):
     """``index mass`` text: contiguous rows, or broken in one of many ways."""
-    lo = draw(st.integers(-3, 5))
     masses = draw(st.lists(st.one_of(st.floats(0.0, 1.0), st.sampled_from(
         [0.0, -0.0, 5e-324, 1e-300])), min_size=1, max_size=12))
+    # small offsets, and the two ends of int64, where the reader's indices stop;
+    # a text with edits may also start or end one past them
+    ends = [-(2**63), 2**63 - len(masses)]
+    if max_edits:
+        ends += [-(2**63) - 1, 2**63 - len(masses) + 1]
+    lo = draw(st.one_of(st.integers(-3, 5), st.sampled_from(ends)))
     total = math.fsum(masses)
     masses = [m / total for m in masses] if total > 0.0 else [1.0] + masses[1:]
     rows = [f"{lo + i} {m!r}" for i, m in enumerate(masses)]
-    for edit in draw(st.lists(st.sampled_from(
-            ["shuffle", "gap", "duplicate", "comment", "blank", "three", "one",
-             "bad-index", "bad-mass", "negative", "nan", "tabs", "crlf", "unsorted"]),
-            max_size=2)):
+    for edit in draw(st.lists(st.sampled_from(_ROW_EDITS), max_size=max_edits)):
         k = draw(st.integers(0, len(rows) - 1))
-        index, mass = (rows[k].split() + ["0", "0.5"])[:2]  # a blank row reads "0 0.5"
+        # a row without both fields reads its missing ones as "lo 0.5", so no
+        # edit puts an index far from the rest
+        index, mass = (rows[k].split() + [str(lo), "0.5"])[:2]
         if edit == "shuffle":
             rows = draw(st.permutations(rows))
         elif edit == "gap" and len(rows) > 2:
@@ -1212,7 +1247,7 @@ def text_tables(draw):
         elif edit == "comment":
             rows.insert(k, "# a comment")
         elif edit == "blank":
-            rows.insert(k, "   ")
+            rows.insert(k, draw(st.sampled_from(["   ", "\t", " \x1f "])))
         elif edit == "three":
             rows[k] += " 0.5"
         elif edit == "one":
@@ -1223,15 +1258,35 @@ def text_tables(draw):
             rows[k] = index + " abc"
         elif edit == "negative":
             rows[k] = index + " -0.25"
-        elif edit == "nan":
-            rows[k] = index + " nan"
+        elif edit == "special":
+            rows[k] = index + " " + draw(st.sampled_from(
+                ["nan", "-nan", "inf", "Infinity", "-0.0", "1e999", ".5", "5."]))
         elif edit == "tabs":
             rows[k] = "\t" + rows[k].replace(" ", " \t ") + "  "
         elif edit == "crlf":
             rows[k] += "\r"
         elif edit == "unsorted" and len(rows) > 1:
             rows[0], rows[-1] = rows[-1], rows[0]
-    return "\n".join(rows) + draw(st.sampled_from(["", "\n", "\n\n"]))
+        elif edit == "join" and k + 1 < len(rows):
+            rows[k:k + 2] = [rows[k] + draw(st.sampled_from(_CONTROLS)) + rows[k + 1]]
+        elif edit == "split":
+            rows[k] = index + draw(st.sampled_from(_CONTROLS)) + mass
+        elif edit == "signed":  # +1, -01 and 007 keep their value
+            sign, digits = ("-", index[1:]) if index.startswith("-") else ("+", index)
+            rows[k] = sign + draw(st.sampled_from(["", "0", "00"])) + digits + " " + mass
+        elif edit == "float-index":
+            rows[k] = index + draw(st.sampled_from([".0", "e0"])) + " " + mass
+        elif edit == "underscore-index":
+            rows[k] = "0_" + index + " " + mass
+        elif edit == "underscore-mass":
+            rows[k] = index + " 0_" + mass
+        elif edit == "note":
+            rows[k] += " # note"
+        elif edit == "trailing":
+            rows[k] += "   "
+        elif edit == "wide-digit":  # int() reads Unicode digits, the reader reads ASCII
+            rows[k] = index.translate(_WIDE_DIGITS) + " " + mass
+    return "\n".join(rows) + draw(st.sampled_from(["", "\n", "\n\n", "\r\n"]))
 
 
 @settings(max_examples=300, deadline=None, database=None)
@@ -1241,9 +1296,33 @@ def text_tables(draw):
 @example(text="0 0.5\n1 0.5 0.0\n")
 @example(text="5 1.0")
 @example(text="0 1_0e-1\n1 0.9\n")  # int() and float() accept underscores
+@example(text="0\x0c1")  # a line break to splitlines, field whitespace to the reader
+@example(text="0 1\n1\x1e2")
 def test_text_parser_matches_the_line_loop(text):
     assert exact(pmf_from_text, text) == exact(ref_pmf_from_text, text)
     assert exact(pmf_from_text, text, True) == exact(ref_pmf_from_text, text, True)
+
+
+@pytest.mark.parametrize("control", _CONTROLS, ids=[repr(c)[1:-1] for c in _CONTROLS])
+@pytest.mark.parametrize("form", ["0{}1", "0 0.5{}1 0.5", "0 0.5\n1{}0.5", "{}0 1{}"])
+def test_every_control_character_reads_as_in_the_line_loop(form, control):
+    text = form.format(control, control)
+    assert exact(pmf_from_text, text, True) == exact(ref_pmf_from_text, text, True)
+
+
+@settings(max_examples=100, deadline=None, database=None)
+@given(text=text_tables(max_edits=0))
+def test_contiguous_text_takes_the_reader(text):
+    # so a reader that refused every text could not pass the test above
+    assert _contiguous_rows(text.strip()) is not None
+    assert exact(pmf_from_text, text, True) == exact(ref_pmf_from_text, text, True)
+
+
+def test_the_reader_refuses_indices_that_wrap_around_int64():
+    # int64 steps of 1 wrap from 2**63 - 1 to -(2**63); the line loop reads
+    # this text as a table 2**64 entries wide, so it is not compared above
+    assert _contiguous_rows(f"{2**63 - 1} 0.5\n{-(2**63)} 0.5") is None
+    assert _contiguous_rows(f"{2**63 - 2} 0.5\n{2**63 - 1} 0.5") == (2**63 - 2, [0.5, 0.5])
 
 
 @pytest.mark.parametrize("edit", ["none", "gap", "duplicate", "comment", "three"])
