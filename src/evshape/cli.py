@@ -3,9 +3,9 @@
 Streams arrive as one value per line, or JSONL objects carrying ``x``.
 Results go to stdout as JSON; sequential test subcommands signal a
 rejected null with exit code 2, everything else exits 0 on success and
-1 on error.  ``numeraire`` writes ``slopes`` and ``ripr.masses`` once
-per run of equal entries (the fit's pieces, cut where the table has no
-mass) and repeats the text, byte for byte what ``json.dumps`` writes
+1 on error.  ``numeraire`` writes ``slopes`` and the e-value's ``values``
+from 0 (the library keeps them on the table) and, with ``ripr.masses``,
+once per run of equal entries, byte for byte what ``json.dumps`` writes
 for the full arrays.  The parser is built once per process.
 """
 
@@ -15,9 +15,10 @@ import argparse
 import functools
 import json
 import math
-import operator
 import sys
-from itertools import compress, count, islice, repeat
+from itertools import chain, repeat
+
+import numpy as np
 
 from .continuous import (
     _numeraire_cont_with_epower,
@@ -29,7 +30,7 @@ from .continuous import (
 )
 from .eprocess import MonotoneTracker, UnimodalFamily, UnimodalTracker
 from .errors import EvshapeError, NonFiniteInput
-from .evalues import EvalFn, is_in_polar_D, is_in_polar_M
+from .evalues import EvalFn, epower, is_in_polar_D, is_in_polar_M
 from .harness import config_from_json, run_experiment
 from .mode import (
     UnrestrictedTest,
@@ -39,7 +40,7 @@ from .mode import (
     one_obs_ci,
     one_obs_ci_finite,
 )
-from .numeraire import _numeraire_with_epower, _ripr, lcm
+from .numeraire import _check_from_0, _numeraire_evalue, _ripr, lcm
 from .pmf import _json_int, _json_number, _json_object, pmf_from_text
 
 
@@ -58,32 +59,35 @@ class _Runs:
     def __init__(self, values, lengths) -> None:
         self.values, self.lengths = values, lengths
 
-    def pieces(self) -> list[str]:
-        # the array's inner text: json writes each run's value once (and
-        # refuses a non-finite one as in the full list), then the value and
-        # its separator are repeated over the run, the last value bare
-        if not self.values:
-            return []
+    def pieces(self):
+        # the array's inner text, as strings: json writes each run's value
+        # once, here (and refuses a non-finite one as in the full list), and
+        # the value after its separator is repeated over the run, at most
+        # _PIECE to a string; the first separator is cut
         cells = json.dumps(self.values, allow_nan=False)[1:-1].split(", ")
-        *head, last = map(operator.add, cells, repeat(", "))
-        return [*map(operator.mul, head, self.lengths), last * (self.lengths[-1] - 1), cells[-1]]
+        texts = chain.from_iterable(
+            chain(repeat(t * _PIECE, n // _PIECE) if n >= _PIECE else (), [t * (n % _PIECE)])
+            for t, n in zip(map(", ".__add__, cells), self.lengths))
+        return chain([next(texts, ", ")[2:]], texts)
 
 
-def _run_length(xs):
-    """``xs`` as :class:`_Runs`, or ``xs`` itself where its runs are too many.
+def _runs(head: float, skip: int, table):
+    """``skip`` entries ``head``, then the floats ``table``, as :class:`_Runs`
+    of bitwise equal neighbours, or as the plain list where the runs are
+    more than half the entries: json writes that faster, and it is then at
+    most about twice as long as ``table``."""
+    first = [head] if skip else []
+    bits = np.fromiter(chain(first, table), float, len(first) + len(table)).view(np.int64)
+    starts = np.flatnonzero(bits[1:] != bits[:-1]) + 1
+    extra = max(skip - 1, 0)  # the entries bits[0] stands for beyond itself
+    size = len(bits) + extra
+    if len(starts) >= size // 2:
+        return [head] * skip + list(table)
+    return _Runs(bits[np.r_[0, starts]].view(float).tolist(),
+                 np.diff(np.r_[0, starts + extra, size]).tolist())
 
-    Equal neighbours share a run, so ``xs`` holds no ``-0.0`` beside a
-    ``0.0``.  Under two entries a run on average, json writes the plain
-    list faster than the runs, so the scan for run starts stops there.
-    """
-    half = len(xs) // 2
-    starts = list(islice(compress(count(1), map(operator.ne, islice(xs, 1, None), xs)), half))
-    if len(starts) == half:
-        return xs
-    return _Runs([xs[0], *map(xs.__getitem__, starts)],
-                 list(map(operator.sub, [*starts, len(xs)], [0, *starts])))
 
-
+_PIECE = 4096  # entries of a run written as one string
 _MARK = "\0"  # a _Runs is first written as [_MARK], then its text is spliced in
 _MARK_TEXT = json.dumps(_MARK)
 
@@ -99,18 +103,15 @@ def _emit(obj) -> None:
     parked = []
 
     def park(array: _Runs) -> list[str]:
-        parked.append(array)
+        parked.append(array.pieces())  # json writes (or refuses) its values here
         return [_MARK]
 
     text = json.dumps(obj, sort_keys=True, allow_nan=False, default=park)
-    if parked:
-        parts = text.split(_MARK_TEXT)
-        out = [parts[0]]
-        for array, part in zip(parked, parts[1:]):
-            out += array.pieces()
-            out.append(part)
-        sys.stdout.writelines(out)
-    print("" if parked else text, flush=True)
+    *parts, last = text.split(_MARK_TEXT, len(parked))
+    for part, pieces in zip(parts, parked):
+        sys.stdout.write(part)
+        sys.stdout.writelines(pieces)
+    print(last, flush=True)
 
 
 def _finite_float(text: str) -> float:
@@ -227,15 +228,17 @@ def _cmd_check_evalue(args) -> int:
 def _cmd_numeraire(args) -> int:
     q = pmf_from_text(sys.stdin.read())
     res = lcm(q)  # the one fit every output below reads
-    fitted = res.fitted_masses()
-    e, power = _numeraire_with_epower(q, fitted)
+    _check_from_0(q.hi)  # fitted and e are on the table, and written from 0
+    fitted = res._fitted(q.lo)
+    e = _numeraire_evalue(q, fitted)
     ripr = _ripr(q, fitted)
     _emit({
         "contacts": list(res.contacts),
-        "slopes": _run_length(fitted),
-        "ripr": {"lo": ripr.lo, "masses": _run_length(ripr.masses), "is_sub": ripr.is_sub},
-        "numeraire": e.to_json(),
-        "max_epower": power,
+        "slopes": _runs(res.slopes[0], q.lo, fitted),
+        "ripr": {"lo": ripr.lo, "masses": _runs(0.0, 0, ripr.masses), "is_sub": ripr.is_sub},
+        "numeraire": {"lo": 0, "values": _runs(e.left_tail, e.lo, e.values),
+                      "left_tail": e.left_tail, "right_tail": e.right_tail},
+        "max_epower": epower(e, q),
     })
     return 0
 

@@ -286,7 +286,7 @@ def is_in_polar_U(e, require_jump_guard: bool = False, tol: float = PROB_TOL) ->
         else:
             areas = np.array(e.levels) * (rights - lefts)
     b0 = e.breakpoints[0]  # where the integral is 0
-    return 0.0 <= b0 + tol * max(1.0, b0) and _under_caps(rights, areas, tol, e._areas())
+    return 0.0 <= b0 + tol * max(1.0, b0) and _under_caps(rights, areas, tol)
 
 
 # -------------------------------------------------- expectation, e-power

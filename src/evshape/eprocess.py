@@ -25,8 +25,8 @@ import math
 import numpy as np
 
 from .errors import InvalidSnapshot, NegativeObservation
-from .evalues import wavelet_lambda
-from .numeraire import _numeraire_evalue, lcm
+from .evalues import EvalFn, wavelet_lambda
+from .numeraire import numeraire_evalue
 from .pmf import Pmf, _json_int, _json_number, _json_object
 
 _LN2 = math.log(2.0)
@@ -287,8 +287,8 @@ def _check_obs(x) -> int:
 
 
 class _MonotoneRows:
-    """One fresh :class:`MonotoneTracker` state per row, over values ``0`` to
-    ``top``, folded a block of observations at a time.  After each
+    """One fresh :class:`MonotoneTracker` state per row, over values ``lo``
+    to ``hi``, folded a block of observations at a time.  After each
     :meth:`fold`, the :meth:`tracker` of a row equals a tracker after
     ``update`` with the row's observations so far: the same counts, and
     log factors with the same keys and the same floats.
@@ -303,17 +303,19 @@ class _MonotoneRows:
     pairwise, and the builtin ``sum`` compensates from Python 3.12).
     """
 
-    def __init__(self, rows: int, top: int) -> None:
-        self.counts = np.zeros((rows, top + 2), dtype=np.int64)
-        self.sums = np.zeros((rows, top + 1))
-        self.touched = np.zeros((rows, top + 1), dtype=bool)
+    def __init__(self, rows: int, lo: int, hi: int) -> None:
+        self.base = max(lo - 1, 0)  # column 0: the lowest site an observation touches
+        self.counts = np.zeros((rows, hi + 2 - self.base), dtype=np.int64)
+        self.sums = np.zeros((rows, hi + 1 - self.base))
+        self.touched = np.zeros(self.sums.shape, dtype=bool)
 
     def fold(self, xs: np.ndarray) -> None:
         """Fold ``(row, step)`` observations, each row into its own state."""
         rows, steps = xs.shape
         width = self.sums.shape[1]
         t = np.arange(steps)
-        seg = np.arange(rows)[:, None] * width + xs
+        cols = xs - self.base
+        seg = np.arange(rows)[:, None] * width + cols
         # event keys: segment (row and site), step, and 1 where the
         # observation is the site's upper neighbour; no site x - 1 at x = 0
         keys = np.sort(np.concatenate([((seg * steps + t) * 2).ravel(),
@@ -340,7 +342,7 @@ class _MonotoneRows:
         for s, a, b in zip(segs.tolist(), first.tolist(), (first + size).tolist()):
             sums[s] = np.add.accumulate(logs[a:b])[-1]
         self.touched.ravel()[segs] = True
-        cells = np.arange(rows)[:, None] * (width + 1) + xs
+        cells = np.arange(rows)[:, None] * (width + 1) + cols
         self.counts += np.bincount(cells.ravel(), minlength=counts.size).reshape(
             self.counts.shape)
 
@@ -348,10 +350,10 @@ class _MonotoneRows:
         """The row's state as a :class:`MonotoneTracker`."""
         t = MonotoneTracker()
         values = np.flatnonzero(self.counts[row])
-        t.counts = dict(zip(values.tolist(), self.counts[row, values].tolist()))
+        t.counts = dict(zip((values + self.base).tolist(), self.counts[row, values].tolist()))
         t.n = sum(t.counts.values())
         sites = np.flatnonzero(self.touched[row])
-        t.log_factors = dict(zip(sites.tolist(), self.sums[row, sites].tolist()))
+        t.log_factors = dict(zip((sites + self.base).tolist(), self.sums[row, sites].tolist()))
         return t
 
 
@@ -494,12 +496,11 @@ class UnimodalFamily:
         return f
 
 
-def _numeraire_logs(q: Pmf, fitted: list[float]) -> np.ndarray:
-    """``math.log`` of the numeraire e-value at ``0 .. q.hi``, then ``-inf``
-    for every value past it: the per-observation factors of
-    :func:`numeraire_eprocess`.  ``fitted`` is ``lcm(q).fitted_masses()``."""
-    values = _numeraire_evalue(q, fitted).values
-    return np.array([math.log(v) if v > 0.0 else -math.inf for v in values]
+def _numeraire_logs(e: EvalFn) -> np.ndarray:
+    """``math.log`` of the numeraire e-value ``e`` on its table, then
+    ``-inf`` for every value off it: the per-observation factors of
+    :func:`numeraire_eprocess`, indexed by ``x - e.lo``."""
+    return np.array([math.log(v) if v > 0.0 else -math.inf for v in e.values]
                     + [-math.inf])
 
 
@@ -517,6 +518,6 @@ def numeraire_eprocess(q: Pmf, obs) -> float:
     Uses the true alternative ``q``; an observation outside the support
     of ``q`` sends the product to zero (log ``-inf``).
     """
-    logs = _numeraire_logs(q, lcm(q).fitted_masses())
-    xs = np.array([min(_check_obs(x), len(logs) - 1) for x in obs], dtype=np.int64)
-    return float(_numeraire_sums(logs, xs, 0.0)) if len(xs) else 0.0
+    e = numeraire_evalue(q)  # off the table x - e.lo clips to -1 or n, the last log: -inf
+    xs = np.array([min(max(_check_obs(x) - e.lo, -1), len(e.values)) for x in obs], dtype=np.int64)
+    return float(_numeraire_sums(_numeraire_logs(e), xs, 0.0)) if len(xs) else 0.0

@@ -225,7 +225,7 @@ def is_in_polar_M(e: EvalFn, tol: float = PROB_TOL) -> bool:
     offset = start - int(base)
     rights = np.arange(offset, offset + len(areas), dtype=float)
     rights += base
-    return _under_caps(rights, np.fromiter(areas, float, len(areas)), tol, areas)
+    return _under_caps(rights, np.fromiter(areas, float, len(areas)), tol)
 
 
 def is_in_polar_D(e: EvalFn, theta: int, tol: float = PROB_TOL) -> bool:

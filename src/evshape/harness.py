@@ -111,8 +111,9 @@ from .eprocess import (
 )
 from .errors import (ConfigError, EvshapeError, MalformedJson, NonIntegerInput,
                      NonNumericInput)
+from .evalues import epower
 from .mode import estimate_level, first_window, free_levels, one_obs_ci
-from .numeraire import _numeraire_with_epower, lcm
+from .numeraire import _numeraire_evalue, lcm
 from .pmf import (GuideTable, Pmf, _json_int, _json_number, _json_numbers,
                   _json_object, _running_fsums, mode_set, pmf_from_json)
 from .pmf import sample  # noqa: F401 - kept as harness.sample, which perfbench patches
@@ -443,12 +444,13 @@ class _Rows:
 def _fold_monotone(c: ScenarioConfig, reps: range, draw: GuideTable, logs=None):
     """Every row's ``MonotoneTracker`` state after all its draws, and with
     ``logs`` (see ``eprocess._numeraire_logs``) its numeraire log product."""
-    rows, fold = _Rows(c, reps, draw), _MonotoneRows(len(reps), c.distribution.hi)
+    q = c.distribution
+    rows, fold = _Rows(c, reps, draw), _MonotoneRows(len(reps), q.lo, q.hi)
     log_opt = np.zeros(len(reps))
     for _, xs in rows.takes(0, _FOLD_CELLS):
         fold.fold(xs)
         if logs is not None:
-            log_opt = _numeraire_sums(logs, xs, log_opt)
+            log_opt = _numeraire_sums(logs, xs - q.lo, log_opt)
     return fold, log_opt.tolist()
 
 
@@ -794,11 +796,10 @@ def _run_unrestricted(c: ScenarioConfig) -> tuple[list[dict], dict]:
 def _run_numeraire_compare(c: ScenarioConfig) -> tuple[list[dict], dict]:
     q = c.distribution
     res = lcm(q)  # the one fit: every replication's e-process and the report
-    fitted = res.fitted_masses()
-    records = _map_reps(c, _chunk_numeraire, _FOLD_CELLS * c.n,
-                        _numeraire_logs(q, fitted))
+    e = _numeraire_evalue(q, res._fitted(q.lo))
+    records = _map_reps(c, _chunk_numeraire, _FOLD_CELLS * c.n, _numeraire_logs(e))
     return records, {
-        "analytic_epower": _numeraire_with_epower(q, fitted)[1],
+        "analytic_epower": epower(e, q),
         "mean_numeraire_rate": _mean(rec["numeraire_rate"] for rec in records),
         "mean_mixture_rate": _mean(rec["mixture_rate"] for rec in records),
         "lcm_contacts": list(res.contacts),

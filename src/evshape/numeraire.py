@@ -52,7 +52,12 @@ class LcmResult:
     def fitted_masses(self) -> list[float]:
         """Fitted mass at every index ``0 .. hi``."""
         _check_from_0(self.hi)
-        runs = map(sub, self.contacts[1:], self.contacts)
+        return self._fitted(0)
+
+    def _fitted(self, lo: int) -> list[float]:
+        # the fitted masses at lo .. hi, lo at most the first contact: each
+        # slope over its segment, the first (from the anchor -1) cut at lo
+        runs = [self.contacts[1] + 1 - lo, *map(sub, self.contacts[2:], self.contacts[1:])]
         return list(chain.from_iterable(map(repeat, self.slopes, runs)))
 
     def cdf_value(self, n: int) -> float:
@@ -94,12 +99,6 @@ def _check_from_0(hi: int) -> None:
         raise FarTable(f"lo is too far from 0: the masses from 0 to {hi} cannot be listed")
 
 
-def _masses_from_0(q: Pmf) -> list[float]:
-    # q.f(n) for n = 0 .. q.hi, without a call per index
-    _check_from_0(q.hi)
-    return [0.0] * q.lo + list(q.masses)
-
-
 def lcm(q: Pmf) -> LcmResult:
     """Least concave majorant of the CDF of a probability ``q``.
 
@@ -137,31 +136,31 @@ def lcm(q: Pmf) -> LcmResult:
 
 
 def _numeraire_evalue(q: Pmf, fitted: list[float]) -> EvalFn:
-    # fitted = lcm(q).fitted_masses()
-    masses = _masses_from_0(q)
+    # fitted = lcm(q)._fitted(q.lo)
     try:
-        values = tuple(m / fit if m > 0.0 else 0.0 for m, fit in zip(masses, fitted))
+        values = tuple(m / fit if m > 0.0 else 0.0 for m, fit in zip(q.masses, fitted))
     except ZeroDivisionError:
         # a mass below the rounding of the CDF next to it is fitted as 0
-        k = next(k for k, m in enumerate(masses) if m > 0.0 and fitted[k] == 0.0)
-        raise ZeroFittedMass(f"mass {masses[k]!r} at index {k} has fitted mass 0: "
+        k = next(k for k, m in enumerate(q.masses) if m > 0.0 and fitted[k] == 0.0)
+        raise ZeroFittedMass(f"mass {q.masses[k]!r} at index {q.lo + k} has fitted mass 0: "
                              "it is below the rounding of the CDF") from None
-    return EvalFn(0, values, 0.0, 0.0)
+    return EvalFn(q.lo, values, 0.0, 0.0)
 
 
 def _ripr(q: Pmf, fitted: list[float]) -> Pmf:
-    # fitted = lcm(q).fitted_masses()
-    masses = [fit if m > 0.0 else 0.0 for m, fit in zip(_masses_from_0(q), fitted)]
-    return make_pmf(0, masses, is_sub=True)
+    # fitted = lcm(q)._fitted(q.lo)
+    masses = [fit if m > 0.0 else 0.0 for m, fit in zip(q.masses, fitted)]
+    return make_pmf(q.lo, masses, is_sub=True)
 
 
 def numeraire_evalue(q: Pmf) -> EvalFn:
     """Pointwise ratio of ``q`` to its fitted non-increasing mass.
 
-    Zero tails; indices where ``q`` vanishes get value zero.  This is
-    the growth-optimal e-value against the monotone null.
+    On the table of ``q``, with zero tails; indices where ``q`` vanishes
+    get value zero.  This is the growth-optimal e-value against the
+    monotone null.
     """
-    return _numeraire_evalue(q, lcm(q).fitted_masses())
+    return _numeraire_evalue(q, lcm(q)._fitted(q.lo))
 
 
 def ripr(q: Pmf) -> Pmf:
@@ -171,15 +170,9 @@ def ripr(q: Pmf) -> Pmf:
     monotone class: the fitted masses where ``q`` has mass, zero
     elsewhere.
     """
-    return _ripr(q, lcm(q).fitted_masses())
-
-
-def _numeraire_with_epower(q: Pmf, fitted: list[float]) -> tuple[EvalFn, float]:
-    # fitted = lcm(q).fitted_masses(); the e-power is the best achievable growth
-    e = _numeraire_evalue(q, fitted)
-    return e, epower(e, q)
+    return _ripr(q, lcm(q)._fitted(q.lo))
 
 
 def max_epower(q: Pmf) -> float:
     """Best achievable expected log growth against the monotone null."""
-    return _numeraire_with_epower(q, lcm(q).fitted_masses())[1]
+    return epower(numeraire_evalue(q), q)

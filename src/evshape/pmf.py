@@ -235,13 +235,12 @@ def _sum_margin(n: int) -> float:
     return (n + 4) * 2.0**-52
 
 
-def _under_caps(rights, areas, tol: float, exact_areas) -> bool:
+def _under_caps(rights, areas, tol: float) -> bool:
     """Whether ``fsum(areas[:k + 1]) <= rights[k] + tol * max(1, rights[k])``
     at every ``k``, read in order: the polar checks' one pass.
 
-    ``rights`` do not decrease; ``areas``, an array of nonnegative areas,
-    is overwritten by their running sums; ``exact_areas`` yields the areas
-    as floats.  A ``cumsum`` that clears its cap by :func:`_sum_margin`,
+    ``rights`` do not decrease; ``areas`` is an array of nonnegative areas.
+    A ``cumsum`` that clears its cap by :func:`_sum_margin`,
     at least 5 units in the last place, decides its breakpoint exactly.
     Past the first breakpoint not so decided, or a sum that is not finite,
     :func:`_running_fsums` reads the exact prefixes; as in :func:`_total`,
@@ -256,7 +255,7 @@ def _under_caps(rights, areas, tol: float, exact_areas) -> bool:
         lows = (rights if rights[0] >= 1.0 else np.maximum(rights, 1.0)) * tol
         lows += rights
         lows *= 1.0 - margin
-        sums = np.cumsum(areas, out=areas)
+        sums = np.cumsum(areas)
         under = sums <= lows
     k = int(under.argmin())  # the first breakpoint not decided under
     if under[k]:
@@ -270,7 +269,7 @@ def _under_caps(rights, areas, tol: float, exact_areas) -> bool:
             return False
     caps = (b + tol * max(1.0, b) for b in rights.tolist())
     try:
-        return all(map(le, _running_fsums(zip(exact_areas)), caps))
+        return all(map(le, _running_fsums(zip(areas.tolist())), caps))
     except OverflowError:  # map reads sums first: this prefix's cap is the next
         return all(map(le, repeat(math.inf), caps))
 

@@ -4,8 +4,10 @@ Everything runs in process through ``cli.main`` with a patched stdin;
 one subprocess test at the end confirms the installed entry point.
 """
 
+import hashlib
 import io
 import json
+import os
 import random
 import re
 import resource
@@ -232,8 +234,8 @@ def test_numeraire_with_a_mass_below_the_cdf_rounding_is_a_typed_error(
 @pytest.mark.parametrize("form", ['{"lo": %d, "masses": [1.0]}', "%d 1.0\n"],
                          ids=["json", "text"])
 def test_numeraire_names_a_table_too_far_from_0_to_list(monkeypatch, capsys, lo, form):
-    # the e-value and slopes are lists from 0 up, and no list holds 2**60
-    # entries: the check raises before anything is allocated
+    # the e-value and slopes are written from 0 up, and no list holds 2**60
+    # entries: the check raises before anything is written
     code, out, err = run_cli(monkeypatch, capsys, ["numeraire"], form % lo)
     assert (code, out) == (1, "")
     assert err == (f"evshape: lo is too far from 0: the masses from 0 to {lo} "
@@ -691,3 +693,29 @@ def test_far_check_evalue_answers_within_its_limits(lo, theta):
         preexec_fn=_limit_child)
     assert proc.returncode == 0, proc.stderr
     assert json.loads(proc.stdout) == {"polar_M": True, f"polar_D_{theta}": True}
+
+
+# the bytes the lists from 0 wrote for this table, 260 MB of them
+_FAR_NUMERAIRE_SHA256 = "e2ba08e4a0969c0086f9650ef68bbbb11da47b064ecd4af9cf768f0bbaa3a227"
+
+
+def _limit_child_to_300_mb():
+    resource.setrlimit(resource.RLIMIT_AS, (300 << 20, 300 << 20))
+
+
+def test_far_numeraire_writes_its_runs_in_bounded_memory():
+    # slopes and values from 0 at lo = 10^7 are written run by run, in pieces
+    # of bounded length, so the child answers under 300 MB of address space
+    # (lists from 0 took 760 MB); one BLAS thread keeps the address space
+    # numpy reserves from growing with the host's CPUs
+    child = subprocess.Popen(
+        [sys.executable, "-m", "evshape.cli", "numeraire"],
+        stdin=subprocess.PIPE, stdout=subprocess.PIPE, stderr=subprocess.PIPE,
+        env={**os.environ, "OPENBLAS_NUM_THREADS": "1"}, preexec_fn=_limit_child_to_300_mb)
+    child.stdin.write(b'{"lo": 10000000, "masses": [0.5, 0.3, 0.2]}')
+    child.stdin.close()
+    digest = hashlib.sha256()
+    for chunk in iter(lambda: child.stdout.read(1 << 20), b""):
+        digest.update(chunk)
+    assert child.wait(timeout=10) == 0, child.stderr.read()
+    assert digest.hexdigest() == _FAR_NUMERAIRE_SHA256

@@ -9,13 +9,14 @@ Whatever the input, the exit code is 0, 1 or 2, every stdout line is
 strict JSON, and an error is one line on stderr that names the program,
 never a traceback.
 
-The generators stay within what a command answers in bounded memory:
-``mode-track`` and ``test-unimodal-free`` scan every peak between their
-data (and the free test's anchor), so their values lie within a few of
-one base; ``numeraire`` builds its e-value and slopes from 0 up, so its
-offsets stay small (a far ``lo`` allocates lists as long as the offset);
-and ``simulate`` runs tiny ``n`` and ``reps`` with a clip and an anchor
-near the table.
+The generators stay within what a command answers in bounded memory and
+time: ``mode-track`` and ``test-unimodal-free`` scan every peak between
+their data (and the free test's anchor), so their values lie within a
+few of one base; ``numeraire`` writes its e-value and slopes from 0 up,
+so its offsets stay small (its memory follows the table, but a far
+``lo`` writes some 25 bytes of output per unit of offset); and
+``simulate`` runs tiny ``n`` and ``reps`` with a clip and an anchor near
+the table.
 """
 
 import contextlib
@@ -82,7 +83,8 @@ _PROBABILITIES = st.lists(st.integers(0, 4), min_size=1, max_size=6).filter(any)
 
 
 def _pmf(clean):
-    # no far positive lo: the e-value and slopes are lists from 0 up
+    # no far positive lo: the e-value and slopes are written from 0 up, so
+    # the output grows with lo
     return _objects(clean, {
         "lo": _NEAR if clean else st.one_of(_NEAR, _NUMBERS.filter(lambda t: t[0] == "-")),
         "masses": _PROBABILITIES if clean else st.one_of(_PROBABILITIES, _lists(_NUMBERS)),

@@ -28,7 +28,7 @@ from evshape.errors import (
 )
 from evshape.evalues import EvalFn, is_in_polar_D, is_in_polar_M, wavelet_lambda
 from evshape.mode import IntSet, UnrestrictedTest, confidence_set, mode_estimate
-from evshape.numeraire import lcm
+from evshape.numeraire import numeraire_evalue
 from evshape.pmf import PROB_TOL, make_pmf, sample
 from test_row_engine import fold_in_blocks
 
@@ -432,8 +432,8 @@ def test_numeraire_step_factor_is_in_polar_m(masses):
     total = math.fsum(masses)
     q = make_pmf(0, [m / total for m in masses])
     # one observation's factor; past q.hi the product drops to zero
-    logs = _numeraire_logs(q, lcm(q).fitted_masses())[:q.hi + 1]
-    assert is_in_polar_M(EvalFn(0, [math.exp(v) for v in logs], 0.0, 0.0))
+    logs = _numeraire_logs(numeraire_evalue(q))[:-1]
+    assert is_in_polar_M(EvalFn(q.lo, [math.exp(v) for v in logs], 0.0, 0.0))
 
 
 @settings(max_examples=100, deadline=None, database=None)

@@ -38,7 +38,7 @@ from evshape.harness import (
     run_experiment,
 )
 from evshape.mode import estimate_level, first_window, scan_halfwidth
-from evshape.numeraire import lcm
+from evshape.numeraire import lcm, numeraire_evalue
 from evshape.pmf import GuideTable, make_pmf, mode_set, sample
 
 # ------------------------------------------------- reference, verbatim
@@ -563,7 +563,7 @@ values = st.sampled_from([0, 0, 1, 1, 2, 3, 7, 50, 1000])
 
 def fold_in_blocks(rows, cuts):
     xs = np.array(rows, dtype=np.int64)
-    fold = _MonotoneRows(len(rows), int(xs.max()))
+    fold = _MonotoneRows(len(rows), int(xs.min()), int(xs.max()))
     bounds = sorted({0, xs.shape[1], *(k for k in cuts if k < xs.shape[1])})
     for a, b in zip(bounds, bounds[1:]):
         fold.fold(xs[:, a:b])
@@ -612,11 +612,11 @@ def test_monotone_fold_matches_the_tracker_on_long_streams(masses, seed):
 def test_numeraire_table_sums_match_the_per_observation_product(masses, lo, seed,
                                                                 n, rows, cut):
     q = make_pmf(lo, [m / sum(masses) for m in masses])
-    logs = _numeraire_logs(q, lcm(q).fitted_masses())
+    logs = _numeraire_logs(numeraire_evalue(q))
     obs = np.array([sample(q, seed + r, n) for r in range(rows)])
-    got = _numeraire_sums(logs, obs[:, :cut], np.zeros(rows))
+    got = _numeraire_sums(logs, obs[:, :cut] - q.lo, np.zeros(rows))
     if cut < n:
-        got = _numeraire_sums(logs, obs[:, cut:], got)
+        got = _numeraire_sums(logs, obs[:, cut:] - q.lo, got)
     assert got.tolist() == [numeraire_eprocess(q, o) for o in obs.tolist()]
 
 

@@ -25,11 +25,13 @@ bisection against the walk over its segments.
 """
 
 import contextlib
+import functools
 import io
 import json
 import math
 import random
 import sys
+import tracemalloc
 import warnings
 from fractions import Fraction
 from itertools import accumulate
@@ -41,7 +43,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import evshape
-from evshape.cli import _emit, _run_length, _Runs, main
+from evshape.cli import _PIECE, _emit, _Runs, _runs, main
 from evshape.continuous import (
     StepDensity,
     StepFn,
@@ -67,6 +69,7 @@ from evshape.errors import (
     NoViolation,
     SubprobabilityInput,
 )
+from evshape.eprocess import numeraire_eprocess
 from evshape.evalues import (
     EvalFn,
     PolarCertificate,
@@ -86,7 +89,6 @@ from evshape.evalues import (
 from evshape.harness import ScenarioConfig, run_experiment
 from evshape.numeraire import (
     LcmResult,
-    _numeraire_with_epower,
     _upper_hull,
     lcm,
     max_epower,
@@ -176,6 +178,7 @@ def _masses_from_0(q: Pmf) -> list[float]:
     return [0.0] * q.lo + list(q.masses)
 
 
+@functools.lru_cache(maxsize=2)  # a far table's hull is slow in Python
 def ref_lcm(q: Pmf) -> LcmResult:
     if q.lo < 0:
         raise NegativeSupport("majorant needs nonnegative support")
@@ -224,6 +227,16 @@ def ref_ripr(q: Pmf) -> Pmf:
 
 def ref_max_epower(q: Pmf) -> float:
     return epower(ref_numeraire_evalue(q), q)
+
+
+def ref_numeraire_eprocess(e: EvalFn, obs) -> float:
+    # e = ref_numeraire_evalue(q)
+    total = 0.0
+    for x in obs:
+        if e.at(x) <= 0.0:
+            return -math.inf
+        total += math.log(e.at(x))
+    return total
 
 
 def ref_witness(q: Pmf, theta: int | None = None) -> EvalFn:
@@ -956,11 +969,58 @@ def test_numeraire_payload_matches_the_four_fit_composition(text):
     if want == "raises ZeroDivisionError":
         want = (1, "")
     assert cli_outcome(["numeraire"], text) == want
-    q = pmf_from_text(text)
+    assert_library_matches_the_lists_from_0(pmf_from_text(text))
+
+
+def _seen_from_0(e: EvalFn) -> tuple:
+    # what an e-value answers from -1 to one past its table, and its tails,
+    # wherever its table starts
+    return (*e.at_range(-1, e.hi + 2), e.left_tail, e.right_tail)
+
+
+def assert_library_matches_the_lists_from_0(q: Pmf) -> None:
     for fn, ref in ((lcm, ref_lcm), (numeraire_evalue, ref_numeraire_evalue),
                     (ripr, ref_ripr), (max_epower, ref_max_epower)):
+        if fn is numeraire_evalue:  # on its table: its lo is the table's
+            fn, ref = (lambda q, f=f: _seen_from_0(f(q)) for f in (fn, ref))
         want = outcome(ref, q)
         assert outcome(fn, q) == _TYPED.get(want, want)
+
+
+@pytest.mark.parametrize("masses", [[1.0], [0.5, 0.3, 0.2], [0.1, 0.9],
+                                    [0.2, 0.0, 0.5, 0.3], [0.0, 0.25, 0.25, 0.5, 0.0]])
+@pytest.mark.parametrize("lo", [0, 1, 10**3, 10**6])
+def test_far_tables_answer_on_the_table_as_the_lists_from_0(lo, masses):
+    # a Pmf built directly keeps zeros at its ends
+    for q in {make_pmf(lo, masses), Pmf(lo, masses)}:
+        assert_library_matches_the_lists_from_0(q)
+        e = ref_numeraire_evalue(q)
+        inside = [x for x in range(q.lo, q.hi + 1) if q.f(x) > 0.0]
+        below = [q.lo - 1] if q.lo else []
+        past = [q.hi + 1, q.hi + 10**30]
+        for obs in ([], inside, inside[::-1] * 3, below, inside + below, past,
+                    inside + past + inside, [0] + inside):
+            want = outcome(ref_numeraire_eprocess, e, obs)
+            assert outcome(numeraire_eprocess, q, obs) == want
+
+
+@pytest.mark.parametrize("fn", [lcm, numeraire_evalue, ripr, max_epower,
+                                lambda q: numeraire_eprocess(q, [q.lo, q.hi, q.hi + 1, 0])],
+                         ids=["lcm", "numeraire_evalue", "ripr", "max_epower",
+                              "numeraire_eprocess"])
+def test_far_tables_hold_what_near_ones_hold(fn):
+    # memory follows the table, not its distance from 0
+    peaks = []
+    for lo in (10**3, 10**6):
+        q = make_pmf(lo, [0.2, 0.0, 0.5, 0.3])
+        fn(q)
+        tracemalloc.start()
+        try:
+            fn(q)
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+    assert abs(peaks[1] - peaks[0]) < 4096, peaks
 
 
 def _emitted(obj) -> str:
@@ -992,24 +1052,34 @@ def test_emit_writes_runs_as_json_writes_the_written_out_lists(a, b, c):
         json.dumps(plain, sort_keys=True, allow_nan=False) + "\n")
 
 
+def _bits(xs) -> list[str]:
+    return list(map(float.hex, xs))
+
+
+_run_values = st.one_of(st.sampled_from([0.0, -0.0, 0.5, 5e-324]),
+                        st.floats(allow_nan=False, allow_infinity=False))
+
+
 @settings(max_examples=100, deadline=None, database=None)
-@given(blocks=st.lists(st.tuples(
-    # + 0.0 turns -0.0 into 0.0: equal neighbours share one run's text
-    st.one_of(st.sampled_from([0.0, 0.5, 5e-324]),
-              st.floats(allow_nan=False, allow_infinity=False).map(lambda v: v + 0.0)),
-    st.sampled_from([1, 1, 2, 3, 4097]),
-), max_size=6))
-def test_run_length_keeps_the_array_and_takes_runs_only_when_they_pay(blocks):
-    xs = tuple(v for v, n in blocks for _ in range(n))
-    got = _run_length(xs)
-    starts = sum(a != b for a, b in zip(xs[1:], xs))
-    if starts >= len(xs) // 2:  # under two entries a run: the plain array
-        assert got is xs
+@given(blocks=st.lists(st.tuples(_run_values, st.sampled_from(
+           [1, 1, 2, 3, _PIECE, _PIECE + 1, 2 * _PIECE + 5])), max_size=6),
+       skip=st.sampled_from([0, 1, _PIECE, _PIECE + 1]),
+       head=st.one_of(st.none(), _run_values))
+def test_runs_keep_the_array_and_take_runs_only_when_they_pay(blocks, skip, head):
+    # head None: the head equals the table's first entry
+    table = tuple(v for v, n in blocks for _ in range(n))
+    head = (table[0] if table else 0.5) if head is None else head
+    full = [head] * skip + list(table)
+    got = _runs(head, skip, table)
+    starts = sum(a != b for a, b in zip(_bits(full[1:]), _bits(full)))
+    if starts >= len(full) // 2:  # under two entries a run: the plain array
+        assert type(got) is list and _bits(got) == _bits(full)
     else:
-        assert _written_out(got) == list(xs)
+        assert _bits(_written_out(got)) == _bits(full)
         assert min(got.lengths) > 0
-        assert all(a != b for a, b in zip(got.values[1:], got.values))
-    assert _emitted({"a": got}) == json.dumps({"a": xs}, allow_nan=False) + "\n"
+        assert all(a != b for a, b in zip(_bits(got.values[1:]), _bits(got.values)))
+        assert all(p.count(", ") <= _PIECE for p in got.pieces())
+    assert _emitted({"a": got}) == json.dumps({"a": full}, allow_nan=False) + "\n"
 
 
 @pytest.mark.parametrize("bad", [math.inf, -math.inf, math.nan])
@@ -1044,21 +1114,18 @@ def test_cont_numeraire_payload_matches_the_two_fit_composition(text):
 
 
 @settings(max_examples=100, deadline=None, database=None)
-@given(text=pmf_texts(), density=density_texts())
-# fitted 0 under a positive mass and a positive level: ZeroFittedMass
-@example(text="0 1.0\n1 1e-165\n",
-         density=json.dumps({"breakpoints": [0, 1, 2], "levels": [1.0, 1e-300]}))
+@given(density=density_texts())
+# fitted 0 under a positive level: ZeroFittedMass
+@example(density=json.dumps({"breakpoints": [0, 1, 2], "levels": [1.0, 1e-300]}))
 # a level of 5e-324 under a fitted level above 2: its ratio underflows to 0,
 # so the e-power is -inf; and an atom at 0
-@example(text="0 0.25\n1 0.0\n2 0.75\n",
-         density=json.dumps({"breakpoints": [0, 0.1, 0.2, 0.3],
+@example(density=json.dumps({"breakpoints": [0, 0.1, 0.2, 0.3],
                              "levels": [0.001, 5e-324, 9.999]}))
-@example(text="2 1.0\n", density=json.dumps({"breakpoints": [0, 1, 2],
-                                               "levels": [0.1, 0.5], "atom0": 0.4}))
-def test_numeraire_with_epower_is_the_epower_of_the_numeraire(text, density):
-    q, d = pmf_from_text(text), step_density_from_json(density)
-    assert outcome(lambda: _numeraire_with_epower(q, lcm(q).fitted_masses())) == outcome(
-        lambda: (numeraire_evalue(q), epower(numeraire_evalue(q), q)))
+@example(density=json.dumps({"breakpoints": [0, 1, 2], "levels": [0.1, 0.5], "atom0": 0.4}))
+def test_numeraire_with_epower_is_the_epower_of_the_numeraire(density):
+    # the discrete command takes its e-power with epower itself (the
+    # four-fit composition above)
+    d = step_density_from_json(density)
     assert outcome(lambda: _numeraire_cont_with_epower(d, lcm_cont(d))) == outcome(
         lambda: (numeraire_cont(d), epower_cont(numeraire_cont(d), d)))
 
